@@ -47,8 +47,6 @@ from .montecarlo import (
     analytic_target,
     convergence_report,
     run_simulation,
-    simulate_objective,
-    simulate_vn,
     to_record,
 )
 from .operators import (

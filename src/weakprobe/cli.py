@@ -179,11 +179,10 @@ def cmd_simulate(args) -> int:
     spec = SimulationSpec(cfg, args.model, args.trials, args.seed)
     result = run_simulation(spec)
     target = analytic_target(spec)
-    delta = abs(result.mean - target)
     if result.stderr > 0.0:
         z = (result.mean.real - target.real) / result.stderr
-    else:
-        z = 0.0 if delta <= 1e-12 else float("inf")
+    else:  # exact mean: null when it misses the target, as JSON has no Infinity
+        z = 0.0 if abs(result.mean - target) <= 1e-12 else None
     if args.format == "csv":
         record = to_record(spec, result)
         rows = [list(CSV_COLUMNS), [record[k] for k in CSV_COLUMNS]]

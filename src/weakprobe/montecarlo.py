@@ -15,14 +15,20 @@ consumes draws ``2i`` and ``2i+1`` (``t_s`` then ``t_w``) under the
 instantaneous model, or draw ``i`` under the objective model, so the
 draws of any trial are fixed by ``(seed, trial index)`` alone: results
 are bit-identical for a given spec no matter how the chunks are
-evaluated, and prefixes of a stream are stable.  Per-trial values are
-combined in trial-index order.
+evaluated, and prefixes of a stream are stable.
+
+Each chunk reduces to branch counts plus the mean and M2 of
+``x = t_w/delta_t_c`` over its mid-collapse trials, where the value is
+affine in ``x``; chunks merge in index order by the pairwise update of
+Chan, Golub & LeVeque (1983).  Memory is O(``CHUNK_TRIALS``) whatever
+the trial count.  This reduction replaced a per-trial value array and
+changed result bits once, in the last places; the draws did not change.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,8 +44,6 @@ __all__ = [
     "CHUNK_TRIALS",
     "SimulationSpec",
     "AveragedResult",
-    "simulate_vn",
-    "simulate_objective",
     "run_simulation",
     "convergence_report",
     "analytic_target",
@@ -97,73 +101,100 @@ def _chunks(n: int):
         yield j, lo, min(lo + CHUNK_TRIALS, n)
 
 
+def _chunk_draws(spec: SimulationSpec, j: int, n: int) -> np.ndarray:
+    """Draws of the first ``n`` trials of chunk ``j``: ``t_s, t_w`` interleaved
+    under the instantaneous model, ``t_w`` under the objective model."""
+    rng = _chunk_rng(spec.seed, j)
+    if spec.model == "vn":
+        return rng.uniform(0.0, spec.cfg.delta_t_m, size=2 * n)
+    return rng.uniform(spec.cfg.weak_window.lo, spec.cfg.weak_window.hi, n)
+
+
+def _draws(spec: SimulationSpec) -> np.ndarray:
+    chunks = _chunks(spec.trials)
+    return np.concatenate([_chunk_draws(spec, j, hi - lo) for j, lo, hi in chunks])
+
+
 def _vn_draws(spec: SimulationSpec) -> tuple[np.ndarray, np.ndarray]:
     """Collapse and weak-coupling times for every instantaneous-model trial."""
-    n = spec.trials
-    dtm = spec.cfg.delta_t_m
-    t_s = np.empty(n)
-    t_w = np.empty(n)
-    for j, lo, hi in _chunks(n):
-        block = _chunk_rng(spec.seed, j).uniform(0.0, dtm, size=2 * (hi - lo))
-        t_s[lo:hi] = block[0::2]
-        t_w[lo:hi] = block[1::2]
-    return t_s, t_w
+    block = _draws(spec)
+    return block[0::2], block[1::2]
 
 
 def _objective_draws(spec: SimulationSpec) -> np.ndarray:
     """Weak-coupling times for every objective-model trial."""
-    n = spec.trials
-    window = spec.cfg.weak_window
-    t_w = np.empty(n)
-    for j, lo, hi in _chunks(n):
-        t_w[lo:hi] = _chunk_rng(spec.seed, j).uniform(window.lo, window.hi, hi - lo)
-    return t_w
+    return _draws(spec)
 
 
-def _trial_values(spec: SimulationSpec) -> np.ndarray:
-    t = protocol_traces(spec.cfg)
-    w1 = t.proj_obs_in / t.proj_in
-    w3 = t.fin_obs_proj / t.fin_proj
+# A group of trials: (count, mean, M2 of the real part, M2 of the imaginary part).
+_EMPTY = (0, 0j, 0.0, 0.0)
+
+
+def _merge(a, b):
+    """Pairwise update of Chan, Golub & LeVeque (1983); ``a`` comes first."""
+    if a[0] == 0 or b[0] == 0:
+        return b if a[0] == 0 else a
+    (na, ma, ra, ia), (nb, mb, rb, ib) = a, b
+    n, d = na + nb, mb - ma
+    f = na * nb / n
+    return n, ma + d * (nb / n), ra + rb + d.real**2 * f, ia + ib + d.imag**2 * f
+
+
+def _chunk_group(spec: SimulationSpec, branch, draws: np.ndarray, n: int):
+    """The group of the first ``n`` trials of a chunk, from the chunk's draws."""
+    w1, w3, obs_in, slope = branch
+    mid = _EMPTY
     if spec.model == "vn":
-        t_s, t_w = _vn_draws(spec)
-        return np.where(t_w > t_s, w3, w1)
-    t_w = _objective_draws(spec)
-    dtc = spec.cfg.delta_t_c
-    x = t_w / dtc
-    mid = (1.0 - x) * t.obs_in + x * t.obs_proj
-    return np.select([t_w < 0.0, t_w > dtc], [w1, w3], default=mid)
-
-
-def _stats(values: np.ndarray, spec: SimulationSpec, trials: int) -> AveragedResult:
-    mean = complex(values.mean())
-    if trials > 1:
-        root = math.sqrt(trials)
-        stderr = float(values.real.std(ddof=1)) / root
-        stderr_im = float(values.imag.std(ddof=1)) / root
+        t_s, t_w = draws[0 : 2 * n : 2], draws[1 : 2 * n : 2]
+        weak_first = n - int(np.count_nonzero(t_w > t_s))
     else:
-        stderr = stderr_im = 0.0
-    return AveragedResult(mean, stderr, stderr_im, trials, spec.seed)
+        t_w, dtc = draws[:n], spec.cfg.delta_t_c
+        weak_first = int(np.count_nonzero(t_w < 0.0))
+        x = t_w[(t_w >= 0.0) & (t_w <= dtc)]
+        if x.size:
+            x /= dtc  # mid draws only: x <= 1, while t_w/dtc can overflow elsewhere
+            mean_x = float(x.mean())
+            x -= mean_x
+            m2_x = float(np.square(x, out=x).sum())
+            re, im = m2_x * slope.real**2, m2_x * slope.imag**2
+            mid = (x.size, obs_in + mean_x * slope, re, im)
+    strong_first = (n - weak_first - mid[0], w3, 0.0, 0.0)
+    return _merge(_merge((weak_first, w1, 0.0, 0.0), mid), strong_first)
 
 
-def simulate_vn(spec: SimulationSpec) -> AveragedResult:
-    """Sample the time-averaged weak value under instantaneous collapse."""
-    if spec.model != "vn":
-        raise ValueError(f"spec.model is {spec.model!r}, expected 'vn'")
-    values = _trial_values(spec)
-    return _stats(values, spec, spec.trials)
+def _result(group, seed: int) -> AveragedResult:
+    n, mean, m2_re, m2_im = group
+    dof = max(n * (n - 1), 1)  # a single trial has M2 = 0, so zero stderr
+    stderr, stderr_im = math.sqrt(m2_re / dof), math.sqrt(m2_im / dof)
+    return AveragedResult(complex(mean), stderr, stderr_im, n, seed)
 
 
-def simulate_objective(spec: SimulationSpec) -> AveragedResult:
-    """Sample the time-averaged weak value under objective collapse."""
-    if spec.model != "objective":
-        raise ValueError(f"spec.model is {spec.model!r}, expected 'objective'")
-    values = _trial_values(spec)
-    return _stats(values, spec, spec.trials)
+def _stream(spec: SimulationSpec, checkpoints: list[int]) -> list[AveragedResult]:
+    """Statistics of the first ``c`` trials for each checkpoint ``c``, in one pass.
+
+    Checkpoint ``c`` in chunk ``j`` merges whole chunks ``0..j-1``, then
+    the ``c``-prefix of chunk ``j``: the same order as a run of ``c``.
+    """
+    t = protocol_traces(spec.cfg)
+    w1, w3 = t.proj_obs_in / t.proj_in, t.fin_obs_proj / t.fin_proj
+    branch = (w1, w3, t.obs_in, t.obs_proj - t.obs_in)
+    todo = iter(checkpoints)
+    c, total, out = next(todo), _EMPTY, []
+    for j, lo, hi in _chunks(checkpoints[-1]):
+        draws = _chunk_draws(spec, j, hi - lo)
+        chunk = _chunk_group(spec, branch, draws, hi - lo)
+        while c is not None and c <= hi:
+            part = chunk if c == hi else _chunk_group(spec, branch, draws, c - lo)
+            out.append(_result(_merge(total, part), spec.seed))
+            c = next(todo, None)
+        total = _merge(total, chunk)
+        del draws  # free before the next chunk is drawn: one chunk in memory
+    return out
 
 
 def run_simulation(spec: SimulationSpec) -> AveragedResult:
-    """Dispatch on ``spec.model``."""
-    return simulate_vn(spec) if spec.model == "vn" else simulate_objective(spec)
+    """Sample the time-averaged weak value of ``spec.model``."""
+    return _stream(spec, [spec.trials])[0]
 
 
 def analytic_target(spec: SimulationSpec) -> complex:
@@ -180,18 +211,16 @@ def convergence_report(
 
     ``checkpoints`` must be strictly increasing positive integers; the
     result at checkpoint ``N`` is the statistics of the first ``N``
-    trials of the stream defined by ``spec.seed`` (prefix-stable by the
-    chunking contract), so the entries show the ``1/sqrt(N)`` shrink of
-    the standard error on actual data.
+    trials of the stream defined by ``spec.seed`` and equals
+    ``run_simulation`` at ``N`` trials bit for bit, so the entries show
+    the ``1/sqrt(N)`` shrink of the standard error on actual data.
     """
     checkpoints = [int(c) for c in checkpoints]
     if not checkpoints or any(c < 1 for c in checkpoints):
         raise ValueError("checkpoints must be positive integers")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
-    full = replace(spec, trials=checkpoints[-1])
-    values = _trial_values(full)
-    return [_stats(values[:c], spec, c) for c in checkpoints]
+    return _stream(spec, checkpoints)
 
 
 CSV_COLUMNS = ("model", "N", "seed", "mean_re", "mean_im", "stderr_re", "stderr_im")

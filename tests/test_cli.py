@@ -230,6 +230,33 @@ class TestSimulate:
         assert cells[2] == "0"
         float(cells[3])  # parseable full-precision floats
 
+    def test_exact_mean_off_target_is_strict_json(self):
+        # one objective trial: zero stderr, mean off the analytic target
+        proc = run_cli(
+            "simulate",
+            "--scenario",
+            "hydrogen",
+            "--a-re",
+            0.6,
+            "--b-re",
+            0.8,
+            "--dtc",
+            0.5,
+            "--model",
+            "objective",
+            "--trials",
+            1,
+            check_exit=0,
+        )
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        report = json.loads(proc.stdout, parse_constant=reject)
+        assert report["stderr_re"] == 0.0
+        assert report["mean_re"] != pytest.approx(report["analytic"]["re"])
+        assert report["z"] is None
+
     def test_model_required(self):
         run_cli("simulate", "--scenario", "hydrogen", check_exit=2)
 

@@ -1,3 +1,8 @@
+import math
+import tracemalloc
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,9 +14,8 @@ from weakprobe import (
     SimulationSpec,
     analytic_target,
     convergence_report,
+    protocol_traces,
     run_simulation,
-    simulate_objective,
-    simulate_vn,
     to_record,
 )
 from weakprobe.montecarlo import _objective_draws, _vn_draws
@@ -39,12 +43,6 @@ class TestSpecValidation:
     def test_bad_seed(self, seed):
         with pytest.raises(ValueError, match="seed"):
             SimulationSpec(spin_config(), "vn", 10, seed)
-
-    def test_model_guards(self):
-        with pytest.raises(ValueError):
-            simulate_vn(objective_spec())
-        with pytest.raises(ValueError):
-            simulate_objective(vn_spec())
 
 
 class TestDeterminism:
@@ -237,3 +235,85 @@ class TestRecords:
         assert isinstance(res, AveragedResult)
         assert res.trials == 10
         assert res.seed == 4
+
+
+def direct_values(spec):
+    """Every trial's value, materialized from the draws in trial order."""
+    t = protocol_traces(spec.cfg)
+    w1 = t.proj_obs_in / t.proj_in
+    w3 = t.fin_obs_proj / t.fin_proj
+    if spec.model == "vn":
+        t_s, t_w = _vn_draws(spec)
+        return np.where(t_w > t_s, w3, w1)
+    t_w = _objective_draws(spec)
+    dtc = spec.cfg.delta_t_c
+    mid = t.obs_in + (t_w / dtc) * (t.obs_proj - t.obs_in)
+    return np.select([t_w < 0.0, t_w > dtc], [w1, w3], default=mid)
+
+
+def assert_matches_two_pass(res, values):
+    n = values.size
+    mean = complex(values.mean())
+    stderr = float(values.real.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    stderr_im = float(values.imag.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    assert res.trials == n
+    assert abs(res.mean - mean) <= 1e-12 * abs(mean)
+    assert abs(res.stderr - stderr) <= 1e-12 * stderr
+    assert abs(res.stderr_im - stderr_im) <= 1e-12 * stderr_im
+
+
+def generic_spec(model, trials, seed):
+    # d = 3 gives complex branch values; dtc = dtm/2 populates all three
+    # objective stretches (before, inside and after the collapse).
+    cfg = random_config(np.random.default_rng(300 + seed), d=3)
+    cfg = replace(cfg, delta_t_c=cfg.delta_t_m / 2)
+    return SimulationSpec(cfg, model, trials, seed)
+
+
+class TestStreamingReduction:
+    @pytest.mark.parametrize("model", ["vn", "objective"])
+    @pytest.mark.parametrize(
+        "trials",
+        [1, 2, CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1, 3 * CHUNK_TRIALS + 5],
+    )
+    def test_matches_two_pass_reduction(self, model, trials):
+        spec = generic_spec(model, trials, seed=trials % 7)
+        assert_matches_two_pass(run_simulation(spec), direct_values(spec))
+
+    @pytest.mark.parametrize("model", ["vn", "objective"])
+    def test_report_matches_two_pass_and_runs(self, model):
+        # checkpoints inside chunks and exactly on chunk boundaries
+        k = CHUNK_TRIALS
+        checkpoints = [1, 1000, k, k + 17, 2 * k, 3 * k + 5]
+        spec = generic_spec(model, checkpoints[-1], seed=5)
+        values = direct_values(spec)
+        report = convergence_report(spec, checkpoints)
+        for c, res in zip(checkpoints, report):
+            assert_matches_two_pass(res, values[:c])
+            assert res == run_simulation(replace(spec, trials=c))
+
+    @pytest.mark.parametrize("model", ["vn", "objective"])
+    def test_memory_independent_of_trials(self, model):
+        def peak(trials):
+            spec = generic_spec(model, trials, seed=1)
+            tracemalloc.start()
+            try:
+                run_simulation(spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(1 << 17), peak(1 << 22)
+        assert large < 8_000_000
+        assert large <= 2 * small
+
+    @pytest.mark.parametrize("model", ["vn", "objective"])
+    def test_extreme_windows_do_not_overflow(self, model):
+        spec = generic_spec(model, CHUNK_TRIALS + 3, seed=6)
+        spec = replace(spec, cfg=replace(spec.cfg, delta_t_m=1e300, delta_t_c=1e-300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_simulation(spec)
+        parts = (res.mean.real, res.mean.imag, res.stderr, res.stderr_im)
+        assert all(math.isfinite(v) for v in parts)
+        assert res.stderr > 0.0  # both branches were sampled, w1 != w3
