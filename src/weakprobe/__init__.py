@@ -10,8 +10,6 @@ verdict.
 """
 
 from .collapse import (
-    ContinuousModel,
-    InstantaneousModel,
     UniformTiming,
     evolution_superop_objective,
     objective_state_at,
@@ -77,7 +75,6 @@ from .serialization import (
     superop_to_json,
 )
 from .superops import (
-    CollapseSuperOp,
     CompletionResult,
     SuperOp,
     apply_superop,
@@ -85,7 +82,6 @@ from .superops import (
     collapse_superop,
     compose,
     reconstruct_superop,
-    retrograde,
     solve_completion,
     superop_adjoint,
 )

@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +45,11 @@ from .operators import spectral_decompose
 from .pointer import GaussianPointer, postselected_pointer_mean, weak_limit_slope
 from .serialization import config_from_json, config_to_json
 from .weakvalues import (
+    ProtocolTraces,
     apparent_resolution,
     averaged_weak_value_objective,
     averaged_weak_value_vn,
     discriminate,
-    protocol_traces,
     trial_weak_value_strong_first,
     trial_weak_value_weak_first,
 )
@@ -62,18 +62,27 @@ EXIT_DEGENERATE = 4
 _INV_SQRT2 = 2.0**-0.5
 
 
-def _add_config_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="FILE", help="JSON configuration file")
-    p.add_argument(
-        "--scenario", choices=["hydrogen"], help="built-in scenario instead of --config"
-    )
+def _add_amplitudes(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a-re", type=float, default=_INV_SQRT2, help="Re(a) (hydrogen)")
     p.add_argument("--a-im", type=float, default=0.0, help="Im(a) (hydrogen)")
     p.add_argument("--b-re", type=float, default=_INV_SQRT2, help="Re(b) (hydrogen)")
     p.add_argument("--b-im", type=float, default=0.0, help="Im(b) (hydrogen)")
     p.add_argument("--hbar", type=float, default=1.0, help="hbar (hydrogen)")
-    p.add_argument("--dtc", type=float, default=None, help="collapse duration")
-    p.add_argument("--dtm", type=float, default=None, help="timing-jitter window")
+
+
+def _add_windows(p: argparse.ArgumentParser, default: float | None) -> None:
+    p.add_argument("--dtc", type=float, default=default, help="collapse duration")
+    p.add_argument("--dtm", type=float, default=default, help="timing-jitter window")
+
+
+def _add_config_source(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", metavar="FILE", help="JSON configuration file")
+    p.add_argument(
+        "--scenario", choices=["hydrogen"], help="built-in scenario instead of --config"
+    )
+    _add_amplitudes(p)
+    _add_windows(p, None)
+    p.add_argument("--emit-config", metavar="FILE", help="also write the resolved config")
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:
@@ -106,16 +115,27 @@ def _resolve_config(args):
 
 
 def _maybe_emit_config(args, cfg) -> None:
-    if getattr(args, "emit_config", None):
+    if args.emit_config:
         Path(args.emit_config).write_text(_dumps(config_to_json(cfg)))
+
+
+def _scenario(args) -> HydrogenScenario:
+    return HydrogenScenario(
+        complex(args.a_re, args.a_im), complex(args.b_re, args.b_im), args.hbar
+    )
 
 
 def _c(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
+def _traces(t: ProtocolTraces) -> dict:
+    return {f.name: _c(getattr(t, f.name)) for f in fields(t)}
+
+
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    # No NaN or Infinity tokens: they are not JSON (RFC 8259).
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(text: str, args) -> None:
@@ -136,7 +156,6 @@ def _csv(rows: list[list]) -> str:
 def cmd_analytic(args) -> int:
     cfg = _resolve_config(args)
     _maybe_emit_config(args, cfg)
-    t = protocol_traces(cfg)
     report = {
         "delta_t_m": cfg.delta_t_m,
         "delta_t_c": cfg.delta_t_c,
@@ -146,14 +165,7 @@ def cmd_analytic(args) -> int:
         "trial_strong_first": _c(trial_weak_value_strong_first(cfg)),
         "prediction_vn": _c(averaged_weak_value_vn(cfg)),
         "prediction_objective": _c(averaged_weak_value_objective(cfg)),
-        "traces": {
-            "proj_obs_in": _c(t.proj_obs_in),
-            "proj_in": _c(t.proj_in),
-            "fin_obs_proj": _c(t.fin_obs_proj),
-            "fin_proj": _c(t.fin_proj),
-            "obs_in": _c(t.obs_in),
-            "obs_proj": _c(t.obs_proj),
-        },
+        "traces": _traces(cfg.traces),
     }
     if args.format == "csv":
         rows = [["field", "re", "im"]]
@@ -200,7 +212,6 @@ def cmd_discriminate(args) -> int:
     _maybe_emit_config(args, cfg)
     measured = complex(args.measured, args.measured_im)
     verdict = discriminate(measured, cfg, args.sigma_meas)
-    t = protocol_traces(cfg)
     report = {
         "model": verdict.model,
         "delta_t_c_estimate": verdict.delta_t_c_estimate,
@@ -209,7 +220,7 @@ def cmd_discriminate(args) -> int:
         "measured": _c(measured),
         "sigma_meas": args.sigma_meas,
         "prediction_vn": _c(averaged_weak_value_vn(cfg)),
-        "prediction_saturated": _c((t.obs_in + t.obs_proj) / 2.0),
+        "prediction_saturated": _c(cfg.traces.saturated),
     }
     if args.format == "csv":
         rows = [
@@ -228,31 +239,20 @@ def cmd_discriminate(args) -> int:
 
 
 def cmd_hydrogen(args) -> int:
-    scenario = HydrogenScenario(
-        complex(args.a_re, args.a_im), complex(args.b_re, args.b_im), args.hbar
-    )
-    dtc = args.dtc if args.dtc is not None else 1.0
-    dtm = args.dtm if args.dtm is not None else 1.0
+    scenario = _scenario(args)
     t = hydrogen_traces(scenario)
-    pred = hydrogen_predictions(scenario, dtc, dtm)
+    pred = hydrogen_predictions(scenario, args.dtc, args.dtm)
     report = {
         "a": _c(scenario.a),
         "b": _c(scenario.b),
         "hbar": scenario.hbar,
-        "delta_t_m": dtm,
-        "delta_t_c": dtc,
+        "delta_t_m": args.dtm,
+        "delta_t_c": args.dtc,
         "flags": scenario.flags(),
         "prediction_vn": _c(pred.vn),
         "prediction_objective": _c(pred.objective),
         "degenerate": pred.degenerate,
-        "traces": {
-            "proj_obs_in": _c(t.proj_obs_in),
-            "proj_in": _c(t.proj_in),
-            "fin_obs_proj": _c(t.fin_obs_proj),
-            "fin_proj": _c(t.fin_proj),
-            "obs_in": _c(t.obs_in),
-            "obs_proj": _c(t.obs_proj),
-        },
+        "traces": _traces(t),
     }
     if args.format == "csv":
         rows = [["field", "re", "im"]]
@@ -269,9 +269,7 @@ def cmd_hydrogen(args) -> int:
 
 
 def cmd_pointer(args) -> int:
-    scenario = HydrogenScenario(
-        complex(args.a_re, args.a_im), complex(args.b_re, args.b_im), args.hbar
-    )
+    scenario = _scenario(args)
     if args.order == "strong-first":
         # The completed strong measurement re-prepares the selected branch.
         psi1 = np.array([1.0, 0.0], dtype=complex)
@@ -313,13 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analytic", help="closed-form predictions for a configuration")
     _add_config_source(p)
     _add_output(p)
-    p.add_argument("--emit-config", metavar="FILE", help="also write the resolved config")
     p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate of the averaged value")
     _add_config_source(p)
     _add_output(p)
-    p.add_argument("--emit-config", metavar="FILE", help="also write the resolved config")
     p.add_argument("--model", choices=["vn", "objective"], required=True)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
@@ -328,29 +324,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discriminate", help="verdict for a measured averaged value")
     _add_config_source(p)
     _add_output(p)
-    p.add_argument("--emit-config", metavar="FILE", help="also write the resolved config")
     p.add_argument("--measured", type=float, required=True, help="Re of the measurement")
     p.add_argument("--measured-im", type=float, default=0.0, help="Im of the measurement")
     p.add_argument("--sigma-meas", type=float, required=True, help="1-sigma uncertainty")
     p.set_defaults(func=cmd_discriminate)
 
     p = sub.add_parser("hydrogen", help="built-in qubit scenario in detail")
-    p.add_argument("--a-re", type=float, default=_INV_SQRT2)
-    p.add_argument("--a-im", type=float, default=0.0)
-    p.add_argument("--b-re", type=float, default=_INV_SQRT2)
-    p.add_argument("--b-im", type=float, default=0.0)
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--dtc", type=float, default=None)
-    p.add_argument("--dtm", type=float, default=None)
+    _add_amplitudes(p)
+    _add_windows(p, 1.0)
     _add_output(p)
     p.set_defaults(func=cmd_hydrogen)
 
     p = sub.add_parser("pointer", help="pointer shift curve and weak-limit fit")
-    p.add_argument("--a-re", type=float, default=_INV_SQRT2)
-    p.add_argument("--a-im", type=float, default=0.0)
-    p.add_argument("--b-re", type=float, default=_INV_SQRT2)
-    p.add_argument("--b-im", type=float, default=0.0)
-    p.add_argument("--hbar", type=float, default=1.0)
+    _add_amplitudes(p)
     p.add_argument(
         "--order",
         choices=["strong-first", "weak-first"],

@@ -37,8 +37,6 @@ from .operators import (
 from .superops import SuperOp, collapse_superop, solve_completion
 
 __all__ = [
-    "ContinuousModel",
-    "InstantaneousModel",
     "UniformTiming",
     "objective_state_at",
     "projective_ensemble_state_at",
@@ -68,36 +66,6 @@ class UniformTiming:
 
     def contains(self, t: float) -> bool:
         return self.lo <= t <= self.hi
-
-
-@dataclass(frozen=True)
-class ContinuousModel:
-    """Objective collapse of duration ``delta_t_c``."""
-
-    delta_t_c: float
-
-    def __post_init__(self):
-        if not self.delta_t_c > 0:
-            raise ValueError("collapse duration must be positive")
-
-    def state_at(self, rho_in: DensityOperator, p: Projector, t: float) -> DensityOperator:
-        return objective_state_at(rho_in, p, t, self.delta_t_c)
-
-
-@dataclass(frozen=True)
-class InstantaneousModel:
-    """Projective collapse with uniform timing jitter of width ``delta_t_m``."""
-
-    delta_t_m: float
-
-    def __post_init__(self):
-        if not self.delta_t_m > 0:
-            raise ValueError("timing-jitter window must be positive")
-
-    def ensemble_state_at(
-        self, rho_in: DensityOperator, p: Projector, t: float
-    ) -> DensityOperator:
-        return projective_ensemble_state_at(rho_in, p, t, self.delta_t_m)
 
 
 def _require_rank1(p: Projector) -> None:

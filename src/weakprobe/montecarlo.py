@@ -28,6 +28,7 @@ changed result bits once, in the last places; the draws did not change.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,7 +38,6 @@ from .weakvalues import (
     ProtocolConfig,
     averaged_weak_value_objective,
     averaged_weak_value_vn,
-    protocol_traces,
 )
 
 __all__ = [
@@ -68,9 +68,10 @@ class SimulationSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        # Exactly int: bool is an int subclass, but True trials is a mistake.
+        if not (type(self.trials) is int and self.trials >= 1):
             raise ValueError("trials must be a positive integer")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (type(self.seed) is int and 0 <= self.seed < 2**64):
             raise ValueError("seed must be an unsigned 64-bit integer")
 
 
@@ -175,9 +176,8 @@ def _stream(spec: SimulationSpec, checkpoints: list[int]) -> list[AveragedResult
     Checkpoint ``c`` in chunk ``j`` merges whole chunks ``0..j-1``, then
     the ``c``-prefix of chunk ``j``: the same order as a run of ``c``.
     """
-    t = protocol_traces(spec.cfg)
-    w1, w3 = t.proj_obs_in / t.proj_in, t.fin_obs_proj / t.fin_proj
-    branch = (w1, w3, t.obs_in, t.obs_proj - t.obs_in)
+    t = spec.cfg.traces
+    branch = (t.weak_first, t.strong_first, t.obs_in, t.obs_proj - t.obs_in)
     todo = iter(checkpoints)
     c, total, out = next(todo), _EMPTY, []
     for j, lo, hi in _chunks(checkpoints[-1]):
@@ -215,9 +215,13 @@ def convergence_report(
     ``run_simulation`` at ``N`` trials bit for bit, so the entries show
     the ``1/sqrt(N)`` shrink of the standard error on actual data.
     """
-    checkpoints = [int(c) for c in checkpoints]
-    if not checkpoints or any(c < 1 for c in checkpoints):
+    checkpoints = list(checkpoints)
+    if not checkpoints or any(
+        isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 1
+        for c in checkpoints
+    ):
         raise ValueError("checkpoints must be positive integers")
+    checkpoints = [int(c) for c in checkpoints]
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
     return _stream(spec, checkpoints)

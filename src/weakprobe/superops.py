@@ -33,7 +33,6 @@ from .operators import (
 
 __all__ = [
     "SuperOp",
-    "CollapseSuperOp",
     "CompletionResult",
     "vectorize",
     "unvectorize",
@@ -43,7 +42,6 @@ __all__ = [
     "collapse_superop",
     "reconstruct_superop",
     "solve_completion",
-    "retrograde",
     "backward_state",
 ]
 
@@ -81,17 +79,6 @@ class SuperOp:
         return cls(d, np.eye(d * d, dtype=complex))
 
 
-@dataclass(frozen=True, eq=False)
-class CollapseSuperOp(SuperOp):
-    """The collapse map of a selective strong measurement.
-
-    Sends every operator ``xi`` to ``Tr[xi] * target``; build with
-    :func:`collapse_superop`.
-    """
-
-    target: Projector = None  # type: ignore[assignment]
-
-
 def _mat(x) -> np.ndarray:
     if isinstance(x, (DensityOperator, Projector)):
         return x.mat
@@ -118,9 +105,7 @@ def superop_adjoint(k: SuperOp) -> SuperOp:
     return SuperOp(k.dim, k.matrix.conj().T)
 
 
-def collapse_superop(
-    p, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> CollapseSuperOp:
+def collapse_superop(p, tolerances: Tolerances = DEFAULT_TOLERANCES) -> SuperOp:
     """Collapse map ``xi -> Tr[xi] * P`` of a selective measurement onto ``p``.
 
     ``vec`` of the output is ``vec(P) * (vec(I)^dag vec(xi))``, so the
@@ -130,7 +115,7 @@ def collapse_superop(
         p = Projector.from_matrix(p, tolerances)
     d = p.dim
     matrix = np.outer(vectorize(p.mat), vectorize(identity(d)).conj())
-    return CollapseSuperOp(d, matrix, p)
+    return SuperOp(d, matrix)
 
 
 def reconstruct_superop(inputs: Sequence, outputs: Sequence) -> SuperOp:
@@ -205,21 +190,14 @@ def solve_completion(
     return CompletionResult(SuperOp(e_first.dim, k), unique, affine_dimension, residual)
 
 
-def retrograde(e: SuperOp) -> SuperOp:
-    """Retrograde counterpart of a forward ensemble evolution.
-
-    Running the adjoint map backwards over an interval pairs with the
-    forward map under the Hilbert-Schmidt product, which is what lets a
-    later selection be pulled back to an earlier time.
-    """
-    return superop_adjoint(e)
-
-
 def backward_state(e_w_fin: SuperOp, rho_fin) -> np.ndarray:
     """Pull the final selection back to the weak-coupling time.
 
-    Returns ``retrograde(E)(rho_fin)`` — in general *not* normalized and
-    not a density operator; it enters conditional averages only through
-    ratios, where the normalization cancels.
+    Returns ``E^dag(rho_fin)``: the adjoint pairs with the forward map
+    under the Hilbert-Schmidt product, which is what lets a later
+    selection be pulled back to an earlier time.  The result is in
+    general *not* normalized and not a density operator; it enters
+    conditional averages only through ratios, where the normalization
+    cancels.
     """
-    return apply_superop(retrograde(e_w_fin), _mat(rho_fin))
+    return apply_superop(superop_adjoint(e_w_fin), _mat(rho_fin))

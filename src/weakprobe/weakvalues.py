@@ -30,17 +30,19 @@ between the two collapse models in :mod:`weakprobe.collapse`:
 
 The averaged predictions therefore separate the models; the
 discrimination logic at the bottom turns a measured average into a
-verdict.
+verdict.  Per-trial weak values are averaged uniformly over the
+timing window.
 
-Averaging convention: per-trial weak values are averaged uniformly over
-the timing window.  Weighting trials by their postselection probability
-instead is available behind ``weight_by_postselection=True`` for
-exploration; it is not part of the validated surface.
+Every closed-form prediction is a function of six traces and the two
+window durations; :class:`ProtocolConfig` computes the traces once, on
+construction, and the predictions read them from ``cfg.traces``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -56,7 +58,6 @@ from .operators import (
     DEFAULT_TOLERANCES,
     DensityOperator,
     Projector,
-    Tolerances,
     _frozen,
     as_operator,
     hermiticity_defect,
@@ -81,6 +82,33 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class ProtocolTraces:
+    """The six traces every analytic prediction is built from."""
+
+    proj_obs_in: complex  # Tr[P O rho_in]
+    proj_in: complex      # Tr[P rho_in]
+    fin_obs_proj: complex  # Tr[rho_fin O P]
+    fin_proj: complex      # Tr[rho_fin P]
+    obs_in: complex        # Tr[O rho_in]
+    obs_proj: complex      # Tr[O P]
+
+    @property
+    def weak_first(self) -> complex:
+        """``W1 = Tr[P O rho_in] / Tr[P rho_in]``: weak coupling before the collapse."""
+        return self.proj_obs_in / self.proj_in
+
+    @property
+    def strong_first(self) -> complex:
+        """``W3 = Tr[rho_fin O P] / Tr[rho_fin P]``: weak coupling after the collapse."""
+        return self.fin_obs_proj / self.fin_proj
+
+    @property
+    def saturated(self) -> complex:
+        """``(Tr[O rho_in] + Tr[O P]) / 2``: the objective plateau."""
+        return (self.obs_in + self.obs_proj) / 2.0
+
+
 @dataclass(frozen=True, eq=False)
 class ProtocolConfig:
     """Full specification of one weak-measurement-during-collapse run.
@@ -88,7 +116,8 @@ class ProtocolConfig:
     ``delta_t_m`` is the timing-jitter window of the weak coupling
     relative to the strong measurement; ``delta_t_c`` the putative
     objective-collapse duration.  Both postselection overlaps must be
-    nonzero or every conditional average is undefined.
+    nonzero or every conditional average is undefined.  ``traces`` is
+    computed on construction and is not an argument.
     """
 
     rho_in: DensityOperator
@@ -98,6 +127,7 @@ class ProtocolConfig:
     delta_t_m: float
     delta_t_c: float
     hbar: float = 1.0
+    traces: ProtocolTraces = field(init=False, repr=False)
 
     def __post_init__(self):
         obs = _frozen(as_operator(self.weak_observable))
@@ -110,20 +140,34 @@ class ProtocolConfig:
             )
         if self.strong_projector.rank != 1:
             raise InvalidProjector("strong_projector must have rank 1")
+        if not np.isfinite(obs).all():  # NaN would also pass the hermiticity check
+            raise ValueError("weak_observable has non-finite entries")
         defect = hermiticity_defect(obs)
         if defect > DEFAULT_TOLERANCES.herm:
             raise HermiticityViolation("weak_observable is not Hermitian", defect)
         for name in ("delta_t_m", "delta_t_c", "hbar"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        p = self.strong_projector.mat
-        for name, rho in (("rho_in", self.rho_in), ("rho_fin", self.rho_fin)):
-            overlap = float(np.trace(p @ rho.mat).real)
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):  # NaN fails both
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        p, rin, rfin = self.strong_projector.mat, self.rho_in.mat, self.rho_fin.mat
+        t = ProtocolTraces(
+            proj_obs_in=complex(np.trace(p @ obs @ rin)),
+            proj_in=complex(np.trace(p @ rin)),
+            fin_obs_proj=complex(np.trace(rfin @ obs @ p)),
+            fin_proj=complex(np.trace(rfin @ p)),
+            obs_in=complex(np.trace(obs @ rin)),
+            obs_proj=complex(np.trace(obs @ p)),
+        )
+        object.__setattr__(self, "traces", t)
+        for name, overlap in (("rho_in", t.proj_in.real), ("rho_fin", t.fin_proj.real)):
             if overlap <= DEFAULT_TOLERANCES.zero:
                 raise OrthogonalPostselection(
                     f"Tr[P {name}] = {overlap:.3e}: the strong outcome never "
                     f"connects {name} to the rest of the protocol"
                 )
+        for f in fields(t):  # finite entries can still overflow
+            if not cmath.isfinite(getattr(t, f.name)):
+                raise ValueError(f"trace {f.name} = {getattr(t, f.name)} is not finite")
 
     @property
     def dim(self) -> int:
@@ -137,31 +181,9 @@ class ProtocolConfig:
         return UniformTiming(center - half, center + half)
 
 
-@dataclass(frozen=True)
-class ProtocolTraces:
-    """The six traces every analytic prediction is built from."""
-
-    proj_obs_in: complex  # Tr[P O rho_in]
-    proj_in: complex      # Tr[P rho_in]
-    fin_obs_proj: complex  # Tr[rho_fin O P]
-    fin_proj: complex      # Tr[rho_fin P]
-    obs_in: complex        # Tr[O rho_in]
-    obs_proj: complex      # Tr[O P]
-
-
 def protocol_traces(cfg: ProtocolConfig) -> ProtocolTraces:
-    p = cfg.strong_projector.mat
-    o = cfg.weak_observable
-    rin = cfg.rho_in.mat
-    rfin = cfg.rho_fin.mat
-    return ProtocolTraces(
-        proj_obs_in=complex(np.trace(p @ o @ rin)),
-        proj_in=complex(np.trace(p @ rin)),
-        fin_obs_proj=complex(np.trace(rfin @ o @ p)),
-        fin_proj=complex(np.trace(rfin @ p)),
-        obs_in=complex(np.trace(o @ rin)),
-        obs_proj=complex(np.trace(o @ p)),
-    )
+    """The six traces of ``cfg``, computed once when it was built."""
+    return cfg.traces
 
 
 def weak_value(rho1, rho2, obs, tol_zero: float = DEFAULT_TOLERANCES.zero) -> complex:
@@ -192,10 +214,10 @@ def trial_weak_value_strong_first(cfg: ProtocolConfig) -> complex:
     The completed strong measurement acts as a fresh preselection in the
     outcome projector: ``Tr[rho_fin O P] / Tr[rho_fin P]``.
     """
-    t = protocol_traces(cfg)
+    t = cfg.traces
     if abs(t.fin_proj) <= DEFAULT_TOLERANCES.zero:
         raise OrthogonalPostselection("postselection never follows the strong outcome")
-    return t.fin_obs_proj / t.fin_proj
+    return t.strong_first
 
 
 def trial_weak_value_weak_first(cfg: ProtocolConfig) -> complex:
@@ -203,29 +225,20 @@ def trial_weak_value_weak_first(cfg: ProtocolConfig) -> complex:
 
     The strong outcome acts as the postselection: ``Tr[P O rho_in] / Tr[P rho_in]``.
     """
-    t = protocol_traces(cfg)
+    t = cfg.traces
     if abs(t.proj_in) <= DEFAULT_TOLERANCES.zero:
         raise OrthogonalPostselection("preselection never reaches the strong outcome")
-    return t.proj_obs_in / t.proj_in
+    return t.weak_first
 
 
-def averaged_weak_value_vn(
-    cfg: ProtocolConfig, weight_by_postselection: bool = False
-) -> complex:
+def averaged_weak_value_vn(cfg: ProtocolConfig) -> complex:
     """Time-averaged weak value when collapse is instantaneous.
 
     With the weak-coupling and collapse times drawn independently and
     uniformly from the same window, the two orderings are equally
-    likely, so the average is ``(W1 + W3) / 2``.  The exploratory
-    weighted variant reweights each ordering by its postselection
-    probability.
+    likely, so the average is ``(W1 + W3) / 2``.
     """
-    w1 = trial_weak_value_weak_first(cfg)
-    w3 = trial_weak_value_strong_first(cfg)
-    if weight_by_postselection:
-        t = protocol_traces(cfg)
-        return (t.proj_obs_in + t.fin_obs_proj) / (t.proj_in + t.fin_proj)
-    return (w1 + w3) / 2.0
+    return (trial_weak_value_weak_first(cfg) + trial_weak_value_strong_first(cfg)) / 2.0
 
 
 def objective_weak_value_at(t_w: float, cfg: ProtocolConfig) -> complex:
@@ -249,7 +262,7 @@ def objective_weak_value_at(t_w: float, cfg: ProtocolConfig) -> complex:
         return trial_weak_value_weak_first(cfg)
     if t_w > cfg.delta_t_c:
         return trial_weak_value_strong_first(cfg)
-    t = protocol_traces(cfg)
+    t = cfg.traces
     x = t_w / cfg.delta_t_c
     return (1.0 - x) * t.obs_in + x * t.obs_proj
 
@@ -279,7 +292,7 @@ def objective_weak_value_adjoint(cfg: ProtocolConfig, t_w: float) -> complex:
     """Mid-collapse weak value via the pulled-back postselection.
 
     Builds ``rho2`` explicitly with :func:`weakprobe.superops.backward_state`
-    (the retrograde collapse map applied to ``rho_fin``) and feeds it to
+    (the adjoint collapse map applied to ``rho_fin``) and feeds it to
     the general two-state formula.
     """
     rho1 = objective_state_at(
@@ -302,9 +315,7 @@ def apparent_resolution(delta_t_m: float, delta_t_c: float) -> float:
     return max(delta_t_m, delta_t_c)
 
 
-def averaged_weak_value_objective(
-    cfg: ProtocolConfig, weight_by_postselection: bool = False
-) -> complex:
+def averaged_weak_value_objective(cfg: ProtocolConfig) -> complex:
     """Time-averaged weak value when collapse is an objective process.
 
     Uniform average of :func:`objective_weak_value_at` over the weak
@@ -317,37 +328,11 @@ def averaged_weak_value_objective(
     saturates at ``(Tr[O rho_in] + Tr[O P]) / 2`` once the collapse
     outlasts the timing jitter.
     """
-    t = protocol_traces(cfg)
-    dtm, dtc = cfg.delta_t_m, cfg.delta_t_c
-    if weight_by_postselection:
-        return _weighted_objective_average(cfg, t)
-    dta = apparent_resolution(dtm, dtc)
-    w1 = t.proj_obs_in / t.proj_in
-    w3 = t.fin_obs_proj / t.fin_proj
-    ordered = (dta - dtc) / (2.0 * dta) * (w1 + w3)
-    unconditional = dtc / (2.0 * dta) * (t.obs_in + t.obs_proj)
-    return ordered + unconditional
-
-
-def _weighted_objective_average(cfg: ProtocolConfig, t: ProtocolTraces) -> complex:
-    # Exploratory: weight each stretch of the window by the trial's
-    # postselection probability instead of uniformly.
-    window = cfg.weak_window
+    t = cfg.traces
     dtc = cfg.delta_t_c
-    len_before = max(0.0, -window.lo)       # weak-first stretch (t_w < 0)
-    len_after = max(0.0, window.hi - dtc)   # strong-first stretch (t_w > dtc)
-    lo_mid = max(window.lo, 0.0)
-    hi_mid = min(window.hi, dtc)
-    len_mid = hi_mid - lo_mid
-    mid = (lo_mid + hi_mid) / 2.0
-    value_mid = (1.0 - mid / dtc) * t.obs_in + (mid / dtc) * t.obs_proj
-    num = (
-        len_before * t.proj_obs_in
-        + len_mid * t.fin_proj * value_mid
-        + len_after * t.fin_obs_proj
-    )
-    den = len_before * t.proj_in + len_mid * t.fin_proj + len_after * t.fin_proj
-    return num / den
+    dta = apparent_resolution(cfg.delta_t_m, dtc)
+    ordered = (dta - dtc) / (2.0 * dta) * (t.weak_first + t.strong_first)
+    return ordered + dtc / dta * t.saturated
 
 
 @dataclass(frozen=True)
@@ -386,14 +371,16 @@ def discriminate(
     the verdict is ``"inconclusive"``.
 
     Raises :class:`DegenerateScenario` when both models predict the
-    same value, since then the measurement cannot separate them.
+    same value, since then the measurement cannot separate them, and
+    ``ValueError`` for a non-finite measurement or uncertainty.
     """
-    if not sigma_meas > 0:
-        raise ValueError("sigma_meas must be positive")
+    if not (math.isfinite(sigma_meas) and sigma_meas > 0):
+        raise ValueError(f"sigma_meas must be finite and positive, got {sigma_meas}")
     measured = complex(measured)
+    if not cmath.isfinite(measured):
+        raise ValueError(f"measured value {measured} is not finite")
     v_vn = averaged_weak_value_vn(cfg)
-    t = protocol_traces(cfg)
-    v_sat = (t.obs_in + t.obs_proj) / 2.0
+    v_sat = cfg.traces.saturated
     scale = max(1.0, abs(v_vn), abs(v_sat))
     if abs(v_vn - v_sat) <= degenerate_tol * scale:
         raise DegenerateScenario(

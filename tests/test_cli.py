@@ -142,6 +142,31 @@ class TestConfigSourceErrors:
         run_cli("frobnicate", check_exit=2)
 
 
+class TestNonFiniteInput:
+    # Each used to exit 0 and print NaN or Infinity tokens.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analytic", "--scenario", "hydrogen", "--dtc", "inf"),
+            ("discriminate", "--scenario", "hydrogen", "--measured", "nan", "--sigma-meas", 0.01),
+            ("discriminate", "--scenario", "hydrogen", "--measured", 0.3, "--sigma-meas", "inf"),
+            ("hydrogen", "--dtc", "inf"),
+        ],
+    )
+    def test_exit_2_without_output(self, argv):
+        proc = run_cli(*argv, check_exit=2)
+        assert proc.stdout == ""
+        assert "error" in proc.stderr
+
+    def test_json_output_is_strict(self):
+        from weakprobe.cli import _dumps
+
+        with pytest.raises(ValueError):
+            _dumps({"x": float("nan")})
+        with pytest.raises(ValueError):
+            _dumps({"x": float("inf")})
+
+
 class TestSimulate:
     def test_symmetric_vn_exact(self):
         proc = run_cli(

@@ -4,8 +4,6 @@ from hypothesis import given, strategies as st
 
 from conftest import random_density, random_rank1_projector
 from weakprobe import (
-    ContinuousModel,
-    InstantaneousModel,
     InvalidProjector,
     Projector,
     SuperOp,
@@ -95,30 +93,17 @@ class TestEnsembleState:
         b = projective_ensemble_state_at(HALF, P_PLUS, 0.5, 2.0).mat
         assert np.max(np.abs(a - b)) > 0.1
 
+    @pytest.mark.parametrize("delta_t_m", [0.0, -1.0])
+    def test_nonpositive_window(self, delta_t_m):
+        with pytest.raises(ValueError, match="jitter window"):
+            projective_ensemble_state_at(HALF, P_PLUS, 0.0, delta_t_m)
+
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_valid_density_everywhere(self, t):
         out = projective_ensemble_state_at(HALF, P_PLUS, t, 1.0)
         evals = np.linalg.eigvalsh(out.mat)
         assert evals.min() >= -1e-12
         assert np.trace(out.mat).real == pytest.approx(1.0, abs=1e-12)
-
-
-class TestModels:
-    def test_continuous_model_delegates(self):
-        m = ContinuousModel(delta_t_c=2.0)
-        direct = objective_state_at(HALF, P_PLUS, 1.0, 2.0).mat
-        np.testing.assert_array_equal(m.state_at(HALF, P_PLUS, 1.0).mat, direct)
-
-    def test_instantaneous_model_delegates(self):
-        m = InstantaneousModel(delta_t_m=2.0)
-        direct = projective_ensemble_state_at(HALF, P_PLUS, 1.0, 2.0).mat
-        np.testing.assert_array_equal(m.ensemble_state_at(HALF, P_PLUS, 1.0).mat, direct)
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            ContinuousModel(delta_t_c=-1.0)
-        with pytest.raises(ValueError):
-            InstantaneousModel(delta_t_m=0.0)
 
 
 class TestEvolutionSuperop:

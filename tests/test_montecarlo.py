@@ -34,12 +34,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="model"):
             SimulationSpec(spin_config(), "both", 10, 0)
 
-    @pytest.mark.parametrize("trials", [0, -5, 1.5])
+    # bool is an int subclass, so an isinstance check alone lets True in
+    @pytest.mark.parametrize("trials", [0, -5, 1.5, True])
     def test_bad_trials(self, trials):
         with pytest.raises(ValueError, match="trials"):
             SimulationSpec(spin_config(), "vn", trials, 0)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 0.5])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 0.5, False])
     def test_bad_seed(self, seed):
         with pytest.raises(ValueError, match="seed"):
             SimulationSpec(spin_config(), "vn", 10, seed)
@@ -211,6 +212,15 @@ class TestConvergenceReport:
             convergence_report(vn_spec(), [100, 50])
         with pytest.raises(ValueError):
             convergence_report(vn_spec(), [0, 10])
+        # not truncated: [2.5, 10.9] used to report 2 and 10 trials
+        for checkpoints in ([2.5, 10.9], [10, 20.0], [True, 10]):
+            with pytest.raises(ValueError, match="integers"):
+                convergence_report(vn_spec(), checkpoints)
+
+    def test_numpy_integer_checkpoints(self):
+        report = convergence_report(vn_spec(seed=5), np.array([10, 100]))
+        assert [r.trials for r in report] == [10, 100]
+        assert all(type(r.trials) is int for r in report)
 
     def test_single_trial_checkpoint_has_zero_stderr(self):
         report = convergence_report(vn_spec(seed=77, a=0.6, b=0.8), [1, 100])

@@ -23,7 +23,6 @@ from weakprobe import (
     density_operator_basis,
     hs_inner,
     reconstruct_superop,
-    retrograde,
     solve_completion,
     superop_adjoint,
 )
@@ -138,10 +137,6 @@ class TestCollapseSuperop:
         rebuilt = reconstruct_superop(basis, outputs)
         assert np.max(np.abs(rebuilt.matrix - c.matrix)) <= 1e-12
 
-    def test_target_recorded(self):
-        p = Projector.onto(PLUS)
-        assert collapse_superop(p).target is p
-
     def test_rejects_rank2_target_for_dim_checks(self):
         # rank-2 projectors are fine for the bare superoperator algebra
         p = Projector.from_matrix(np.diag([1.0, 1.0, 0.0]))
@@ -241,11 +236,6 @@ class TestSolveCompletion:
 
 
 class TestRetrogradeBackward:
-    def test_retrograde_is_adjoint(self):
-        rng = np.random.default_rng(60)
-        k = random_superop(rng, 2)
-        assert np.max(np.abs(retrograde(k).matrix - superop_adjoint(k).matrix)) == 0.0
-
     def test_backward_through_identity(self):
         rho = random_density(np.random.default_rng(61), 2)
         out = backward_state(SuperOp.identity(2), rho)

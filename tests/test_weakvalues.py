@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,46 @@ class TestProtocolConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["delta_t_m", "delta_t_c", "hbar"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_scalars(self, field, value):
+        kwargs = dict(
+            rho_in=DensityOperator.maximally_mixed(2),
+            rho_fin=DensityOperator.maximally_mixed(2),
+            strong_projector=Projector.onto(KET_PLUS),
+            weak_observable=SIGMA_Z,
+            delta_t_m=1.0,
+            delta_t_c=1.0,
+        )
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            ProtocolConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_observable(self, value):
+        # the hermiticity check lets NaN through (nan > tol is False)
+        with pytest.raises(ValueError, match="non-finite"):
+            ProtocolConfig(
+                rho_in=DensityOperator.maximally_mixed(2),
+                rho_fin=DensityOperator.maximally_mixed(2),
+                strong_projector=Projector.onto(KET_PLUS),
+                weak_observable=np.diag([value, -1.0]).astype(complex),
+                delta_t_m=1.0,
+                delta_t_c=1.0,
+            )
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_trace(self):
+        with pytest.raises(ValueError, match="obs_in .* not finite"):
+            ProtocolConfig(
+                rho_in=DensityOperator.pure([1.0, 1.0]),
+                rho_fin=DensityOperator.maximally_mixed(2),
+                strong_projector=Projector.onto(KET_PLUS),
+                weak_observable=np.full((2, 2), 1.7e308),
+                delta_t_m=1.0,
+                delta_t_c=1.0,
+            )
+
     def test_orthogonal_preselection(self):
         with pytest.raises(OrthogonalPostselection):
             ProtocolConfig(
@@ -110,6 +152,46 @@ class TestProtocolConfig:
         cfg = spin_config()
         with pytest.raises(ValueError):
             cfg.weak_observable[0, 0] = 9.0
+
+
+class TestTraceKernel:
+    def test_protocol_traces_is_stored(self):
+        cfg = random_config(np.random.default_rng(3), 3)
+        assert protocol_traces(cfg) is cfg.traces
+
+    def test_traces_not_an_argument(self):
+        cfg = spin_config()
+        with pytest.raises(TypeError):
+            ProtocolConfig(
+                rho_in=cfg.rho_in,
+                rho_fin=cfg.rho_fin,
+                strong_projector=cfg.strong_projector,
+                weak_observable=cfg.weak_observable,
+                delta_t_m=1.0,
+                delta_t_c=1.0,
+                traces=cfg.traces,
+            )
+
+    def test_replace_recomputes(self):
+        cfg = random_config(np.random.default_rng(4), 2)
+        changed = replace(cfg, delta_t_c=0.125, weak_observable=2.0 * cfg.weak_observable)
+        fresh = ProtocolConfig(
+            rho_in=cfg.rho_in,
+            rho_fin=cfg.rho_fin,
+            strong_projector=cfg.strong_projector,
+            weak_observable=2.0 * cfg.weak_observable,
+            delta_t_m=cfg.delta_t_m,
+            delta_t_c=0.125,
+        )
+        assert changed.traces == fresh.traces
+        assert changed.traces != cfg.traces
+        assert averaged_weak_value_objective(changed) == averaged_weak_value_objective(fresh)
+
+    def test_derived_values(self):
+        t = protocol_traces(random_config(np.random.default_rng(5), 3))
+        assert t.weak_first == t.proj_obs_in / t.proj_in
+        assert t.strong_first == t.fin_obs_proj / t.fin_proj
+        assert t.saturated == (t.obs_in + t.obs_proj) / 2.0
 
 
 class TestWeakValue:
@@ -195,20 +277,6 @@ class TestAveragedVn:
                 trial_weak_value_weak_first(cfg) + trial_weak_value_strong_first(cfg)
             ) / 2
             assert averaged_weak_value_vn(cfg) == pytest.approx(expected, abs=1e-12)
-
-    def test_weighted_variant(self):
-        rng = np.random.default_rng(23)
-        cfg = random_config(rng)
-        t = protocol_traces(cfg)
-        expected = (t.proj_obs_in + t.fin_obs_proj) / (t.proj_in + t.fin_proj)
-        got = averaged_weak_value_vn(cfg, weight_by_postselection=True)
-        assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_weighted_equals_uniform_when_overlaps_match(self):
-        cfg = spin_config()  # Tr[P rho_in] == Tr[P rho_fin] here
-        assert averaged_weak_value_vn(cfg, weight_by_postselection=True) == (
-            pytest.approx(averaged_weak_value_vn(cfg), abs=1e-12)
-        )
 
 
 class TestObjectivePerTrial:
@@ -311,11 +379,6 @@ class TestAveragedObjective:
             closed = averaged_weak_value_objective(cfg)
             assert closed == pytest.approx(quadrature_average(cfg), abs=1e-12)
 
-    def test_weighted_variant_runs(self):
-        cfg = spin_config()
-        got = averaged_weak_value_objective(cfg, weight_by_postselection=True)
-        assert np.isfinite(got.real) and np.isfinite(got.imag)
-
 
 class TestApparentResolution:
     def test_max_of_windows(self):
@@ -392,6 +455,19 @@ class TestDiscriminate:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
             discriminate(0.4, self.cfg, sigma_meas=0.0)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_sigma_must_be_finite(self, sigma):
+        # an infinite uncertainty used to swallow any measurement into "vn"
+        with pytest.raises(ValueError, match="sigma_meas"):
+            discriminate(0.3, self.cfg, sigma_meas=sigma)
+
+    @pytest.mark.parametrize(
+        "measured", [np.nan, np.inf, complex(0.3, np.nan), complex(0.3, -np.inf)]
+    )
+    def test_measured_must_be_finite(self, measured):
+        with pytest.raises(ValueError, match="measured"):
+            discriminate(measured, self.cfg, sigma_meas=0.01)
 
     def test_round_trip_random_durations(self):
         # predict with some true dtc < dtm, then invert
