@@ -48,11 +48,9 @@ from .montecarlo import (
     to_record,
 )
 from .operators import (
-    DEFAULT_TOLERANCES,
     DensityOperator,
     ObservableSpectral,
     Projector,
-    Tolerances,
     density_operator_basis,
     hs_inner,
     selective_projection,

@@ -42,7 +42,7 @@ from .montecarlo import (
     to_record,
 )
 from .operators import spectral_decompose
-from .pointer import GaussianPointer, postselected_pointer_mean, weak_limit_slope
+from .pointer import weak_limit_slope
 from .serialization import config_from_json, config_to_json
 from .weakvalues import (
     ProtocolTraces,
@@ -279,20 +279,15 @@ def cmd_pointer(args) -> int:
         psi2 = np.array([1.0, 0.0], dtype=complex)
     obs = spectral_decompose((scenario.hbar / 2.0) * np.diag([1.0, -1.0]).astype(complex))
     g_grid = np.geomspace(args.g_min, args.g_max, args.g_points)
-    shifts = [
-        postselected_pointer_mean(psi1, psi2, obs, GaussianPointer(args.sigma, g))
-        for g in g_grid
-    ]
     fit = weak_limit_slope(psi1, psi2, obs, args.sigma, g_grid)
+    pairs = [[float(g), s] for g, s in zip(g_grid, fit.shifts)]
     if args.format == "csv":
-        rows = [["g", "shift"]]
-        rows.extend([float(g), float(s)] for g, s in zip(g_grid, shifts))
-        _emit(_csv(rows), args)
+        _emit(_csv([["g", "shift"], *pairs]), args)
     else:
         report = {
             "sigma": args.sigma,
             "order": args.order,
-            "pairs": [[float(g), float(s)] for g, s in zip(g_grid, shifts)],
+            "pairs": pairs,
             "slope": fit.slope,
             "weak_value_re": fit.weak_value_re,
             "bound_constant": fit.bound_constant,

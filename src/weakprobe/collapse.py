@@ -26,14 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidProjector
-from .operators import (
-    DEFAULT_TOLERANCES,
-    DensityOperator,
-    ObservableSpectral,
-    Projector,
-    Tolerances,
-    validate_density,
-)
+from .operators import DensityOperator, ObservableSpectral, Projector, validate_density
 from .superops import SuperOp, collapse_superop, solve_completion
 
 __all__ = [
@@ -77,15 +70,12 @@ def _require_rank1(p: Projector) -> None:
 
 
 def _mix_toward(
-    rho_in: DensityOperator,
-    p: Projector,
-    fraction: float,
-    tolerances: Tolerances,
+    rho_in: DensityOperator, p: Projector, fraction: float
 ) -> DensityOperator:
     # Shared by both models so that equal window durations give
     # bit-identical states.
     out = (1.0 - fraction) * rho_in.mat + fraction * p.mat
-    return validate_density(out, tolerances)
+    return validate_density(out)
 
 
 def objective_state_at(
@@ -93,7 +83,6 @@ def objective_state_at(
     p: Projector,
     t: float,
     delta_t_c: float,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> DensityOperator:
     """Ensemble state a time ``t`` into an objective collapse.
 
@@ -105,7 +94,7 @@ def objective_state_at(
         raise ValueError("collapse duration must be positive")
     if not 0.0 <= t <= delta_t_c:
         raise ValueError(f"t={t} outside the collapse window [0, {delta_t_c}]")
-    return _mix_toward(rho_in, p, t / delta_t_c, tolerances)
+    return _mix_toward(rho_in, p, t / delta_t_c)
 
 
 def projective_ensemble_state_at(
@@ -113,7 +102,6 @@ def projective_ensemble_state_at(
     p: Projector,
     t: float,
     delta_t_m: float,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> DensityOperator:
     """Trial-averaged state under instantaneous collapse with timing jitter.
 
@@ -126,7 +114,7 @@ def projective_ensemble_state_at(
         raise ValueError("timing-jitter window must be positive")
     if not 0.0 <= t <= delta_t_m:
         raise ValueError(f"t={t} outside the jitter window [0, {delta_t_m}]")
-    return _mix_toward(rho_in, p, t / delta_t_m, tolerances)
+    return _mix_toward(rho_in, p, t / delta_t_m)
 
 
 def evolution_superop_objective(
@@ -134,7 +122,6 @@ def evolution_superop_objective(
     t2: float,
     p: Projector,
     delta_t_c: float,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> SuperOp:
     """Ensemble evolution map of the objective model from ``t1`` to ``t2``.
 
@@ -153,13 +140,13 @@ def evolution_superop_objective(
         raise ValueError(
             f"need 0 <= t1 <= t2 <= delta_t_c, got t1={t1}, t2={t2}, dtc={delta_t_c}"
         )
-    c = collapse_superop(p, tolerances)
+    c = collapse_superop(p)
     if t1 == 0.0:
         x = t2 / delta_t_c
         matrix = (1.0 - x) * np.eye(p.dim**2, dtype=complex) + x * c.matrix
         return SuperOp(p.dim, matrix)
     if abs(t2 - delta_t_c) <= 1e-12 * delta_t_c:
-        e_first = evolution_superop_objective(0.0, t1, p, delta_t_c, tolerances)
+        e_first = evolution_superop_objective(0.0, t1, p, delta_t_c)
         return solve_completion(e_first, c).solution
     raise ValueError(
         "unsupported anchor: interior start times are only defined for "

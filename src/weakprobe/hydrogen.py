@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrthogonalPostselection
-from .operators import DensityOperator, Projector
+from .operators import ZERO_TOL, DensityOperator, Projector
 from .weakvalues import ProtocolConfig, ProtocolTraces, protocol_traces
 
 __all__ = [
@@ -63,10 +63,10 @@ class HydrogenScenario:
 
     def __post_init__(self):
         for name, amp in (("a", self.a), ("b", self.b)):
-            if abs(amp) > 1.0 + _NORM_SLACK:
-                raise ValueError(f"|{name}| = {abs(amp)} exceeds 1: not an amplitude")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
+            if not abs(amp) <= 1.0 + _NORM_SLACK:  # NaN fails too
+                raise ValueError(f"|{name}| = {abs(amp)}: not an amplitude")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise ValueError(f"hbar must be finite and positive, got {self.hbar}")
 
     def flags(self) -> list[str]:
         """Caveats that do not invalidate the scenario but weaken it."""
@@ -163,11 +163,12 @@ def hydrogen_predictions(
     ``delta_t_c >= delta_t_m``, else
     ``(hbar/2) (1 - (delta_t_c/delta_t_m)(1 - |a|^2))``.
     """
-    if not (delta_t_c > 0 and delta_t_m > 0):
-        raise ValueError("window durations must be positive")
+    for value in (delta_t_c, delta_t_m):
+        if not (math.isfinite(value) and value > 0):  # NaN fails both
+            raise ValueError(f"window durations must be finite and positive, got {value}")
     p = abs(scenario.a) ** 2
     q = abs(scenario.b) ** 2
-    if p <= 1e-12 or q <= 1e-12:
+    if p <= ZERO_TOL or q <= ZERO_TOL:
         raise OrthogonalPostselection(
             "a and b must be nonzero for the trial weak values to exist"
         )

@@ -111,22 +111,6 @@ def _chunk_draws(spec: SimulationSpec, j: int, n: int) -> np.ndarray:
     return rng.uniform(spec.cfg.weak_window.lo, spec.cfg.weak_window.hi, n)
 
 
-def _draws(spec: SimulationSpec) -> np.ndarray:
-    chunks = _chunks(spec.trials)
-    return np.concatenate([_chunk_draws(spec, j, hi - lo) for j, lo, hi in chunks])
-
-
-def _vn_draws(spec: SimulationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse and weak-coupling times for every instantaneous-model trial."""
-    block = _draws(spec)
-    return block[0::2], block[1::2]
-
-
-def _objective_draws(spec: SimulationSpec) -> np.ndarray:
-    """Weak-coupling times for every objective-model trial."""
-    return _draws(spec)
-
-
 # A group of trials: (count, mean, M2 of the real part, M2 of the imaginary part).
 _EMPTY = (0, 0j, 0.0, 0.0)
 

@@ -26,8 +26,11 @@ from .errors import (
 )
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
+    "HERM_TOL",
+    "TRACE_TOL",
+    "PSD_TOL",
+    "ZERO_TOL",
+    "DEGENERACY_TOL",
     "DensityOperator",
     "Projector",
     "ObservableSpectral",
@@ -42,25 +45,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances for validation and guard checks.
-
-    ``herm``, ``trace`` and ``psd`` bound the allowed Hermiticity, trace
-    and positivity defects of density operators; ``zero`` is the guard
-    on denominators (selection probabilities, weak-value overlaps);
-    ``degeneracy`` is the eigenvalue-clustering width used by
-    :func:`spectral_decompose`.
-    """
-
-    herm: float = 1e-10
-    trace: float = 1e-10
-    psd: float = 1e-10
-    zero: float = 1e-12
-    degeneracy: float = 1e-9
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# One fixed numerical policy, shared by every module.  HERM_TOL, TRACE_TOL
+# and PSD_TOL bound the Hermiticity, trace and positivity defects a matrix
+# may have and still count as an operator of its kind; ZERO_TOL guards
+# every denominator (selection probabilities, weak-value overlaps);
+# DEGENERACY_TOL is the eigenvalue-clustering width of spectral_decompose.
+HERM_TOL = 1e-10
+TRACE_TOL = 1e-10
+PSD_TOL = 1e-10
+ZERO_TOL = 1e-12
+DEGENERACY_TOL = 1e-9
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -154,13 +148,13 @@ class Projector:
         return self.mat.shape[0]
 
     @classmethod
-    def from_matrix(cls, m, tolerances: Tolerances = DEFAULT_TOLERANCES) -> "Projector":
+    def from_matrix(cls, m) -> "Projector":
         p = as_operator(m)
         herm = hermiticity_defect(p)
-        if herm > tolerances.herm:
+        if herm > HERM_TOL:
             raise InvalidProjector(f"not Hermitian (defect {herm:.3e})")
         idem = float(np.max(np.abs(p @ p - p)))
-        if idem > tolerances.herm:
+        if idem > HERM_TOL:
             raise InvalidProjector(f"not idempotent (defect {idem:.3e})")
         tr = float(np.trace(p).real)
         rank = round(tr)
@@ -210,29 +204,23 @@ class ObservableSpectral:
         return tuple(p for _, p in self.pairs)
 
 
-def spectral_decompose(
-    a,
-    degeneracy_tol: float | None = None,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> ObservableSpectral:
+def spectral_decompose(a) -> ObservableSpectral:
     """Spectral resolution of a Hermitian matrix.
 
-    Eigenvalues closer than ``degeneracy_tol`` (consecutive-gap
+    Eigenvalues closer than ``DEGENERACY_TOL`` (consecutive-gap
     clustering) are treated as one degenerate level and their
     eigenvectors are merged into a single projector.  Each reported
     eigenvalue is the mean of its cluster.
     """
     a = as_operator(a)
     defect = hermiticity_defect(a)
-    if defect > tolerances.herm:
+    if defect > HERM_TOL:
         raise HermiticityViolation("observable is not Hermitian", defect)
-    if degeneracy_tol is None:
-        degeneracy_tol = tolerances.degeneracy
     w, v = np.linalg.eigh((a + dagger(a)) / 2)
     pairs: list[tuple[float, Projector]] = []
     start = 0
     for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > degeneracy_tol:
+        if i == len(w) or w[i] - w[i - 1] > DEGENERACY_TOL:
             block = v[:, start:i]
             proj = Projector(block @ dagger(block), i - start)
             pairs.append((float(np.mean(w[start:i])), proj))
@@ -240,23 +228,19 @@ def spectral_decompose(
     return ObservableSpectral(a, tuple(pairs))
 
 
-def selective_projection(
-    rho: DensityOperator,
-    p: Projector,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> DensityOperator:
+def selective_projection(rho: DensityOperator, p: Projector) -> DensityOperator:
     """State after selecting the outcome ``p``: ``P rho P / Tr[P rho P]``.
 
-    Raises :class:`ZeroProbability` when the outcome probability is below
-    the zero tolerance.  For rank-1 ``p`` the result is ``p`` itself.
+    Raises :class:`ZeroProbability` when the outcome probability is at
+    most ``ZERO_TOL``.  For rank-1 ``p`` the result is ``p`` itself.
     """
     if rho.dim != p.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != projector dim {p.dim}")
     out = p.mat @ rho.mat @ p.mat
     prob = float(np.trace(out).real)
-    if prob <= tolerances.zero:
+    if prob <= ZERO_TOL:
         raise ZeroProbability(f"selection probability {prob:.3e} below tolerance")
-    return validate_density(out / prob, tolerances)
+    return validate_density(out / prob)
 
 
 def density_operator_basis(d: int) -> list[DensityOperator]:
@@ -281,27 +265,25 @@ def density_operator_basis(d: int) -> list[DensityOperator]:
     return out
 
 
-def validate_density(
-    m, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> DensityOperator:
+def validate_density(m) -> DensityOperator:
     """Check the density-operator invariants and return the state.
 
     Raises :class:`HermiticityViolation`, :class:`TraceViolation` or
     :class:`NegativeEigenvalue` with the offending defect.  Eigenvalues
-    in ``[-psd_tol, 0)`` are treated as roundoff: they are clipped to
+    in ``[-PSD_TOL, 0)`` are treated as roundoff: they are clipped to
     zero, the state is renormalized, and the clipped mass is reported on
     ``psd_adjustment``.
     """
     m = as_operator(m)
     defect = hermiticity_defect(m)
-    if defect > tolerances.herm:
+    if defect > HERM_TOL:
         raise HermiticityViolation("matrix is not Hermitian", defect)
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > tolerances.trace:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise TraceViolation("trace differs from 1", abs(tr - 1.0))
     herm = (m + dagger(m)) / 2
     w, v = np.linalg.eigh(herm)
-    if w[0] < -tolerances.psd:
+    if w[0] < -PSD_TOL:
         raise NegativeEigenvalue("negative eigenvalue", abs(float(w[0])))
     clipped = np.clip(w, 0.0, None)
     adjustment = float(np.sum(clipped - w))

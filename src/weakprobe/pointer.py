@@ -24,11 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrthogonalPostselection, VanishingPostselection
-from .operators import (
-    DEFAULT_TOLERANCES,
-    ObservableSpectral,
-    spectral_decompose,
-)
+from .operators import ZERO_TOL, ObservableSpectral, spectral_decompose
 
 __all__ = [
     "GaussianPointer",
@@ -51,14 +47,10 @@ class GaussianPointer:
             raise ValueError("pointer spread sigma must be positive")
 
 
-def _as_spectral(obs) -> ObservableSpectral:
-    if isinstance(obs, ObservableSpectral):
-        return obs
-    return spectral_decompose(obs)
-
-
-def _branches(psi1, psi2, obs: ObservableSpectral) -> tuple[np.ndarray, np.ndarray]:
+def _branches(psi1, psi2, obs) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and postselected branch amplitudes c_n = <psi2|P_n|psi1>."""
+    if not isinstance(obs, ObservableSpectral):
+        obs = spectral_decompose(obs)
     v1 = np.asarray(psi1, dtype=complex).reshape(-1)
     v2 = np.asarray(psi2, dtype=complex).reshape(-1)
     for v in (v1, v2):
@@ -73,19 +65,28 @@ def _branches(psi1, psi2, obs: ObservableSpectral) -> tuple[np.ndarray, np.ndarr
     return a, c
 
 
-def _overlap_kernel(a: np.ndarray, c: np.ndarray, g: float, sigma: float) -> np.ndarray:
+def _kernel(a: np.ndarray, c: np.ndarray, ptr: GaussianPointer):
+    """Overlap kernel ``conj(c_m) c_n E_mn`` and its sum, the postselection
+    probability including the pointer; raises when no trial survives."""
     diffs = a[:, None] - a[None, :]
-    e = np.exp(-((g * diffs) ** 2) / (8.0 * sigma**2))
-    return np.outer(c.conj(), c) * e
+    e = np.exp(-((ptr.g * diffs) ** 2) / (8.0 * ptr.sigma**2))
+    kernel = np.outer(c.conj(), c) * e
+    den = float(kernel.sum().real)
+    if den <= ZERO_TOL:
+        raise VanishingPostselection(
+            f"postselection probability {den:.3e} below tolerance"
+        )
+    return kernel, den
 
 
-def postselected_pointer_mean(
-    psi1,
-    psi2,
-    obs,
-    ptr: GaussianPointer,
-    tol_zero: float = DEFAULT_TOLERANCES.zero,
-) -> float:
+def _position_mean(a: np.ndarray, c: np.ndarray, ptr: GaussianPointer) -> float:
+    kernel, den = _kernel(a, c, ptr)
+    sums = a[:, None] + a[None, :]
+    num = float((kernel * (ptr.g * sums / 2.0)).sum().real)
+    return num / den
+
+
+def postselected_pointer_mean(psi1, psi2, obs, ptr: GaussianPointer) -> float:
     """Exact postselected pointer position average at finite coupling.
 
     ``sum_mn conj(c_m) c_n (g(a_m + a_n)/2) E_mn / sum_mn conj(c_m) c_n E_mn``
@@ -94,26 +95,11 @@ def postselected_pointer_mean(
     vanishes (e.g. exactly orthogonal selections with a single branch)
     no trial survives and :class:`VanishingPostselection` is raised.
     """
-    obs = _as_spectral(obs)
-    a, c = _branches(psi1, psi2, obs)
-    kernel = _overlap_kernel(a, c, ptr.g, ptr.sigma)
-    den = float(kernel.sum().real)
-    if den <= tol_zero:
-        raise VanishingPostselection(
-            f"postselection probability {den:.3e} below tolerance"
-        )
-    sums = a[:, None] + a[None, :]
-    num = float((kernel * (ptr.g * sums / 2.0)).sum().real)
-    return num / den
+    return _position_mean(*_branches(psi1, psi2, obs), ptr)
 
 
 def postselected_pointer_momentum_mean(
-    psi1,
-    psi2,
-    obs,
-    ptr: GaussianPointer,
-    hbar: float = 1.0,
-    tol_zero: float = DEFAULT_TOLERANCES.zero,
+    psi1, psi2, obs, ptr: GaussianPointer, hbar: float = 1.0
 ) -> float:
     """Exact postselected pointer momentum average at finite coupling.
 
@@ -121,14 +107,8 @@ def postselected_pointer_momentum_mean(
     ``hbar g / (2 sigma^2) * Im(O_w)``, so the momentum channel exposes
     the imaginary part of the weak value.
     """
-    obs = _as_spectral(obs)
     a, c = _branches(psi1, psi2, obs)
-    kernel = _overlap_kernel(a, c, ptr.g, ptr.sigma)
-    den = float(kernel.sum().real)
-    if den <= tol_zero:
-        raise VanishingPostselection(
-            f"postselection probability {den:.3e} below tolerance"
-        )
+    kernel, den = _kernel(a, c, ptr)
     diffs = a[:, None] - a[None, :]
     num = float(
         (kernel * (1j * hbar * ptr.g * diffs / (4.0 * ptr.sigma**2))).sum().real
@@ -143,12 +123,14 @@ class SlopeFit:
     ``slope`` is the least-squares through-origin slope over the grid,
     ``weak_value_re`` the exact ``Re(O_w)`` it estimates, and
     ``bound_constant`` the constant ``C`` in the error model
-    ``|slope - Re(O_w)| <= C (g_max / sigma)^2``.
+    ``|slope - Re(O_w)| <= C (g_max / sigma)^2``, and ``shifts`` the
+    exact pointer shift at each grid coupling.
     """
 
     slope: float
     weak_value_re: float
     bound_constant: float
+    shifts: tuple[float, ...]
 
 
 def weak_limit_slope(psi1, psi2, obs, sigma: float, g_grid) -> SlopeFit:
@@ -166,7 +148,6 @@ def weak_limit_slope(psi1, psi2, obs, sigma: float, g_grid) -> SlopeFit:
         raise ValueError("g_grid must be a 1-d grid with at least two points")
     if not np.all(g > 0):
         raise ValueError("g_grid must be positive")
-    obs = _as_spectral(obs)
     a, c = _branches(psi1, psi2, obs)
     spread = float(np.max(a) - np.min(a))
     if spread > 0 and float(g.max()) * spread > sigma:
@@ -176,17 +157,12 @@ def weak_limit_slope(psi1, psi2, obs, sigma: float, g_grid) -> SlopeFit:
         )
     if float(g.max()) / float(g.min()) < 10.0:
         raise ValueError("g_grid must span at least one decade")
-    shifts = np.array(
-        [
-            postselected_pointer_mean(psi1, psi2, obs, GaussianPointer(sigma, gi))
-            for gi in g
-        ]
-    )
+    shifts = tuple(_position_mean(a, c, GaussianPointer(sigma, gi)) for gi in g)
     slope = float(np.dot(g, shifts) / np.dot(g, g))
     overlap = complex(np.asarray(c).sum())
-    if abs(overlap) <= DEFAULT_TOLERANCES.zero:
+    if abs(overlap) <= ZERO_TOL:
         raise OrthogonalPostselection("selections are orthogonal: no weak value")
     numerator = complex(np.dot(a, c))
     weak_value_re = float((numerator / overlap).real)
     bound_constant = abs(slope - weak_value_re) / (float(g.max()) / sigma) ** 2
-    return SlopeFit(slope, weak_value_re, bound_constant)
+    return SlopeFit(slope, weak_value_re, bound_constant, shifts)

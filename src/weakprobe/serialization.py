@@ -15,13 +15,7 @@ import math
 
 import numpy as np
 
-from .operators import (
-    DEFAULT_TOLERANCES,
-    Projector,
-    Tolerances,
-    as_operator,
-    validate_density,
-)
+from .operators import Projector, as_operator, validate_density
 from .superops import SuperOp
 from .weakvalues import ProtocolConfig
 
@@ -99,9 +93,7 @@ def config_to_json(cfg: ProtocolConfig) -> dict:
     }
 
 
-def config_from_json(
-    obj, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> ProtocolConfig:
+def config_from_json(obj) -> ProtocolConfig:
     """Parse and fully validate a configuration document.
 
     All operator invariants are enforced on the way in, so a config that
@@ -120,9 +112,9 @@ def config_from_json(
             raise ValueError(f"config: {k} must be a number, got {v!r}")
         scalars[k] = float(v)
     return ProtocolConfig(
-        rho_in=validate_density(mats["rho_in"], tolerances),
-        rho_fin=validate_density(mats["rho_fin"], tolerances),
-        strong_projector=Projector.from_matrix(mats["strong_projector"], tolerances),
+        rho_in=validate_density(mats["rho_in"]),
+        rho_fin=validate_density(mats["rho_fin"]),
+        strong_projector=Projector.from_matrix(mats["strong_projector"]),
         weak_observable=mats["weak_observable"],
         **scalars,
     )

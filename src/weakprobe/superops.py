@@ -21,15 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NoExactSolution, RankDeficient
-from .operators import (
-    DEFAULT_TOLERANCES,
-    DensityOperator,
-    Projector,
-    Tolerances,
-    _frozen,
-    as_operator,
-    identity,
-)
+from .operators import DensityOperator, Projector, _frozen, as_operator, identity
 
 __all__ = [
     "SuperOp",
@@ -105,14 +97,14 @@ def superop_adjoint(k: SuperOp) -> SuperOp:
     return SuperOp(k.dim, k.matrix.conj().T)
 
 
-def collapse_superop(p, tolerances: Tolerances = DEFAULT_TOLERANCES) -> SuperOp:
+def collapse_superop(p) -> SuperOp:
     """Collapse map ``xi -> Tr[xi] * P`` of a selective measurement onto ``p``.
 
     ``vec`` of the output is ``vec(P) * (vec(I)^dag vec(xi))``, so the
     matrix is the rank-1 outer product ``vec(P) vec(I)^dag``.
     """
     if not isinstance(p, Projector):
-        p = Projector.from_matrix(p, tolerances)
+        p = Projector.from_matrix(p)
     d = p.dim
     matrix = np.outer(vectorize(p.mat), vectorize(identity(d)).conj())
     return SuperOp(d, matrix)
@@ -163,16 +155,13 @@ class CompletionResult:
     residual: float
 
 
-def solve_completion(
-    e_first: SuperOp, e_total: SuperOp, residual_tol: float = 1e-10
-) -> CompletionResult:
+def solve_completion(e_first: SuperOp, e_total: SuperOp) -> CompletionResult:
     """Find ``K`` with ``K composed after e_first == e_total``.
 
     Solves ``K @ E1 = E`` by least squares and reports whether the
     solution is unique.  When the equations cannot be satisfied to
-    within ``residual_tol`` (Frobenius norm), :class:`NoExactSolution`
-    is raised rather than silently returning the minimizer; pass
-    ``residual_tol=float("inf")`` to get the minimizer regardless.
+    within 1e-10 (Frobenius norm), :class:`NoExactSolution` is raised
+    rather than silently returning the minimizer.
     """
     if e_first.dim != e_total.dim:
         raise DimensionMismatch(f"superop dims differ: {e_first.dim} vs {e_total.dim}")
@@ -183,7 +172,7 @@ def solve_completion(
     kt, _, rank, _ = np.linalg.lstsq(a.T, t.T, rcond=None)
     k = kt.T
     residual = float(np.linalg.norm(k @ a - t))
-    if residual > residual_tol:
+    if residual > 1e-10:
         raise NoExactSolution("completion has no exact solution", residual)
     unique = rank == n
     affine_dimension = n * (n - int(rank))

@@ -55,7 +55,8 @@ from .errors import (
     OrthogonalPostselection,
 )
 from .operators import (
-    DEFAULT_TOLERANCES,
+    HERM_TOL,
+    ZERO_TOL,
     DensityOperator,
     Projector,
     _frozen,
@@ -143,7 +144,7 @@ class ProtocolConfig:
         if not np.isfinite(obs).all():  # NaN would also pass the hermiticity check
             raise ValueError("weak_observable has non-finite entries")
         defect = hermiticity_defect(obs)
-        if defect > DEFAULT_TOLERANCES.herm:
+        if defect > HERM_TOL:
             raise HermiticityViolation("weak_observable is not Hermitian", defect)
         for name in ("delta_t_m", "delta_t_c", "hbar"):
             value = getattr(self, name)
@@ -160,7 +161,7 @@ class ProtocolConfig:
         )
         object.__setattr__(self, "traces", t)
         for name, overlap in (("rho_in", t.proj_in.real), ("rho_fin", t.fin_proj.real)):
-            if overlap <= DEFAULT_TOLERANCES.zero:
+            if overlap <= ZERO_TOL:
                 raise OrthogonalPostselection(
                     f"Tr[P {name}] = {overlap:.3e}: the strong outcome never "
                     f"connects {name} to the rest of the protocol"
@@ -186,7 +187,7 @@ def protocol_traces(cfg: ProtocolConfig) -> ProtocolTraces:
     return cfg.traces
 
 
-def weak_value(rho1, rho2, obs, tol_zero: float = DEFAULT_TOLERANCES.zero) -> complex:
+def weak_value(rho1, rho2, obs) -> complex:
     """Conditional weak value ``Tr[rho2 obs rho1] / Tr[rho2 rho1]``.
 
     ``rho1``/``rho2`` need not be normalized (or even states); the
@@ -200,7 +201,7 @@ def weak_value(rho1, rho2, obs, tol_zero: float = DEFAULT_TOLERANCES.zero) -> co
     if not (r1.shape == r2.shape == o.shape):
         raise DimensionMismatch("rho1, rho2 and obs must share one dimension")
     den = complex(np.trace(r2 @ r1))
-    if abs(den) <= tol_zero:
+    if abs(den) <= ZERO_TOL:
         raise OrthogonalPostselection(
             f"overlap Tr[rho2 rho1] = {abs(den):.3e} below tolerance"
         )
@@ -214,10 +215,7 @@ def trial_weak_value_strong_first(cfg: ProtocolConfig) -> complex:
     The completed strong measurement acts as a fresh preselection in the
     outcome projector: ``Tr[rho_fin O P] / Tr[rho_fin P]``.
     """
-    t = cfg.traces
-    if abs(t.fin_proj) <= DEFAULT_TOLERANCES.zero:
-        raise OrthogonalPostselection("postselection never follows the strong outcome")
-    return t.strong_first
+    return cfg.traces.strong_first
 
 
 def trial_weak_value_weak_first(cfg: ProtocolConfig) -> complex:
@@ -225,10 +223,7 @@ def trial_weak_value_weak_first(cfg: ProtocolConfig) -> complex:
 
     The strong outcome acts as the postselection: ``Tr[P O rho_in] / Tr[P rho_in]``.
     """
-    t = cfg.traces
-    if abs(t.proj_in) <= DEFAULT_TOLERANCES.zero:
-        raise OrthogonalPostselection("preselection never reaches the strong outcome")
-    return t.weak_first
+    return cfg.traces.weak_first
 
 
 def averaged_weak_value_vn(cfg: ProtocolConfig) -> complex:
@@ -283,7 +278,7 @@ def objective_weak_value_forward(cfg: ProtocolConfig, t_w: float) -> complex:
     o = cfg.weak_observable
     num = complex(np.trace(cfg.rho_fin.mat @ apply_superop(c, o @ rho1)))
     den = complex(np.trace(cfg.rho_fin.mat @ apply_superop(c, rho1)))
-    if abs(den) <= DEFAULT_TOLERANCES.zero:
+    if abs(den) <= ZERO_TOL:
         raise OrthogonalPostselection("forward-evolved overlap vanished")
     return num / den
 
@@ -358,7 +353,6 @@ def discriminate(
     measured: complex,
     cfg: ProtocolConfig,
     sigma_meas: float,
-    degenerate_tol: float = 1e-12,
 ) -> DiscriminationVerdict:
     """Turn a measured time-averaged weak value into a model verdict.
 
@@ -382,7 +376,7 @@ def discriminate(
     v_vn = averaged_weak_value_vn(cfg)
     v_sat = cfg.traces.saturated
     scale = max(1.0, abs(v_vn), abs(v_sat))
-    if abs(v_vn - v_sat) <= degenerate_tol * scale:
+    if abs(v_vn - v_sat) <= ZERO_TOL * scale:
         raise DegenerateScenario(
             "instantaneous and objective predictions coincide for this "
             "configuration; the averaged weak value carries no discriminating "

@@ -151,6 +151,9 @@ class TestNonFiniteInput:
             ("discriminate", "--scenario", "hydrogen", "--measured", "nan", "--sigma-meas", 0.01),
             ("discriminate", "--scenario", "hydrogen", "--measured", 0.3, "--sigma-meas", "inf"),
             ("hydrogen", "--dtc", "inf"),
+            ("hydrogen", "--dtc", "inf", "--format", "csv"),
+            ("pointer", "--hbar", "inf", "--format", "csv"),
+            ("pointer", "--a-re", "nan"),
         ],
     )
     def test_exit_2_without_output(self, argv):

@@ -18,7 +18,7 @@ from weakprobe import (
     run_simulation,
     to_record,
 )
-from weakprobe.montecarlo import _objective_draws, _vn_draws
+from weakprobe.montecarlo import _chunk_draws, _chunks
 
 
 def vn_spec(trials=1000, seed=42, **cfg_kwargs):
@@ -157,29 +157,38 @@ class TestConvergenceToTarget:
         assert abs(grand - target.real) <= 3 * pooled
 
 
+def all_draws(spec):
+    """Every trial's draws in trial order: ``t_s, t_w`` interleaved under the
+    instantaneous model, ``t_w`` under the objective model."""
+    chunks = _chunks(spec.trials)
+    return np.concatenate([_chunk_draws(spec, j, hi - lo) for j, lo, hi in chunks])
+
+
 class TestDrawContracts:
     def test_vn_draw_ranges(self):
-        t_s, t_w = _vn_draws(vn_spec(trials=50_000, seed=8, dtm=1.7))
+        draws = all_draws(vn_spec(trials=50_000, seed=8, dtm=1.7))
+        t_s, t_w = draws[0::2], draws[1::2]
         for arr in (t_s, t_w):
             assert arr.min() >= 0.0 and arr.max() <= 1.7
 
     def test_vn_ordering_fraction_balanced(self):
         n = 100_000
-        t_s, t_w = _vn_draws(vn_spec(trials=n, seed=12))
+        draws = all_draws(vn_spec(trials=n, seed=12))
+        t_s, t_w = draws[0::2], draws[1::2]
         frac = float(np.mean(t_w > t_s))
         sigma = 0.5 / np.sqrt(n)
         assert abs(frac - 0.5) <= 3 * sigma
 
     def test_objective_draw_range_is_weak_window(self):
         spec = objective_spec(trials=50_000, seed=14, dtm=1.0, dtc=0.5)
-        t_w = _objective_draws(spec)
+        t_w = all_draws(spec)
         w = spec.cfg.weak_window
         assert t_w.min() >= w.lo and t_w.max() <= w.hi
         # all three stretches actually populated
         assert np.any(t_w < 0.0) and np.any(t_w > 0.5)
 
     def test_uniformity_moments(self):
-        t_w = _objective_draws(objective_spec(trials=200_000, seed=15, dtm=1.0, dtc=0.5))
+        t_w = all_draws(objective_spec(trials=200_000, seed=15, dtm=1.0, dtc=0.5))
         # window (-0.25, 0.75): mean 0.25, variance 1/12
         assert float(t_w.mean()) == pytest.approx(0.25, abs=3 * 1 / np.sqrt(12 * 200_000))
         assert float(t_w.var()) == pytest.approx(1 / 12, rel=0.02)
@@ -252,10 +261,11 @@ def direct_values(spec):
     t = protocol_traces(spec.cfg)
     w1 = t.proj_obs_in / t.proj_in
     w3 = t.fin_obs_proj / t.fin_proj
+    draws = all_draws(spec)
     if spec.model == "vn":
-        t_s, t_w = _vn_draws(spec)
+        t_s, t_w = draws[0::2], draws[1::2]
         return np.where(t_w > t_s, w3, w1)
-    t_w = _objective_draws(spec)
+    t_w = draws
     dtc = spec.cfg.delta_t_c
     mid = t.obs_in + (t_w / dtc) * (t.obs_proj - t.obs_in)
     return np.select([t_w < 0.0, t_w > dtc], [w1, w3], default=mid)

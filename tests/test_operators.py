@@ -1,6 +1,12 @@
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+
+import weakprobe
 
 from conftest import rank_by_elimination, random_density, random_hermitian, random_ket
 from weakprobe import (
@@ -9,7 +15,6 @@ from weakprobe import (
     HermiticityViolation,
     NegativeEigenvalue,
     Projector,
-    Tolerances,
     TraceViolation,
     ZeroProbability,
     density_operator_basis,
@@ -17,6 +22,13 @@ from weakprobe import (
     selective_projection,
     spectral_decompose,
     validate_density,
+)
+from weakprobe.operators import (
+    DEGENERACY_TOL,
+    HERM_TOL,
+    PSD_TOL,
+    TRACE_TOL,
+    ZERO_TOL,
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -220,13 +232,6 @@ class TestValidateDensity:
         assert w.min() >= 0.0
         assert np.trace(out.mat).real == pytest.approx(1.0, abs=1e-14)
 
-    def test_custom_tolerances(self):
-        loose = Tolerances(psd=0.5)
-        out = validate_density(np.diag([1.3, -0.3]), loose)
-        assert out.psd_adjustment == pytest.approx(0.3)
-        w = np.linalg.eigvalsh(out.mat)
-        assert w.min() >= 0.0
-
     @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=4))
     def test_accepts_any_normalized_mixture(self, weights):
         w = np.array(weights) / sum(weights)
@@ -255,3 +260,37 @@ class TestProjector:
         p = Projector.onto([1, 0])
         with pytest.raises(ValueError):
             p.mat[0, 0] = 5.0
+
+
+def public_callables():
+    """Every callable a module lists in ``__all__``, and the public methods of
+    the classes among them (``Projector.from_matrix`` included)."""
+    for info in pkgutil.iter_modules(weakprobe.__path__):
+        module = importlib.import_module(f"weakprobe.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if callable(obj):
+                yield f"{info.name}.{name}", obj
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and callable(getattr(obj, attr)):
+                        yield f"{info.name}.{name}.{attr}", getattr(obj, attr)
+
+
+class TestNumericalPolicy:
+    def test_constant_values(self):
+        assert HERM_TOL == TRACE_TOL == PSD_TOL == 1e-10
+        assert ZERO_TOL == 1e-12
+        assert DEGENERACY_TOL == 1e-9
+
+    def test_no_tolerance_parameters(self):
+        checked = {}
+        for qualname, obj in public_callables():
+            try:
+                params = inspect.signature(obj).parameters
+            except ValueError:  # builtin base classes expose no signature
+                continue
+            checked[qualname] = [p for p in params if "tol" in p.lower()]
+        assert "operators.Projector.from_matrix" in checked
+        assert "operators.validate_density" in checked
+        assert {k: v for k, v in checked.items() if v} == {}

@@ -198,6 +198,16 @@ class TestWeakLimitSlope:
         assert fit.slope == pytest.approx(expected, rel=1e-4)
         assert fit.bound_constant >= 0.0
 
+    def test_shifts_are_the_pointer_means(self):
+        psi2 = rotated(np.pi / 4 + 0.3)
+        grid = np.geomspace(3e-4, 3e-3, 9)
+        fit = weak_limit_slope(PLUS_X, psi2, SIGMA_Z, 0.8, grid)
+        expected = [
+            postselected_pointer_mean(PLUS_X, psi2, SIGMA_Z, GaussianPointer(0.8, g))
+            for g in grid
+        ]
+        assert fit.shifts == tuple(expected)  # bit for bit, in grid order
+
     def test_residual_is_cubic_in_coupling(self):
         # leading correction to the linear shift is odd and cubic
         psi2 = rotated(np.pi / 4 + 0.3)
