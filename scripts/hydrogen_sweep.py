@@ -8,7 +8,8 @@ model-separation curve of the built-in qubit scenario:
 
     python scripts/hydrogen_sweep.py --a 0.7071 --b 0.7071 --out sweep.csv
 
-The output is fully deterministic.
+The output is fully deterministic.  Bad input ends with an ``error:``
+line and the exit codes of ``python -m weakprobe``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import sys
 import numpy as np
 
 from weakprobe import HydrogenScenario, hydrogen_predictions
+from weakprobe.cli import run
 
 
 def parse_args(argv=None):
@@ -35,8 +37,9 @@ def parse_args(argv=None):
     return p.parse_args(argv)
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
+def sweep(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     scenario = HydrogenScenario(args.a, args.b, args.hbar)
     ratios = np.linspace(args.ratio_min, args.ratio_max, args.points)
     rows = []
@@ -61,6 +64,10 @@ def main(argv=None) -> int:
         if args.out:
             stream.close()
     return 0
+
+
+def main(argv=None) -> int:
+    return run(sweep, parse_args(argv))
 
 
 if __name__ == "__main__":

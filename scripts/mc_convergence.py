@@ -8,7 +8,9 @@ standard error is visible on real data:
 
     python scripts/mc_convergence.py --model objective --dtc 0.5 --seed 3
 
-Identical arguments always produce identical bytes.
+Identical arguments always produce identical bytes.  The z-score follows
+``weakprobe simulate`` (empty where it prints null), and bad input ends
+with an ``error:`` line and the same exit codes.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from weakprobe import (
     build_hydrogen,
     convergence_report,
 )
+from weakprobe.cli import run, z_score
 
 
 def parse_args(argv=None):
@@ -50,8 +53,7 @@ def checkpoints(n_max: int, per_decade: int) -> list[int]:
     return [c for c in out if c <= n_max]
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
+def report(args) -> int:
     cfg = build_hydrogen(
         complex(args.a_re, args.a_im),
         complex(args.b_re, args.b_im),
@@ -63,7 +65,6 @@ def main(argv=None) -> int:
     target = analytic_target(spec)
     rows = []
     for res in convergence_report(spec, checkpoints(args.trials, args.per_decade)):
-        err = res.mean.real - target.real
         rows.append(
             {
                 "model": args.model,
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
                 "stderr_re": res.stderr,
                 "stderr_im": res.stderr_im,
                 "target_re": target.real,
-                "z": err / res.stderr if res.stderr > 0 else 0.0,
+                "z": z_score(res, target),
             }
         )
     stream = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -86,6 +87,10 @@ def main(argv=None) -> int:
         if args.out:
             stream.close()
     return 0
+
+
+def main(argv=None) -> int:
+    return run(report, parse_args(argv))
 
 
 if __name__ == "__main__":

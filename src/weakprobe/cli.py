@@ -29,6 +29,8 @@ import numpy as np
 
 from .errors import DegenerateScenario, OrthogonalPostselection
 from .hydrogen import (
+    PLUS,
+    SIGMA_Z,
     HydrogenScenario,
     build_hydrogen,
     hydrogen_predictions,
@@ -36,12 +38,12 @@ from .hydrogen import (
 )
 from .montecarlo import (
     CSV_COLUMNS,
+    AveragedResult,
     SimulationSpec,
     analytic_target,
     run_simulation,
     to_record,
 )
-from .operators import spectral_decompose
 from .pointer import weak_limit_slope
 from .serialization import config_from_json, config_to_json
 from .weakvalues import (
@@ -58,6 +60,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ORTHOGONAL = 3
 EXIT_DEGENERATE = 4
+
+MAX_G_POINTS = 10_000
 
 _INV_SQRT2 = 2.0**-0.5
 
@@ -185,16 +189,19 @@ def cmd_analytic(args) -> int:
     return EXIT_OK
 
 
+def z_score(result: AveragedResult, target: complex) -> float | None:
+    """Real-part z of a mean; an exact one scores 0 on target, None (null) off it."""
+    if result.stderr > 0.0:
+        return (result.mean.real - target.real) / result.stderr
+    return 0.0 if abs(result.mean - target) <= 1e-12 else None
+
+
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     _maybe_emit_config(args, cfg)
     spec = SimulationSpec(cfg, args.model, args.trials, args.seed)
     result = run_simulation(spec)
     target = analytic_target(spec)
-    if result.stderr > 0.0:
-        z = (result.mean.real - target.real) / result.stderr
-    else:  # exact mean: null when it misses the target, as JSON has no Infinity
-        z = 0.0 if abs(result.mean - target) <= 1e-12 else None
     if args.format == "csv":
         record = to_record(spec, result)
         rows = [list(CSV_COLUMNS), [record[k] for k in CSV_COLUMNS]]
@@ -202,7 +209,7 @@ def cmd_simulate(args) -> int:
     else:
         report = dict(to_record(spec, result))
         report["analytic"] = _c(target)
-        report["z"] = z
+        report["z"] = z_score(result, target)
         _emit(_dumps(report), args)
     return EXIT_OK
 
@@ -272,14 +279,13 @@ def cmd_pointer(args) -> int:
     scenario = _scenario(args)
     if args.order == "strong-first":
         # The completed strong measurement re-prepares the selected branch.
-        psi1 = np.array([1.0, 0.0], dtype=complex)
-        psi2 = scenario.psi_fin
+        psi1, psi2 = PLUS, scenario.psi_fin
     else:
-        psi1 = scenario.psi_in
-        psi2 = np.array([1.0, 0.0], dtype=complex)
-    obs = spectral_decompose((scenario.hbar / 2.0) * np.diag([1.0, -1.0]).astype(complex))
+        psi1, psi2 = scenario.psi_in, PLUS
+    if args.g_points > MAX_G_POINTS:
+        raise ValueError(f"--g-points {args.g_points} exceeds {MAX_G_POINTS}")
     g_grid = np.geomspace(args.g_min, args.g_max, args.g_points)
-    fit = weak_limit_slope(psi1, psi2, obs, args.sigma, g_grid)
+    fit = weak_limit_slope(psi1, psi2, scenario.hbar / 2.0 * SIGMA_Z, args.sigma, g_grid)
     pairs = [[float(g), s] for g, s in zip(g_grid, fit.shifts)]
     if args.format == "csv":
         _emit(_csv([["g", "shift"], *pairs]), args)
@@ -341,18 +347,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=1.0, help="pointer spread")
     p.add_argument("--g-min", type=float, default=1e-3)
     p.add_argument("--g-max", type=float, default=1e-2)
-    p.add_argument("--g-points", type=int, default=13)
+    p.add_argument("--g-points", type=int, default=13, help=f"at most {MAX_G_POINTS}")
     _add_output(p)
     p.set_defaults(func=cmd_pointer)
 
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run(command, args) -> int:
+    """``command(args)``, its errors mapped to the exit codes and an ``error:`` line."""
     try:
-        return args.func(args)
+        return command(args)
     except OrthogonalPostselection as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORTHOGONAL
@@ -362,6 +367,11 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run(args.func, args)
 
 
 if __name__ == "__main__":

@@ -25,8 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidProjector
-from .operators import DensityOperator, ObservableSpectral, Projector, validate_density
+from .operators import (
+    DensityOperator,
+    ObservableSpectral,
+    Projector,
+    require_positive_finite,
+    require_rank1,
+    validate_density,
+)
 from .superops import SuperOp, collapse_superop, solve_completion
 
 __all__ = [
@@ -46,8 +52,7 @@ class UniformTiming:
     hi: float
 
     def __post_init__(self):
-        if not self.hi > self.lo:
-            raise ValueError(f"empty timing window ({self.lo}, {self.hi})")
+        require_positive_finite(self.width, "timing window width")
 
     @property
     def width(self) -> float:
@@ -61,21 +66,22 @@ class UniformTiming:
         return self.lo <= t <= self.hi
 
 
-def _require_rank1(p: Projector) -> None:
-    if p.rank != 1:
-        raise InvalidProjector(
-            f"selective outcome must be rank 1, got rank {p.rank}; a degenerate "
-            "outcome does not determine the post-measurement state"
-        )
+def _check_window(p: Projector, name: str, window: float, *times: float) -> None:
+    """Rank-1 outcome, finite positive window, ``0 <= t [<= t2] <= window``."""
+    require_rank1(p)
+    require_positive_finite(window, name)
+    if not 0.0 <= times[0] <= times[-1] <= window:  # NaN fails
+        raise ValueError(f"need 0 <= {' <= '.join(map(str, times))} <= {name}={window}")
 
 
 def _mix_toward(
-    rho_in: DensityOperator, p: Projector, fraction: float
+    rho_in: DensityOperator, p: Projector, t: float, window: float, name: str
 ) -> DensityOperator:
     # Shared by both models so that equal window durations give
     # bit-identical states.
-    out = (1.0 - fraction) * rho_in.mat + fraction * p.mat
-    return validate_density(out)
+    _check_window(p, name, window, t)
+    x = t / window
+    return validate_density((1.0 - x) * rho_in.mat + x * p.mat)
 
 
 def objective_state_at(
@@ -89,12 +95,7 @@ def objective_state_at(
     Linear interpolation ``(1 - t/dtc) rho_in + (t/dtc) P`` for
     ``0 <= t <= delta_t_c``.
     """
-    _require_rank1(p)
-    if not delta_t_c > 0:
-        raise ValueError("collapse duration must be positive")
-    if not 0.0 <= t <= delta_t_c:
-        raise ValueError(f"t={t} outside the collapse window [0, {delta_t_c}]")
-    return _mix_toward(rho_in, p, t / delta_t_c)
+    return _mix_toward(rho_in, p, t, delta_t_c, "collapse window delta_t_c")
 
 
 def projective_ensemble_state_at(
@@ -109,12 +110,7 @@ def projective_ensemble_state_at(
     the rest is still ``rho_in``; same straight line as the objective
     model, parametrized by ``delta_t_m``.
     """
-    _require_rank1(p)
-    if not delta_t_m > 0:
-        raise ValueError("timing-jitter window must be positive")
-    if not 0.0 <= t <= delta_t_m:
-        raise ValueError(f"t={t} outside the jitter window [0, {delta_t_m}]")
-    return _mix_toward(rho_in, p, t / delta_t_m)
+    return _mix_toward(rho_in, p, t, delta_t_m, "jitter window delta_t_m")
 
 
 def evolution_superop_objective(
@@ -133,13 +129,7 @@ def evolution_superop_objective(
     unique solution is ``C`` itself whenever ``t1 < delta_t_c``.  Other
     anchors are not supported.
     """
-    _require_rank1(p)
-    if not delta_t_c > 0:
-        raise ValueError("collapse duration must be positive")
-    if not 0.0 <= t1 <= t2 <= delta_t_c:
-        raise ValueError(
-            f"need 0 <= t1 <= t2 <= delta_t_c, got t1={t1}, t2={t2}, dtc={delta_t_c}"
-        )
+    _check_window(p, "collapse window delta_t_c", delta_t_c, t1, t2)
     c = collapse_superop(p)
     if t1 == 0.0:
         x = t2 / delta_t_c

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrthogonalPostselection
-from .operators import ZERO_TOL, DensityOperator, Projector
+from .operators import ZERO_TOL, DensityOperator, Projector, require_positive_finite
 from .weakvalues import ProtocolConfig, ProtocolTraces, protocol_traces
 
 __all__ = [
@@ -65,8 +65,7 @@ class HydrogenScenario:
         for name, amp in (("a", self.a), ("b", self.b)):
             if not abs(amp) <= 1.0 + _NORM_SLACK:  # NaN fails too
                 raise ValueError(f"|{name}| = {abs(amp)}: not an amplitude")
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise ValueError(f"hbar must be finite and positive, got {self.hbar}")
+        require_positive_finite(self.hbar, "hbar")
 
     def flags(self) -> list[str]:
         """Caveats that do not invalidate the scenario but weaken it."""
@@ -163,9 +162,8 @@ def hydrogen_predictions(
     ``delta_t_c >= delta_t_m``, else
     ``(hbar/2) (1 - (delta_t_c/delta_t_m)(1 - |a|^2))``.
     """
-    for value in (delta_t_c, delta_t_m):
-        if not (math.isfinite(value) and value > 0):  # NaN fails both
-            raise ValueError(f"window durations must be finite and positive, got {value}")
+    require_positive_finite(delta_t_c, "delta_t_c")
+    require_positive_finite(delta_t_m, "delta_t_m")
     p = abs(scenario.a) ** 2
     q = abs(scenario.b) ** 2
     if p <= ZERO_TOL or q <= ZERO_TOL:

@@ -12,6 +12,7 @@ The Hilbert-Schmidt inner product used throughout is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +51,21 @@ __all__ = [
 # may have and still count as an operator of its kind; ZERO_TOL guards
 # every denominator (selection probabilities, weak-value overlaps);
 # DEGENERACY_TOL is the eigenvalue-clustering width of spectral_decompose.
+# The validators test ``not defect <= TOL``, which the NaN or infinite defect
+# of a non-finite entry fails (require_hermitian for states and observables);
+# a duration, scale or hbar must pass require_positive_finite, and a ket is
+# normalised by unit_ket.
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 ZERO_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
+
+
+def require_positive_finite(value: float, name: str, error=ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is finite and positive."""
+    if not (math.isfinite(value) and value > 0):  # NaN fails both
+        raise error(f"{name} must be finite and positive, got {value}")
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -80,8 +91,25 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Max-norm distance between ``a`` and its adjoint."""
-    return float(np.max(np.abs(a - dagger(a)))) if np.asarray(a).size else 0.0
+    """Max-norm distance between ``a`` and its adjoint; NaN or inf when an
+    entry of ``a`` is, which the ``not defect <= HERM_TOL`` checks reject."""
+    a = np.asarray(a)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+
+
+def require_hermitian(a: np.ndarray, what: str) -> None:
+    defect = hermiticity_defect(a)
+    if not defect <= HERM_TOL:
+        raise HermiticityViolation(f"{what} is non-finite or not Hermitian", defect)
+
+
+def unit_ket(ket, error=ValueError) -> np.ndarray:
+    """``ket`` as a flat unit vector; a zero, NaN or infinite norm raises ``error``."""
+    v = np.asarray(ket, dtype=complex).reshape(-1)
+    n = float(np.linalg.norm(v))
+    require_positive_finite(n, "ket norm", error)
+    return v / n
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -121,11 +149,7 @@ class DensityOperator:
 
     @classmethod
     def pure(cls, ket) -> "DensityOperator":
-        v = np.asarray(ket, dtype=complex).reshape(-1)
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            raise ValueError("cannot build a state from the zero vector")
-        v = v / n
+        v = unit_ket(ket)
         return cls(np.outer(v, v.conj()))
 
     @classmethod
@@ -151,14 +175,14 @@ class Projector:
     def from_matrix(cls, m) -> "Projector":
         p = as_operator(m)
         herm = hermiticity_defect(p)
-        if herm > HERM_TOL:
+        if not herm <= HERM_TOL:
             raise InvalidProjector(f"not Hermitian (defect {herm:.3e})")
         idem = float(np.max(np.abs(p @ p - p)))
-        if idem > HERM_TOL:
+        if not idem <= HERM_TOL:
             raise InvalidProjector(f"not idempotent (defect {idem:.3e})")
         tr = float(np.trace(p).real)
         rank = round(tr)
-        if abs(tr - rank) > 1e-6:
+        if not abs(tr - rank) <= 1e-6:
             raise InvalidProjector(f"trace {tr} is not near an integer")
         if rank < 1:
             raise InvalidProjector("zero projector has no selective outcome")
@@ -167,12 +191,13 @@ class Projector:
     @classmethod
     def onto(cls, ket) -> "Projector":
         """Rank-1 projector onto the ray of ``ket``."""
-        v = np.asarray(ket, dtype=complex).reshape(-1)
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            raise InvalidProjector("cannot project onto the zero vector")
-        v = v / n
+        v = unit_ket(ket, InvalidProjector)
         return cls(np.outer(v, v.conj()), 1)
+
+
+def require_rank1(p: Projector) -> None:
+    if p.rank != 1:  # a degenerate outcome leaves the selected state undetermined
+        raise InvalidProjector(f"selective outcome must be rank 1, got rank {p.rank}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,9 +238,7 @@ def spectral_decompose(a) -> ObservableSpectral:
     eigenvalue is the mean of its cluster.
     """
     a = as_operator(a)
-    defect = hermiticity_defect(a)
-    if defect > HERM_TOL:
-        raise HermiticityViolation("observable is not Hermitian", defect)
+    require_hermitian(a, "observable")
     w, v = np.linalg.eigh((a + dagger(a)) / 2)
     pairs: list[tuple[float, Projector]] = []
     start = 0
@@ -238,7 +261,7 @@ def selective_projection(rho: DensityOperator, p: Projector) -> DensityOperator:
         raise DimensionMismatch(f"state dim {rho.dim} != projector dim {p.dim}")
     out = p.mat @ rho.mat @ p.mat
     prob = float(np.trace(out).real)
-    if prob <= ZERO_TOL:
+    if not prob > ZERO_TOL:  # NaN fails too
         raise ZeroProbability(f"selection probability {prob:.3e} below tolerance")
     return validate_density(out / prob)
 
@@ -275,15 +298,13 @@ def validate_density(m) -> DensityOperator:
     ``psd_adjustment``.
     """
     m = as_operator(m)
-    defect = hermiticity_defect(m)
-    if defect > HERM_TOL:
-        raise HermiticityViolation("matrix is not Hermitian", defect)
+    require_hermitian(m, "matrix")
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise TraceViolation("trace differs from 1", abs(tr - 1.0))
     herm = (m + dagger(m)) / 2
     w, v = np.linalg.eigh(herm)
-    if w[0] < -PSD_TOL:
+    if not w[0] >= -PSD_TOL:
         raise NegativeEigenvalue("negative eigenvalue", abs(float(w[0])))
     clipped = np.clip(w, 0.0, None)
     adjustment = float(np.sum(clipped - w))

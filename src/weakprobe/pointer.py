@@ -19,12 +19,19 @@ odd in ``g``), and the momentum shift is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OrthogonalPostselection, VanishingPostselection
-from .operators import ZERO_TOL, ObservableSpectral, spectral_decompose
+from .operators import (
+    ZERO_TOL,
+    ObservableSpectral,
+    require_positive_finite,
+    spectral_decompose,
+    unit_ket,
+)
 
 __all__ = [
     "GaussianPointer",
@@ -43,21 +50,16 @@ class GaussianPointer:
     g: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("pointer spread sigma must be positive")
+        require_positive_finite(self.sigma, "pointer spread sigma")
+        if not math.isfinite(self.g):
+            raise ValueError(f"coupling g must be finite, got {self.g}")
 
 
 def _branches(psi1, psi2, obs) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and postselected branch amplitudes c_n = <psi2|P_n|psi1>."""
     if not isinstance(obs, ObservableSpectral):
         obs = spectral_decompose(obs)
-    v1 = np.asarray(psi1, dtype=complex).reshape(-1)
-    v2 = np.asarray(psi2, dtype=complex).reshape(-1)
-    for v in (v1, v2):
-        if np.linalg.norm(v) == 0.0:
-            raise ValueError("state vectors must be nonzero")
-    v1 = v1 / np.linalg.norm(v1)
-    v2 = v2 / np.linalg.norm(v2)
+    v1, v2 = unit_ket(psi1), unit_ket(psi2)
     if v1.size != obs.dim or v2.size != obs.dim:
         raise ValueError("state vectors must match the observable dimension")
     a = np.array(obs.eigenvalues, dtype=float)
@@ -107,6 +109,7 @@ def postselected_pointer_momentum_mean(
     ``hbar g / (2 sigma^2) * Im(O_w)``, so the momentum channel exposes
     the imaginary part of the weak value.
     """
+    require_positive_finite(hbar, "hbar")
     a, c = _branches(psi1, psi2, obs)
     kernel, den = _kernel(a, c, ptr)
     diffs = a[:, None] - a[None, :]
@@ -141,8 +144,7 @@ def weak_limit_slope(psi1, psi2, obs, sigma: float, g_grid) -> SlopeFit:
     exercised.  The fit is least squares through the origin, since the
     shift is an odd function of ``g``.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    require_positive_finite(sigma, "sigma")
     g = np.asarray(g_grid, dtype=float)
     if g.ndim != 1 or g.size < 2:
         raise ValueError("g_grid must be a 1-d grid with at least two points")

@@ -52,6 +52,8 @@ def _matrix_from_json(obj, what: str) -> np.ndarray:
         raise ValueError(
             f"{what}: re/im shapes {re.shape}/{im.shape} do not match dim {d}"
         )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):  # json reads NaN, Infinity
+        raise ValueError(f"{what}: entries must be finite")
     return re + 1j * im
 
 

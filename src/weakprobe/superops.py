@@ -172,7 +172,7 @@ def solve_completion(e_first: SuperOp, e_total: SuperOp) -> CompletionResult:
     kt, _, rank, _ = np.linalg.lstsq(a.T, t.T, rcond=None)
     k = kt.T
     residual = float(np.linalg.norm(k @ a - t))
-    if residual > 1e-10:
+    if not residual <= 1e-10:  # NaN fails too
         raise NoExactSolution("completion has no exact solution", residual)
     unique = rank == n
     affine_dimension = n * (n - int(rank))

@@ -41,27 +41,21 @@ construction, and the predictions read them from ``cfg.traces``.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .collapse import UniformTiming, objective_state_at
-from .errors import (
-    DegenerateScenario,
-    DimensionMismatch,
-    HermiticityViolation,
-    InvalidProjector,
-    OrthogonalPostselection,
-)
+from .errors import DegenerateScenario, DimensionMismatch, OrthogonalPostselection
 from .operators import (
-    HERM_TOL,
     ZERO_TOL,
     DensityOperator,
     Projector,
     _frozen,
     as_operator,
-    hermiticity_defect,
+    require_hermitian,
+    require_positive_finite,
+    require_rank1,
 )
 from .superops import apply_superop, backward_state, collapse_superop
 
@@ -139,17 +133,10 @@ class ProtocolConfig:
                 "rho_in, rho_fin, strong_projector and weak_observable must share "
                 "one dimension"
             )
-        if self.strong_projector.rank != 1:
-            raise InvalidProjector("strong_projector must have rank 1")
-        if not np.isfinite(obs).all():  # NaN would also pass the hermiticity check
-            raise ValueError("weak_observable has non-finite entries")
-        defect = hermiticity_defect(obs)
-        if defect > HERM_TOL:
-            raise HermiticityViolation("weak_observable is not Hermitian", defect)
+        require_rank1(self.strong_projector)
+        require_hermitian(obs, "weak_observable")
         for name in ("delta_t_m", "delta_t_c", "hbar"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):  # NaN fails both
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            require_positive_finite(getattr(self, name), name)
         p, rin, rfin = self.strong_projector.mat, self.rho_in.mat, self.rho_fin.mat
         t = ProtocolTraces(
             proj_obs_in=complex(np.trace(p @ obs @ rin)),
@@ -193,19 +180,22 @@ def weak_value(rho1, rho2, obs) -> complex:
     ``rho1``/``rho2`` need not be normalized (or even states); the
     pulled-back postselection typically is not.  Raises
     :class:`OrthogonalPostselection` when the overlap denominator
-    vanishes.
+    vanishes, and ``ValueError`` when an operand is not finite.
     """
     r1 = as_operator(rho1)
     r2 = as_operator(rho2)
     o = as_operator(obs)
     if not (r1.shape == r2.shape == o.shape):
         raise DimensionMismatch("rho1, rho2 and obs must share one dimension")
-    den = complex(np.trace(r2 @ r1))
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite is rejected below
+        den = complex(np.trace(r2 @ r1))
+        num = complex(np.trace(r2 @ o @ r1))
+    if not (cmath.isfinite(den) and cmath.isfinite(num)):
+        raise ValueError(f"non-finite operand: weak value {num} / {den}")
     if abs(den) <= ZERO_TOL:
         raise OrthogonalPostselection(
             f"overlap Tr[rho2 rho1] = {abs(den):.3e} below tolerance"
         )
-    num = complex(np.trace(r2 @ o @ r1))
     return num / den
 
 
@@ -305,8 +295,8 @@ def apparent_resolution(delta_t_m: float, delta_t_c: float) -> float:
     through ``max(delta_t_m, delta_t_c)``: whichever is longer smears
     the per-trial values.
     """
-    if not (delta_t_m > 0 and delta_t_c > 0):
-        raise ValueError("window durations must be positive")
+    require_positive_finite(delta_t_m, "delta_t_m")
+    require_positive_finite(delta_t_c, "delta_t_c")
     return max(delta_t_m, delta_t_c)
 
 
@@ -326,7 +316,8 @@ def averaged_weak_value_objective(cfg: ProtocolConfig) -> complex:
     t = cfg.traces
     dtc = cfg.delta_t_c
     dta = apparent_resolution(cfg.delta_t_m, dtc)
-    ordered = (dta - dtc) / (2.0 * dta) * (t.weak_first + t.strong_first)
+    # (dta - dtc) / (2 dta), written so that 2 dta cannot overflow
+    ordered = (dta - dtc) / dta / 2.0 * (t.weak_first + t.strong_first)
     return ordered + dtc / dta * t.saturated
 
 
@@ -368,8 +359,7 @@ def discriminate(
     same value, since then the measurement cannot separate them, and
     ``ValueError`` for a non-finite measurement or uncertainty.
     """
-    if not (math.isfinite(sigma_meas) and sigma_meas > 0):
-        raise ValueError(f"sigma_meas must be finite and positive, got {sigma_meas}")
+    require_positive_finite(sigma_meas, "sigma_meas")
     measured = complex(measured)
     if not cmath.isfinite(measured):
         raise ValueError(f"measured value {measured} is not finite")

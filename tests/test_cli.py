@@ -13,7 +13,7 @@ from weakprobe import config_from_json, config_to_json
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*argv, check_exit=None):
+def run_cli(*argv, check_exit=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
@@ -21,6 +21,7 @@ def run_cli(*argv, check_exit=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
     if check_exit is not None:
         assert proc.returncode == check_exit, proc.stderr
@@ -409,3 +410,14 @@ class TestPointerCommand:
 
     def test_grid_validation_propagates(self):
         run_cli("pointer", "--g-min", 0.5, "--g-max", 0.9, check_exit=2)
+
+    def test_g_points_bound(self):
+        from weakprobe.cli import MAX_G_POINTS
+
+        # a 10^8-point grid used to run for minutes before any check
+        proc = run_cli("pointer", "--g-points", 100_000_000, check_exit=2, timeout=20)
+        assert proc.stdout == ""
+        assert f"exceeds {MAX_G_POINTS}" in proc.stderr
+        run_cli("pointer", "--g-points", MAX_G_POINTS + 1, check_exit=2)
+        proc = run_cli("pointer", "--g-points", MAX_G_POINTS, "--format", "csv")
+        assert len(proc.stdout.splitlines()) == MAX_G_POINTS + 1

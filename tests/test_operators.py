@@ -1,10 +1,15 @@
+import cmath
 import importlib
 import inspect
+import json
+import math
+import operator
 import pkgutil
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import weakprobe
 
@@ -12,16 +17,40 @@ from conftest import rank_by_elimination, random_density, random_hermitian, rand
 from weakprobe import (
     DensityOperator,
     DimensionMismatch,
+    GaussianPointer,
     HermiticityViolation,
+    HydrogenScenario,
     NegativeEigenvalue,
     Projector,
+    ProtocolConfig,
     TraceViolation,
+    UniformTiming,
     ZeroProbability,
+    apparent_resolution,
+    averaged_weak_value_objective,
+    averaged_weak_value_vn,
+    build_hydrogen,
+    config_from_json,
+    config_to_json,
     density_operator_basis,
+    discriminate,
+    evolution_superop_objective,
     hs_inner,
+    hydrogen_predictions,
+    objective_state_at,
+    objective_weak_value_adjoint,
+    objective_weak_value_at,
+    objective_weak_value_forward,
+    operator_from_json,
+    postselected_pointer_mean,
+    postselected_pointer_momentum_mean,
+    projective_ensemble_state_at,
     selective_projection,
     spectral_decompose,
+    superop_from_json,
     validate_density,
+    weak_limit_slope,
+    weak_value,
 )
 from weakprobe.operators import (
     DEGENERACY_TOL,
@@ -294,3 +323,237 @@ class TestNumericalPolicy:
         assert "operators.Projector.from_matrix" in checked
         assert "operators.validate_density" in checked
         assert {k: v for k, v in checked.items() if v} == {}
+
+
+# The boundary policy: every public entry point rejects a non-finite
+# scalar, ket or matrix with a ValueError subclass, never with a NaN
+# result, a ZeroDivisionError or a RuntimeWarning (the suite runs with
+# warnings as errors).
+
+RHO = DensityOperator.pure([0.6, 0.8])
+P_UP = Projector.onto([1.0, 0.0])
+PSI1 = np.array([0.6, 0.8])
+PSI2 = np.array([0.8, 0.6])
+CFG = build_hydrogen(0.6, 0.8, delta_t_m=1.0, delta_t_c=0.5)
+GRID = np.geomspace(1e-3, 1e-2, 5)
+SCENARIO = HydrogenScenario(0.6, 0.8)
+
+
+def config_with(**kw):
+    base = dict(
+        rho_in=RHO,
+        rho_fin=DensityOperator.pure(PSI2),
+        strong_projector=P_UP,
+        weak_observable=SIGMA_Z,
+        delta_t_m=1.0,
+        delta_t_c=0.5,
+    )
+    return ProtocolConfig(**{**base, **kw})
+
+
+# (public callable, float parameter) -> call with that parameter set to x
+SCALAR_BOUNDARIES = {
+    ("collapse.UniformTiming", "lo"): lambda x: UniformTiming(x, 1.0),
+    ("collapse.UniformTiming", "hi"): lambda x: UniformTiming(0.0, x),
+    ("collapse.objective_state_at", "t"): lambda x: objective_state_at(RHO, P_UP, x, 1.0),
+    ("collapse.objective_state_at", "delta_t_c"): (
+        lambda x: objective_state_at(RHO, P_UP, x, x)
+    ),
+    ("collapse.projective_ensemble_state_at", "t"): (
+        lambda x: projective_ensemble_state_at(RHO, P_UP, x, 1.0)
+    ),
+    ("collapse.projective_ensemble_state_at", "delta_t_m"): (
+        lambda x: projective_ensemble_state_at(RHO, P_UP, 0.0, x)
+    ),
+    ("collapse.evolution_superop_objective", "t1"): (
+        lambda x: evolution_superop_objective(x, 1.0, P_UP, 1.0)
+    ),
+    ("collapse.evolution_superop_objective", "t2"): (
+        lambda x: evolution_superop_objective(0.0, x, P_UP, 1.0)
+    ),
+    ("collapse.evolution_superop_objective", "delta_t_c"): (
+        lambda x: evolution_superop_objective(0.0, 0.0, P_UP, x)
+    ),
+    ("hydrogen.HydrogenScenario", "hbar"): lambda x: HydrogenScenario(0.6, 0.8, x),
+    ("hydrogen.build_hydrogen", "hbar"): lambda x: build_hydrogen(0.6, 0.8, hbar=x),
+    ("hydrogen.build_hydrogen", "delta_t_m"): (
+        lambda x: build_hydrogen(0.6, 0.8, delta_t_m=x)
+    ),
+    ("hydrogen.build_hydrogen", "delta_t_c"): (
+        lambda x: build_hydrogen(0.6, 0.8, delta_t_c=x)
+    ),
+    ("hydrogen.hydrogen_predictions", "delta_t_c"): (
+        lambda x: hydrogen_predictions(SCENARIO, x, 1.0)
+    ),
+    ("hydrogen.hydrogen_predictions", "delta_t_m"): (
+        lambda x: hydrogen_predictions(SCENARIO, 1.0, x)
+    ),
+    ("pointer.GaussianPointer", "sigma"): lambda x: GaussianPointer(x, 0.1),
+    ("pointer.GaussianPointer", "g"): lambda x: GaussianPointer(1.0, x),
+    ("pointer.postselected_pointer_momentum_mean", "hbar"): (
+        lambda x: postselected_pointer_momentum_mean(
+            PSI1, PSI2, SIGMA_Z, GaussianPointer(1.0, 0.1), hbar=x
+        )
+    ),
+    ("pointer.weak_limit_slope", "sigma"): (
+        lambda x: weak_limit_slope(PSI1, PSI2, SIGMA_Z, x, GRID)
+    ),
+    ("weakvalues.ProtocolConfig", "delta_t_m"): lambda x: config_with(delta_t_m=x),
+    ("weakvalues.ProtocolConfig", "delta_t_c"): lambda x: config_with(delta_t_c=x),
+    ("weakvalues.ProtocolConfig", "hbar"): lambda x: config_with(hbar=x),
+    ("weakvalues.objective_weak_value_at", "t_w"): (
+        lambda x: objective_weak_value_at(x, CFG)
+    ),
+    ("weakvalues.objective_weak_value_forward", "t_w"): (
+        lambda x: objective_weak_value_forward(CFG, x)
+    ),
+    ("weakvalues.objective_weak_value_adjoint", "t_w"): (
+        lambda x: objective_weak_value_adjoint(CFG, x)
+    ),
+    ("weakvalues.apparent_resolution", "delta_t_m"): lambda x: apparent_resolution(x, 1),
+    ("weakvalues.apparent_resolution", "delta_t_c"): lambda x: apparent_resolution(1, x),
+    ("weakvalues.discriminate", "sigma_meas"): lambda x: discriminate(0.4, CFG, x),
+}
+
+# Public float parameters that are not inputs to check.
+SCALAR_EXEMPT = {
+    # result records: the library fills them in from checked inputs
+    ("weakvalues.DiscriminationVerdict", "delta_t_c_estimate"),
+    ("weakvalues.DiscriminationVerdict", "residual"),
+    ("montecarlo.AveragedResult", "stderr"),
+    ("montecarlo.AveragedResult", "stderr_im"),
+    ("pointer.SlopeFit", "slope"),
+    ("pointer.SlopeFit", "weak_value_re"),
+    ("pointer.SlopeFit", "bound_constant"),
+    ("superops.CompletionResult", "residual"),
+    ("operators.DensityOperator", "psd_adjustment"),
+    # a predicate: a NaN time is simply not inside the window
+    ("collapse.UniformTiming.contains", "t"),
+}
+
+NAN_KET = [math.nan, 1.0]
+INF_KET = [math.inf, 1.0]
+NAN_OBS = np.array([[math.nan, 0.0], [0.0, 1.0]])
+INF_OBS = np.array([[1.0, math.inf], [math.inf, 1.0]])
+
+
+def _doc(token):
+    text = f'{{"dim": 1, "re": [[{token}]], "im": [[0]], "vectorization": "column"}}'
+    return json.loads(text)
+
+
+# Calls that feed a ket, matrix or JSON document with non-finite entries.
+ARRAY_BOUNDARIES = {
+    "DensityOperator.pure nan": lambda: DensityOperator.pure(NAN_KET),
+    "DensityOperator.pure inf": lambda: DensityOperator.pure(INF_KET),
+    "Projector.onto nan": lambda: Projector.onto(NAN_KET),
+    "Projector.onto inf": lambda: Projector.onto(INF_KET),
+    "pointer mean psi1 nan": lambda: postselected_pointer_mean(
+        NAN_KET, PSI2, SIGMA_Z, GaussianPointer(1.0, 0.1)
+    ),
+    "pointer mean psi2 inf": lambda: postselected_pointer_mean(
+        PSI1, INF_KET, SIGMA_Z, GaussianPointer(1.0, 0.1)
+    ),
+    "pointer momentum psi1 nan": lambda: postselected_pointer_momentum_mean(
+        NAN_KET, PSI2, SIGMA_Z, GaussianPointer(1.0, 0.1)
+    ),
+    "weak_limit_slope psi2 inf": (
+        lambda: weak_limit_slope(PSI1, INF_KET, SIGMA_Z, 1.0, GRID)
+    ),
+    "weak_limit_slope obs nan": lambda: weak_limit_slope(PSI1, PSI2, NAN_OBS, 1.0, GRID),
+    "validate_density nan": lambda: validate_density(np.full((2, 2), math.nan)),
+    "validate_density inf": lambda: validate_density(INF_OBS / 2),
+    "Projector.from_matrix nan": lambda: Projector.from_matrix(NAN_OBS),
+    "Projector.from_matrix inf": lambda: Projector.from_matrix(np.diag([math.inf, 0.0])),
+    "spectral_decompose nan": lambda: spectral_decompose(NAN_OBS),
+    "spectral_decompose inf": lambda: spectral_decompose(INF_OBS),
+    "ProtocolConfig weak_observable nan": lambda: config_with(weak_observable=NAN_OBS),
+    "ProtocolConfig weak_observable inf": lambda: config_with(weak_observable=INF_OBS),
+    "weak_value rho1 nan": lambda: weak_value(NAN_OBS, RHO.mat, SIGMA_Z),
+    "weak_value rho2 inf": lambda: weak_value(RHO.mat, INF_OBS, SIGMA_Z),
+    "weak_value obs nan": lambda: weak_value(RHO.mat, RHO.mat, NAN_OBS),
+    "weak_value obs inf": lambda: weak_value(RHO.mat, RHO.mat, INF_OBS),
+    "operator_from_json NaN": lambda: operator_from_json(_doc("NaN")),
+    "operator_from_json Infinity": lambda: operator_from_json(_doc("Infinity")),
+    "superop_from_json NaN": lambda: superop_from_json(_doc("NaN")),
+    "superop_from_json -Infinity": lambda: superop_from_json(_doc("-Infinity")),
+    "config_from_json rho_in NaN": lambda: config_from_json(
+        {**config_to_json(CFG), "rho_in": _doc("NaN")}
+    ),
+    "discriminate measured nan": lambda: discriminate(complex(0.4, math.nan), CFG, 0.1),
+}
+
+
+def extreme_floats():
+    """Non-finite floats, zeros and magnitudes within a few decades of the
+    largest and the smallest double, of either sign."""
+    magnitudes = st.floats(1e300, sys.float_info.max) | st.floats(5e-324, 1e-300)
+    return (
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+        | magnitudes
+        | magnitudes.map(operator.neg)
+    )
+
+
+class TestBoundaryPolicy:
+    @pytest.mark.parametrize("key", sorted(SCALAR_BOUNDARIES), ids="{0[0]}:{0[1]}".format)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scalar(self, key, value):
+        with pytest.raises(ValueError):
+            SCALAR_BOUNDARIES[key](value)
+
+    @pytest.mark.parametrize("case", sorted(ARRAY_BOUNDARIES))
+    def test_non_finite_entries(self, case):
+        with pytest.raises(ValueError):
+            ARRAY_BOUNDARIES[case]()
+
+    def test_table_accepts_finite_input(self):
+        # every scalar case is a valid call at some finite value, so the
+        # table checks the guard, not an unrelated failure
+        for key, call in SCALAR_BOUNDARIES.items():
+            call(0.5)
+
+    def test_every_float_parameter_is_covered(self):
+        found = set()
+        for qualname, obj in public_callables():
+            try:
+                params = inspect.signature(obj).parameters
+            except ValueError:  # builtin base classes expose no signature
+                continue
+            found |= {
+                (qualname, name)
+                for name, p in params.items()
+                if p.annotation in ("float", "float | None")
+            }
+        assert found - SCALAR_BOUNDARIES.keys() - SCALAR_EXEMPT == set()
+        # no stale entries either
+        assert SCALAR_BOUNDARIES.keys() | SCALAR_EXEMPT <= found
+
+    @given(
+        field=st.sampled_from(["delta_t_m", "delta_t_c", "hbar"]), value=extreme_floats()
+    )
+    @example(field="delta_t_m", value=sys.float_info.max)  # 2*dtm used to overflow
+    def test_protocol_config_scalars(self, field, value):
+        try:
+            cfg = config_with(**{field: value})
+        except ValueError:
+            assert not (math.isfinite(value) and value > 0)
+            return
+        vn, sat = averaged_weak_value_vn(cfg), cfg.traces.saturated
+        objective = averaged_weak_value_objective(cfg)
+        assert cmath.isfinite(vn) and cmath.isfinite(objective)
+        # the objective prediction moves from vn to the plateau as dtc/dtm goes 0 -> 1
+        f = min(cfg.delta_t_c / cfg.delta_t_m, 1.0)
+        assert abs(objective - ((1 - f) * vn + f * sat)) <= 1e-12
+
+    @given(measured=extreme_floats(), sigma_meas=extreme_floats())
+    def test_discriminate(self, measured, sigma_meas):
+        try:
+            verdict = discriminate(measured, CFG, sigma_meas)
+        except ValueError:
+            ok = math.isfinite(measured) and math.isfinite(sigma_meas) and sigma_meas > 0
+            assert not ok
+            return
+        assert math.isfinite(verdict.residual)
+        estimate = verdict.delta_t_c_estimate
+        assert estimate is None or math.isfinite(estimate)

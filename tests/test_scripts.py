@@ -22,6 +22,27 @@ def run(name, argv, capsys):
     return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
 
 
+@pytest.mark.parametrize(
+    "name, argv, code",
+    [
+        ("hydrogen_sweep", ["--points", "0"], 2),
+        ("hydrogen_sweep", ["--points", "-3"], 2),
+        ("hydrogen_sweep", ["--a", "2"], 2),
+        ("hydrogen_sweep", ["--hbar", "nan"], 2),
+        ("hydrogen_sweep", ["--a", "0"], 3),
+        ("mc_convergence", ["--trials", "0"], 2),
+        ("mc_convergence", ["--dtc", "inf"], 2),
+        ("mc_convergence", ["--a-re", "0"], 3),
+    ],
+)
+def test_bad_input_exit_codes(name, argv, code, capsys):
+    # the same exit codes and one-line message as python -m weakprobe
+    assert load(name).main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_hydrogen_sweep(capsys):
     rows = run("hydrogen_sweep", ["--a", "0.6", "--b", "0.8", "--points", "5"], capsys)
     assert len(rows) == 5
@@ -45,3 +66,10 @@ def test_mc_convergence(capsys, tmp_path):
     assert load("mc_convergence").main([*argv, "--out", str(out)]) == 0
     with out.open(newline="") as fh:
         assert list(csv.DictReader(fh)) == rows
+
+
+def test_mc_convergence_z_matches_simulate(capsys):
+    # one trial has zero stderr and misses the 0.375 target: simulate prints
+    # "z": null, and the script leaves the cell empty instead of writing 0.0
+    rows = run("mc_convergence", ["--trials", "1", "--dtc", "0.5"], capsys)
+    assert [(r["N"], r["mean_re"], r["z"]) for r in rows] == [("1", "0.5", "")]

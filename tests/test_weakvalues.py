@@ -96,7 +96,7 @@ class TestProtocolConfig:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_observable(self, value):
-        # the hermiticity check lets NaN through (nan > tol is False)
+        # a non-finite entry makes the hermiticity defect NaN or inf, which fails
         with pytest.raises(ValueError, match="non-finite"):
             ProtocolConfig(
                 rho_in=DensityOperator.maximally_mixed(2),
