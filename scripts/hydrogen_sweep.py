@@ -23,6 +23,8 @@ import numpy as np
 from weakprobe import HydrogenScenario, hydrogen_predictions
 from weakprobe.cli import run
 
+MAX_POINTS = 10_000
+
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -32,14 +34,14 @@ def parse_args(argv=None):
     p.add_argument("--dtm", type=float, default=1.0, help="timing-jitter window")
     p.add_argument("--ratio-min", type=float, default=0.05, help="min dtc/dtm")
     p.add_argument("--ratio-max", type=float, default=2.0, help="max dtc/dtm")
-    p.add_argument("--points", type=int, default=40)
+    p.add_argument("--points", type=int, default=40, help=f"at most {MAX_POINTS}")
     p.add_argument("--out", help="CSV file (default: stdout)")
     return p.parse_args(argv)
 
 
 def sweep(args) -> int:
-    if args.points < 1:
-        raise ValueError(f"--points must be at least 1, got {args.points}")
+    if not 1 <= args.points <= MAX_POINTS:
+        raise ValueError(f"--points must be in [1, {MAX_POINTS}], got {args.points}")
     scenario = HydrogenScenario(args.a, args.b, args.hbar)
     ratios = np.linspace(args.ratio_min, args.ratio_max, args.points)
     rows = []

@@ -33,7 +33,12 @@ import numpy as np
 
 from .errors import OrthogonalPostselection
 from .operators import ZERO_TOL, DensityOperator, Projector, require_positive_finite
-from .weakvalues import ProtocolConfig, ProtocolTraces, protocol_traces
+from .weakvalues import (
+    ProtocolConfig,
+    ProtocolTraces,
+    _require_weak_window,
+    protocol_traces,
+)
 
 __all__ = [
     "PLUS",
@@ -164,6 +169,7 @@ def hydrogen_predictions(
     """
     require_positive_finite(delta_t_c, "delta_t_c")
     require_positive_finite(delta_t_m, "delta_t_m")
+    _require_weak_window(delta_t_m, delta_t_c)
     p = abs(scenario.a) ** 2
     q = abs(scenario.b) ** 2
     if p <= ZERO_TOL or q <= ZERO_TOL:

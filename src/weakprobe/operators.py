@@ -105,8 +105,18 @@ def require_hermitian(a: np.ndarray, what: str) -> None:
 
 
 def unit_ket(ket, error=ValueError) -> np.ndarray:
-    """``ket`` as a flat unit vector; a zero, NaN or infinite norm raises ``error``."""
-    v = np.asarray(ket, dtype=complex).reshape(-1)
+    """``ket`` as a flat unit vector; a zero, NaN or infinite entry or norm
+    raises ``error``.  A ket whose plain norm could overflow or underflow is
+    divided by its largest part first, so ``[1e200, 1e200]`` is accepted."""
+    v = np.ascontiguousarray(ket, dtype=complex).reshape(-1)
+    parts = v.view(float)
+    big = float(np.abs(parts).max(initial=0.0))
+    # With its largest real or imaginary part in [1e-150, 1e150], a ket of
+    # fewer than 2**26 entries has a sum of squares that neither overflows nor
+    # underflows, so its plain norm is exact to rounding.
+    if not 1e-150 <= big <= 1e150:  # NaN fails
+        require_positive_finite(big, "ket norm", error)
+        v = (parts / big).view(complex)  # part by part: 1 / big may overflow
     n = float(np.linalg.norm(v))
     require_positive_finite(n, "ket norm", error)
     return v / n

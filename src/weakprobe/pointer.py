@@ -67,25 +67,23 @@ def _branches(psi1, psi2, obs) -> tuple[np.ndarray, np.ndarray]:
     return a, c
 
 
-def _kernel(a: np.ndarray, c: np.ndarray, ptr: GaussianPointer):
-    """Overlap kernel ``conj(c_m) c_n E_mn`` and its sum, the postselection
-    probability including the pointer; raises when no trial survives."""
-    diffs = a[:, None] - a[None, :]
-    e = np.exp(-((ptr.g * diffs) ** 2) / (8.0 * ptr.sigma**2))
+def _kernel(a: np.ndarray, c: np.ndarray, sigma: float, g: np.ndarray):
+    """Overlap kernels ``conj(c_m) c_n E_mn`` for the couplings ``g`` (shape
+    ``(G,)``), their sums (the postselection probabilities including the
+    pointer) and the postselected position means, all ``G`` in one pass;
+    raises when no trial survives at some coupling."""
+    rows = (g.size, -1)
+    g = g[:, None, None]
+    e = np.exp(-((g * (a[:, None] - a[None, :])) ** 2) / (8.0 * sigma**2))
     kernel = np.outer(c.conj(), c) * e
-    den = float(kernel.sum().real)
-    if den <= ZERO_TOL:
+    den = kernel.reshape(rows).sum(axis=1).real
+    if not (den > ZERO_TOL).all():  # NaN fails
         raise VanishingPostselection(
-            f"postselection probability {den:.3e} below tolerance"
+            f"postselection probability {den.min():.3e} below tolerance"
         )
-    return kernel, den
-
-
-def _position_mean(a: np.ndarray, c: np.ndarray, ptr: GaussianPointer) -> float:
-    kernel, den = _kernel(a, c, ptr)
     sums = a[:, None] + a[None, :]
-    num = float((kernel * (ptr.g * sums / 2.0)).sum().real)
-    return num / den
+    num = (kernel * (g * sums / 2.0)).reshape(rows).sum(axis=1).real
+    return kernel, den, num / den
 
 
 def postselected_pointer_mean(psi1, psi2, obs, ptr: GaussianPointer) -> float:
@@ -97,7 +95,8 @@ def postselected_pointer_mean(psi1, psi2, obs, ptr: GaussianPointer) -> float:
     vanishes (e.g. exactly orthogonal selections with a single branch)
     no trial survives and :class:`VanishingPostselection` is raised.
     """
-    return _position_mean(*_branches(psi1, psi2, obs), ptr)
+    a, c = _branches(psi1, psi2, obs)
+    return float(_kernel(a, c, ptr.sigma, np.array([ptr.g]))[2][0])
 
 
 def postselected_pointer_momentum_mean(
@@ -111,12 +110,12 @@ def postselected_pointer_momentum_mean(
     """
     require_positive_finite(hbar, "hbar")
     a, c = _branches(psi1, psi2, obs)
-    kernel, den = _kernel(a, c, ptr)
+    kernel, den, _ = _kernel(a, c, ptr.sigma, np.array([ptr.g]))
     diffs = a[:, None] - a[None, :]
     num = float(
-        (kernel * (1j * hbar * ptr.g * diffs / (4.0 * ptr.sigma**2))).sum().real
+        (kernel[0] * (1j * hbar * ptr.g * diffs / (4.0 * ptr.sigma**2))).sum().real
     )
-    return num / den
+    return num / float(den[0])
 
 
 @dataclass(frozen=True)
@@ -142,14 +141,15 @@ def weak_limit_slope(psi1, psi2, obs, sigma: float, g_grid) -> SlopeFit:
     The grid must stay weak (``g_max * max|a_m - a_n| <= sigma``) and
     span at least a decade so the linearity of the shift is actually
     exercised.  The fit is least squares through the origin, since the
-    shift is an odd function of ``g``.
+    shift is an odd function of ``g``.  Every shift comes from one kernel
+    pass over the whole grid, in O(``len(g_grid)`` d^2) memory.
     """
     require_positive_finite(sigma, "sigma")
     g = np.asarray(g_grid, dtype=float)
     if g.ndim != 1 or g.size < 2:
         raise ValueError("g_grid must be a 1-d grid with at least two points")
-    if not np.all(g > 0):
-        raise ValueError("g_grid must be positive")
+    if not ((g > 0) & (g < math.inf)).all():  # NaN fails both
+        raise ValueError("g_grid must be positive and each coupling g must be finite")
     a, c = _branches(psi1, psi2, obs)
     spread = float(np.max(a) - np.min(a))
     if spread > 0 and float(g.max()) * spread > sigma:
@@ -159,7 +159,7 @@ def weak_limit_slope(psi1, psi2, obs, sigma: float, g_grid) -> SlopeFit:
         )
     if float(g.max()) / float(g.min()) < 10.0:
         raise ValueError("g_grid must span at least one decade")
-    shifts = tuple(_position_mean(a, c, GaussianPointer(sigma, gi)) for gi in g)
+    shifts = _kernel(a, c, sigma, g)[2]
     slope = float(np.dot(g, shifts) / np.dot(g, g))
     overlap = complex(np.asarray(c).sum())
     if abs(overlap) <= ZERO_TOL:
@@ -167,4 +167,4 @@ def weak_limit_slope(psi1, psi2, obs, sigma: float, g_grid) -> SlopeFit:
     numerator = complex(np.dot(a, c))
     weak_value_re = float((numerator / overlap).real)
     bound_constant = abs(slope - weak_value_re) / (float(g.max()) / sigma) ** 2
-    return SlopeFit(slope, weak_value_re, bound_constant, shifts)
+    return SlopeFit(slope, weak_value_re, bound_constant, tuple(shifts.tolist()))

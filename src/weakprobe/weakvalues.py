@@ -104,6 +104,17 @@ class ProtocolTraces:
         return (self.obs_in + self.obs_proj) / 2.0
 
 
+def _require_weak_window(delta_t_m: float, delta_t_c: float) -> None:
+    """Raise ``ValueError`` unless the weak window, ``delta_t_m`` wide and
+    centred on ``delta_t_c / 2``, has a nonzero width in double precision."""
+    half, center = delta_t_m / 2.0, delta_t_c / 2.0
+    if not (center + half) - (center - half) > 0.0:
+        raise ValueError(
+            f"delta_t_m = {delta_t_m} is below the resolution of delta_t_c = "
+            f"{delta_t_c}: the weak window has zero width"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class ProtocolConfig:
     """Full specification of one weak-measurement-during-collapse run.
@@ -111,7 +122,8 @@ class ProtocolConfig:
     ``delta_t_m`` is the timing-jitter window of the weak coupling
     relative to the strong measurement; ``delta_t_c`` the putative
     objective-collapse duration.  Both postselection overlaps must be
-    nonzero or every conditional average is undefined.  ``traces`` is
+    nonzero or every conditional average is undefined, and the weak
+    window must have a nonzero width in double precision.  ``traces`` is
     computed on construction and is not an argument.
     """
 
@@ -137,6 +149,7 @@ class ProtocolConfig:
         require_hermitian(obs, "weak_observable")
         for name in ("delta_t_m", "delta_t_c", "hbar"):
             require_positive_finite(getattr(self, name), name)
+        _require_weak_window(self.delta_t_m, self.delta_t_c)
         p, rin, rfin = self.strong_projector.mat, self.rho_in.mat, self.rho_fin.mat
         t = ProtocolTraces(
             proj_obs_in=complex(np.trace(p @ obs @ rin)),

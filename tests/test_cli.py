@@ -162,6 +162,23 @@ class TestNonFiniteInput:
         assert proc.stdout == ""
         assert "error" in proc.stderr
 
+    # A weak window below the resolution of the collapse window has zero
+    # width; analytic, hydrogen and discriminate used to exit 0 on it.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analytic", "--scenario", "hydrogen"),
+            ("hydrogen",),
+            ("discriminate", "--scenario", "hydrogen", "--measured", 0.4, "--sigma-meas", 0.1),
+            ("simulate", "--scenario", "hydrogen", "--model", "objective", "--trials", 100),
+            ("simulate", "--scenario", "hydrogen", "--model", "vn", "--trials", 100),
+        ],
+    )
+    def test_zero_width_weak_window(self, argv):
+        proc = run_cli(*argv, "--dtm", "1e-20", "--dtc", "1", check_exit=2)
+        assert proc.stdout == ""
+        assert "zero width" in proc.stderr
+
     def test_json_output_is_strict(self):
         from weakprobe.cli import _dumps
 
@@ -421,3 +438,15 @@ class TestPointerCommand:
         run_cli("pointer", "--g-points", MAX_G_POINTS + 1, check_exit=2)
         proc = run_cli("pointer", "--g-points", MAX_G_POINTS, "--format", "csv")
         assert len(proc.stdout.splitlines()) == MAX_G_POINTS + 1
+
+    def test_no_nan_shift_with_exit_0(self):
+        # 8 sigma^2 underflows to 0 here, so the kernel exponent is 0/0; the
+        # NaN probability used to pass the `den <= ZERO_TOL` guard and the
+        # CSV curve printed NaN shifts with exit 0
+        proc = run_cli(
+            "pointer", "--sigma", 1e-300, "--g-min", 1e-310, "--g-max", 1e-305,
+            "--format", "csv",
+        )
+        assert (proc.returncode, proc.stdout) == (2, "") or (
+            proc.returncode == 0 and "nan" not in proc.stdout
+        )

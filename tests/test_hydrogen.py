@@ -141,6 +141,11 @@ class TestPredictions:
         assert pred.vn == pytest.approx(3 * base.vn)
         assert pred.objective == pytest.approx(3 * base.objective)
 
+    def test_zero_width_weak_window_rejected(self):
+        # as ProtocolConfig: analytic and simulate must agree on such windows
+        with pytest.raises(ValueError, match="zero width"):
+            hydrogen_predictions(HydrogenScenario(0.6, 0.8), 1.0, 1e-20)
+
     def test_returns_dataclass(self):
         pred = hydrogen_predictions(HydrogenScenario(0.5, 0.5), 1.0, 1.0)
         assert isinstance(pred, HydrogenPredictions)

@@ -58,6 +58,7 @@ from weakprobe.operators import (
     PSD_TOL,
     TRACE_TOL,
     ZERO_TOL,
+    unit_ket,
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -289,6 +290,40 @@ class TestProjector:
         p = Projector.onto([1, 0])
         with pytest.raises(ValueError):
             p.mat[0, 0] = 5.0
+
+
+class TestUnitKet:
+    @pytest.mark.parametrize(
+        "ket, unit",
+        [
+            ([1e200, 1e200], [2**-0.5, 2**-0.5]),
+            ([0.6e300, 0.8e300j], [0.6, 0.8j]),
+            ([6e-201, 8e-201j], [0.6, 0.8j]),
+            ([5e-324, 5e-324], [2**-0.5, 2**-0.5]),
+        ],
+    )
+    def test_norm_out_of_range_is_accepted(self, ket, unit):
+        # the plain norm of each overflows to inf or underflows to 0
+        unit = np.array(unit)
+        assert np.allclose(unit_ket(ket), unit, rtol=1e-15, atol=0)
+        assert np.allclose(DensityOperator.pure(ket).mat, np.outer(unit, unit.conj()))
+        assert Projector.onto(ket).rank == 1
+
+    def test_other_kets_keep_their_bits(self):
+        rng = np.random.default_rng(17)
+        for d in (1, 2, 3, 8, 33):
+            for scale in (1.0, 1e-140, 1e140):
+                v = (rng.normal(size=d) + 1j * rng.normal(size=d)) * scale
+                assert np.array_equal(unit_ket(v), v / np.linalg.norm(v))
+
+    def test_strided_ket(self):
+        m = np.array([[1.0, 1e200], [0.0, 1e200]])
+        assert np.allclose(unit_ket(m[:, 1]), [2**-0.5, 2**-0.5])
+
+    @pytest.mark.parametrize("ket", [[0.0, 0.0], [], [math.nan, 1e200], [math.inf, 1.0]])
+    def test_zero_or_non_finite_ket_rejected(self, ket):
+        with pytest.raises(ValueError, match="ket norm"):
+            unit_ket(ket)
 
 
 def public_callables():
@@ -536,8 +571,13 @@ class TestBoundaryPolicy:
     def test_protocol_config_scalars(self, field, value):
         try:
             cfg = config_with(**{field: value})
-        except ValueError:
-            assert not (math.isfinite(value) and value > 0)
+        except ValueError as exc:
+            if math.isfinite(value) and value > 0:
+                # the one other rule: a weak window of zero width in doubles
+                windows = {"delta_t_m": 1.0, "delta_t_c": 0.5, field: value}
+                half, center = windows["delta_t_m"] / 2, windows["delta_t_c"] / 2
+                assert (center + half) - (center - half) == 0.0
+                assert "zero width" in str(exc)
             return
         vn, sat = averaged_weak_value_vn(cfg), cfg.traces.saturated
         objective = averaged_weak_value_objective(cfg)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from conftest import random_hermitian
 from weakprobe import (
     GaussianPointer,
     OrthogonalPostselection,
@@ -14,6 +17,7 @@ from weakprobe import (
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 PLUS_X = np.array([1.0, 1.0]) / np.sqrt(2)
+GRID = np.geomspace(1e-3, 1e-2, 13)
 
 
 def rotated(theta):
@@ -49,6 +53,24 @@ def quadrature_moments(psi1, psi2, obs_mat, g, sigma, hbar=1.0):
     return mean_x, mean_p
 
 
+def scalar_means(psi1, psi2, obs_mat, sigma, g, hbar=1.0):
+    """Reference: the position and momentum means at one coupling, with the
+    kernel built for that coupling alone, as before the grid kernel."""
+    obs = spectral_decompose(obs_mat)
+    v1 = np.asarray(psi1, dtype=complex) / np.linalg.norm(psi1)
+    v2 = np.asarray(psi2, dtype=complex) / np.linalg.norm(psi2)
+    a = np.array(obs.eigenvalues, dtype=float)
+    c = np.array([v2.conj() @ (p.mat @ v1) for p in obs.projectors], dtype=complex)
+    diffs = a[:, None] - a[None, :]
+    e = np.exp(-((g * diffs) ** 2) / (8.0 * sigma**2))
+    kernel = np.outer(c.conj(), c) * e
+    den = float(kernel.sum().real)
+    sums = a[:, None] + a[None, :]
+    x = float((kernel * (g * sums / 2.0)).sum().real) / den
+    p = float((kernel * (1j * hbar * g * diffs / (4.0 * sigma**2))).sum().real) / den
+    return x, p
+
+
 class TestPointerValidation:
     def test_sigma_positive(self):
         with pytest.raises(ValueError):
@@ -59,6 +81,22 @@ class TestPointerValidation:
             postselected_pointer_mean(
                 [0, 0], [1, 0], SIGMA_Z, GaussianPointer(1.0, 0.1)
             )
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("obs", [np.eye(2), SIGMA_Z], ids=["identity", "sigma_z"])
+    def test_non_finite_coupling_in_grid(self, obs, bad):
+        # identity: spread 0, so the weak-regime check cannot see g = inf.
+        # A ValueError, never a RuntimeWarning (an error in this suite) or a
+        # VanishingPostselection on a NaN probability.
+        with pytest.raises(
+            ValueError, match="coupling g must be finite|weak-coupling|must be positive"
+        ) as exc:
+            weak_limit_slope(PLUS_X, rotated(0.3), obs, 1.0, [1e-3, bad])
+        assert not isinstance(exc.value, VanishingPostselection)
+
+    def test_vanishing_postselection_on_grid(self):
+        with pytest.raises(VanishingPostselection):
+            weak_limit_slope([1, 0], [0, 1], SIGMA_Z, 1.0, GRID)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -207,6 +245,31 @@ class TestWeakLimitSlope:
             for g in grid
         ]
         assert fit.shifts == tuple(expected)  # bit for bit, in grid order
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grid_kernel_matches_scalar_reference(self, d, seed):
+        # bit for bit, against a kernel built for each coupling on its own
+        rng = np.random.default_rng(100 * d + seed)
+        psi1, psi2 = (rng.normal(size=d) + 1j * rng.normal(size=d) for _ in "12")
+        obs = random_hermitian(rng, d)
+        if seed % 2:  # a degenerate eigenvalue: two or more branches merge
+            w, v = np.linalg.eigh(obs)
+            w[1] = w[0]
+            obs = (v * w) @ v.conj().T
+            obs = (obs + obs.conj().T) / 2
+            assert len(spectral_decompose(obs).eigenvalues) == d - 1
+        sigma = rng.uniform(0.5, 2.0)
+        spread = max(np.ptp(np.linalg.eigvalsh(obs)), 0.1)  # d = 2 degenerate: 0
+        grid = np.geomspace(1e-3, 0.5, 11) * sigma / spread
+        fit = weak_limit_slope(psi1, psi2, obs, sigma, grid)
+        expected = tuple(scalar_means(psi1, psi2, obs, sigma, g)[0] for g in grid)
+        assert fit.shifts == expected
+        for g in (*grid[::5], 2.5 * sigma / spread, -0.7):
+            x, p = scalar_means(psi1, psi2, obs, sigma, g, hbar=1.3)
+            ptr = GaussianPointer(sigma, g)
+            assert postselected_pointer_mean(psi1, psi2, obs, ptr) == x
+            assert postselected_pointer_momentum_mean(psi1, psi2, obs, ptr, 1.3) == p
 
     def test_residual_is_cubic_in_coupling(self):
         # leading correction to the linear shift is odd and cubic

@@ -27,6 +27,8 @@ def run(name, argv, capsys):
     [
         ("hydrogen_sweep", ["--points", "0"], 2),
         ("hydrogen_sweep", ["--points", "-3"], 2),
+        ("hydrogen_sweep", ["--points", "10001"], 2),
+        ("hydrogen_sweep", ["--points", "200000"], 2),
         ("hydrogen_sweep", ["--a", "2"], 2),
         ("hydrogen_sweep", ["--hbar", "nan"], 2),
         ("hydrogen_sweep", ["--a", "0"], 3),
@@ -52,6 +54,13 @@ def test_hydrogen_sweep(capsys):
         assert float(row["prediction_objective"]) == pytest.approx(
             0.5 * (1.0 - ratio * (1.0 - 0.36))
         )
+
+
+def test_hydrogen_sweep_points_bound(capsys):
+    sweep = load("hydrogen_sweep")
+    assert sweep.MAX_POINTS == 10_000
+    rows = run("hydrogen_sweep", ["--points", str(sweep.MAX_POINTS)], capsys)
+    assert len(rows) == 10_000
 
 
 def test_mc_convergence(capsys, tmp_path):

@@ -148,6 +148,18 @@ class TestProtocolConfig:
         assert w.hi == pytest.approx(0.75)
         assert w.width == pytest.approx(cfg.delta_t_m)
 
+    @pytest.mark.parametrize("dtm, dtc", [(1e-20, 1.0), (1.0, 1e300)])
+    def test_zero_width_weak_window_rejected(self, dtm, dtc):
+        # the window (dtc - dtm, dtc + dtm) / 2 rounds to a single point
+        with pytest.raises(ValueError, match="zero width"):
+            spin_config(dtm=dtm, dtc=dtc)
+
+    def test_narrowest_weak_window_accepted(self):
+        dtm = 2 * np.spacing(0.5)  # one ulp on each side of the centre 0.5
+        assert spin_config(dtm=dtm, dtc=1.0).weak_window.width > 0.0
+        with pytest.raises(ValueError, match="zero width"):
+            spin_config(dtm=dtm / 4, dtc=1.0)
+
     def test_observable_frozen(self):
         cfg = spin_config()
         with pytest.raises(ValueError):
