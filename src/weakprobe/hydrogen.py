@@ -57,6 +57,9 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _NORM_SLACK = 1e-12
 
+# The selected branch |+><+|, built once: a Projector is frozen, so it is shared.
+_PLUS_PROJECTOR = Projector.onto(PLUS)
+
 
 @dataclass(frozen=True)
 class HydrogenScenario:
@@ -104,7 +107,7 @@ def build_hydrogen(
     return ProtocolConfig(
         rho_in=DensityOperator.pure(sc.psi_in),
         rho_fin=DensityOperator.pure(sc.psi_fin),
-        strong_projector=Projector.onto(PLUS),
+        strong_projector=_PLUS_PROJECTOR,
         weak_observable=(hbar / 2.0) * SIGMA_Z,
         delta_t_m=delta_t_m,
         delta_t_c=delta_t_c,

@@ -117,7 +117,7 @@ def unit_ket(ket, error=ValueError) -> np.ndarray:
     if not 1e-150 <= big <= 1e150:  # NaN fails
         require_positive_finite(big, "ket norm", error)
         v = (parts / big).view(complex)  # part by part: 1 / big may overflow
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))  # np.linalg.norm's sum
     require_positive_finite(n, "ket norm", error)
     return v / n
 
@@ -313,13 +313,14 @@ def validate_density(m) -> DensityOperator:
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise TraceViolation("trace differs from 1", abs(tr - 1.0))
     herm = (m + dagger(m)) / 2
+    # eigh, not eigvalsh, even when nothing is clipped: the two can differ in
+    # the last bit, and so in the sign of a pure state's zero eigenvalue.
     w, v = np.linalg.eigh(herm)
     if not w[0] >= -PSD_TOL:
         raise NegativeEigenvalue("negative eigenvalue", abs(float(w[0])))
+    if w[0] >= 0.0:  # nothing to clip
+        return DensityOperator(m)
     clipped = np.clip(w, 0.0, None)
-    adjustment = float(np.sum(clipped - w))
-    if adjustment > 0.0:
-        repaired = (v * clipped) @ dagger(v)
-        repaired = repaired / np.trace(repaired).real
-        return DensityOperator(repaired, psd_adjustment=adjustment)
-    return DensityOperator(m)
+    repaired = (v * clipped) @ dagger(v)
+    repaired = repaired / np.trace(repaired).real
+    return DensityOperator(repaired, psd_adjustment=float(np.sum(clipped - w)))

@@ -69,21 +69,33 @@ def _branches(psi1, psi2, obs) -> tuple[np.ndarray, np.ndarray]:
 
 def _kernel(a: np.ndarray, c: np.ndarray, sigma: float, g: np.ndarray):
     """Overlap kernels ``conj(c_m) c_n E_mn`` for the couplings ``g`` (shape
-    ``(G,)``), their sums (the postselection probabilities including the
-    pointer) and the postselected position means, all ``G`` in one pass;
-    raises when no trial survives at some coupling."""
-    rows = (g.size, -1)
+    ``(G,)``) and their sums, the postselection probabilities including the
+    pointer, all ``G`` in one pass; raises when no trial survives at some
+    coupling."""
     g = g[:, None, None]
-    e = np.exp(-((g * (a[:, None] - a[None, :])) ** 2) / (8.0 * sigma**2))
+    with np.errstate(over="ignore"):  # (g Δa)^2 = inf: exp(-inf) = 0 is exact
+        e = np.exp(-((g * (a[:, None] - a[None, :])) ** 2) / (8.0 * sigma**2))
     kernel = np.outer(c.conj(), c) * e
-    den = kernel.reshape(rows).sum(axis=1).real
+    den = kernel.reshape(g.size, -1).sum(axis=1).real
     if not (den > ZERO_TOL).all():  # NaN fails
         raise VanishingPostselection(
             f"postselection probability {den.min():.3e} below tolerance"
         )
-    sums = a[:, None] + a[None, :]
-    num = (kernel * (g * sums / 2.0)).reshape(rows).sum(axis=1).real
-    return kernel, den, num / den
+    return kernel, den
+
+
+def _mean(kernel: np.ndarray, den: np.ndarray, moment: np.ndarray) -> np.ndarray:
+    """Postselected means ``sum_mn kernel_mn moment_mn / den``, one per
+    coupling; ``ValueError`` when one is not finite."""
+    mean = (kernel * moment).reshape(den.size, -1).sum(axis=1).real / den
+    if not np.isfinite(mean).all():
+        raise ValueError(f"pointer mean {mean.tolist()} is not finite")
+    return mean
+
+
+def _position_means(a, c, sigma: float, g: np.ndarray) -> np.ndarray:
+    kernel, den = _kernel(a, c, sigma, g)
+    return _mean(kernel, den, g[:, None, None] * (a[:, None] + a[None, :]) / 2.0)
 
 
 def postselected_pointer_mean(psi1, psi2, obs, ptr: GaussianPointer) -> float:
@@ -93,10 +105,11 @@ def postselected_pointer_mean(psi1, psi2, obs, ptr: GaussianPointer) -> float:
     with ``E_mn`` the displaced-Gaussian overlap.  The denominator is
     the postselection probability including the pointer; when it
     vanishes (e.g. exactly orthogonal selections with a single branch)
-    no trial survives and :class:`VanishingPostselection` is raised.
+    no trial survives and :class:`VanishingPostselection` is raised.  A
+    mean that overflows to a non-finite value raises ``ValueError``.
     """
     a, c = _branches(psi1, psi2, obs)
-    return float(_kernel(a, c, ptr.sigma, np.array([ptr.g]))[2][0])
+    return float(_position_means(a, c, ptr.sigma, np.array([ptr.g]))[0])
 
 
 def postselected_pointer_momentum_mean(
@@ -106,16 +119,13 @@ def postselected_pointer_momentum_mean(
 
     Secondary readout: in the weak limit the shift is
     ``hbar g / (2 sigma^2) * Im(O_w)``, so the momentum channel exposes
-    the imaginary part of the weak value.
+    the imaginary part of the weak value.  A non-finite mean raises ``ValueError``.
     """
     require_positive_finite(hbar, "hbar")
     a, c = _branches(psi1, psi2, obs)
-    kernel, den, _ = _kernel(a, c, ptr.sigma, np.array([ptr.g]))
+    kernel, den = _kernel(a, c, ptr.sigma, np.array([ptr.g]))
     diffs = a[:, None] - a[None, :]
-    num = float(
-        (kernel[0] * (1j * hbar * ptr.g * diffs / (4.0 * ptr.sigma**2))).sum().real
-    )
-    return num / float(den[0])
+    return float(_mean(kernel, den, 1j * hbar * ptr.g * diffs / (4.0 * ptr.sigma**2))[0])
 
 
 @dataclass(frozen=True)
@@ -159,7 +169,7 @@ def weak_limit_slope(psi1, psi2, obs, sigma: float, g_grid) -> SlopeFit:
         )
     if float(g.max()) / float(g.min()) < 10.0:
         raise ValueError("g_grid must span at least one decade")
-    shifts = _kernel(a, c, sigma, g)[2]
+    shifts = _position_means(a, c, sigma, g)
     slope = float(np.dot(g, shifts) / np.dot(g, g))
     overlap = complex(np.asarray(c).sum())
     if abs(overlap) <= ZERO_TOL:

@@ -151,14 +151,13 @@ class ProtocolConfig:
             require_positive_finite(getattr(self, name), name)
         _require_weak_window(self.delta_t_m, self.delta_t_c)
         p, rin, rfin = self.strong_projector.mat, self.rho_in.mat, self.rho_fin.mat
-        t = ProtocolTraces(
-            proj_obs_in=complex(np.trace(p @ obs @ rin)),
-            proj_in=complex(np.trace(p @ rin)),
-            fin_obs_proj=complex(np.trace(rfin @ obs @ p)),
-            fin_proj=complex(np.trace(rfin @ p)),
-            obs_in=complex(np.trace(obs @ rin)),
-            obs_proj=complex(np.trace(obs @ p)),
-        )
+        # The six products in field order, left to right, as two stacked
+        # matmuls: each slice is the BLAS product of the unstacked one, bit for bit.
+        left = np.array((p, p, rfin, rfin, obs, obs))
+        prods = left @ np.array((obs, rin, obs, p, rin, p))
+        prods[0:3:2] = prods[0:3:2] @ np.array((rin, p))  # P O rho_in, rho_fin O P
+        values = prods.diagonal(0, 1, 2).sum(-1).tolist()
+        t = ProtocolTraces(*values)
         object.__setattr__(self, "traces", t)
         for name, overlap in (("rho_in", t.proj_in.real), ("rho_fin", t.fin_proj.real)):
             if overlap <= ZERO_TOL:
@@ -166,9 +165,9 @@ class ProtocolConfig:
                     f"Tr[P {name}] = {overlap:.3e}: the strong outcome never "
                     f"connects {name} to the rest of the protocol"
                 )
-        for f in fields(t):  # finite entries can still overflow
-            if not cmath.isfinite(getattr(t, f.name)):
-                raise ValueError(f"trace {f.name} = {getattr(t, f.name)} is not finite")
+        for f, value in zip(fields(t), values):  # finite entries can still overflow
+            if not cmath.isfinite(value):
+                raise ValueError(f"trace {f.name} = {value} is not finite")
 
     @property
     def dim(self) -> int:

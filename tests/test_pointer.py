@@ -208,6 +208,44 @@ class TestMomentumMean:
         assert got == pytest.approx(oracle, rel=1e-8)
 
 
+
+class TestStrongCouplingOverflow:
+    """Above |g Δa| ~ 1e154 the overlap exponent squares to inf.  exp(-inf) = 0
+    is the exact limit, so the means stay finite and warn nothing, and a
+    warning is an error in this suite.  A mean that does overflow raises."""
+
+    PSI2 = np.array([1.0, 0.5j])  # branch weights 1/2 at a = +1, 1/8 at a = -1
+
+    def test_position_mean(self):
+        got = postselected_pointer_mean(
+            PLUS_X, self.PSI2, SIGMA_Z, GaussianPointer(1.0, 1e200)
+        )
+        # the cross terms vanish: the branches' displacements, weighted
+        assert got == pytest.approx(1e200 * (0.5 - 0.125) / 0.625, rel=1e-12)
+
+    def test_momentum_mean(self):
+        got = postselected_pointer_momentum_mean(
+            PLUS_X, self.PSI2, SIGMA_Z, GaussianPointer(1.0, 1e200)
+        )
+        assert got == 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_position_mean_rejected(self):
+        # one branch, at a = 2: g a overflows, so the mean would be inf or NaN
+        with pytest.raises(ValueError, match="pointer mean .* not finite"):
+            postselected_pointer_mean(
+                PLUS_X, PLUS_X, 2.0 * np.eye(2), GaussianPointer(1.0, 1e308)
+            )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_momentum_mean_rejected(self):
+        # hbar g overflows in the momentum weights, so the mean would be NaN
+        with pytest.raises(ValueError, match="pointer mean .* not finite"):
+            postselected_pointer_momentum_mean(
+                PLUS_X, self.PSI2, SIGMA_Z, GaussianPointer(1.0, 1e10), hbar=1e300
+            )
+
+
 class TestWeakLimitSlope:
     def test_single_branch_slope_exact(self):
         grid = np.geomspace(1e-3, 1e-2, 7)
