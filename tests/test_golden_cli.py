@@ -59,6 +59,20 @@ INVOCATIONS = {
         "simulate", "--config", "{B}", "--model", "vn", "--trials", "5000", "--seed",
         "2", "--format", "csv",
     ],
+    # Multi-chunk runs (trials > CHUNK_TRIALS): the objective gather on both
+    # sides of a half-mid and a nearly-all-mid chunk, and vn across chunks.
+    "simulate-A-objective-multichunk": [
+        "simulate", "--config", "{A}", "--model", "objective", "--trials", "200000",
+        "--seed", "4", "--dtc", "0.5",
+    ],
+    "simulate-A-objective-dense-multichunk-csv": [
+        "simulate", "--config", "{A}", "--model", "objective", "--trials", "200000",
+        "--seed", "5", "--dtc", "0.95", "--format", "csv",
+    ],
+    "simulate-B-vn-multichunk": [
+        "simulate", "--config", "{B}", "--model", "vn", "--trials", "200000",
+        "--seed", "6",
+    ],
     "discriminate-hydrogen-jitter": [
         "discriminate", "--scenario", "hydrogen", "--dtc", "0.5", "--measured",
         "0.375", "--sigma-meas", "0.01",
