@@ -20,6 +20,7 @@ odd in ``g``), and the momentum shift is
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,18 @@ __all__ = [
 ]
 
 
+def _require_sigma(sigma: float, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``sigma`` is positive and
+    ``8 sigma^2``, the denominator of every overlap exponent, is a positive
+    normal double: one that underflows to 0 makes the exponent 0/0."""
+    require_positive_finite(sigma, name)
+    s = float(sigma)
+    if not sys.float_info.min <= 8.0 * s * s < math.inf:
+        raise ValueError(
+            f"{name} = {sigma} is out of range: 8 sigma^2 is not a normal double"
+        )
+
+
 @dataclass(frozen=True)
 class GaussianPointer:
     """Pointer wavepacket: position spread ``sigma``, coupling ``g``."""
@@ -50,7 +63,7 @@ class GaussianPointer:
     g: float
 
     def __post_init__(self):
-        require_positive_finite(self.sigma, "pointer spread sigma")
+        _require_sigma(self.sigma, "pointer spread sigma")
         if not math.isfinite(self.g):
             raise ValueError(f"coupling g must be finite, got {self.g}")
 
@@ -125,7 +138,9 @@ def postselected_pointer_momentum_mean(
     a, c = _branches(psi1, psi2, obs)
     kernel, den = _kernel(a, c, ptr.sigma, np.array([ptr.g]))
     diffs = a[:, None] - a[None, :]
-    return float(_mean(kernel, den, 1j * hbar * ptr.g * diffs / (4.0 * ptr.sigma**2))[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # hbar g = inf: _mean raises
+        moment = 1j * hbar * ptr.g * diffs / (4.0 * ptr.sigma**2)
+    return float(_mean(kernel, den, moment)[0])
 
 
 @dataclass(frozen=True)
@@ -154,7 +169,7 @@ def weak_limit_slope(psi1, psi2, obs, sigma: float, g_grid) -> SlopeFit:
     shift is an odd function of ``g``.  Every shift comes from one kernel
     pass over the whole grid, in O(``len(g_grid)`` d^2) memory.
     """
-    require_positive_finite(sigma, "sigma")
+    _require_sigma(sigma, "sigma")
     g = np.asarray(g_grid, dtype=float)
     if g.ndim != 1 or g.size < 2:
         raise ValueError("g_grid must be a 1-d grid with at least two points")

@@ -439,6 +439,17 @@ class TestPointerCommand:
         proc = run_cli("pointer", "--g-points", MAX_G_POINTS, "--format", "csv")
         assert len(proc.stdout.splitlines()) == MAX_G_POINTS + 1
 
+    def test_sigma_underflow_rejected_without_warning(self):
+        # 8 sigma^2 underflows to 0 here; it used to print a RuntimeWarning
+        # and fail later on a NaN postselection probability
+        proc = run_cli(
+            "pointer", "--sigma", 1e-300, "--g-min", 1e-310, "--g-max", 1e-305,
+            check_exit=2,
+        )
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: sigma = 1e-300 is out of range")
+        assert "Warning" not in proc.stderr
+
     def test_no_nan_shift_with_exit_0(self):
         # 8 sigma^2 underflows to 0 here, so the kernel exponent is 0/0; the
         # NaN probability used to pass the `den <= ZERO_TOL` guard and the

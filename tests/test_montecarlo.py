@@ -14,11 +14,12 @@ from weakprobe import (
     SimulationSpec,
     analytic_target,
     convergence_report,
+    montecarlo,
     protocol_traces,
     run_simulation,
     to_record,
 )
-from weakprobe.montecarlo import _chunk_draws, _chunks
+from weakprobe.montecarlo import _EMPTY, _chunk_draws, _chunks, _merge, _result
 
 
 def vn_spec(trials=1000, seed=42, **cfg_kwargs):
@@ -337,3 +338,161 @@ class TestStreamingReduction:
         parts = (res.mean.real, res.mean.imag, res.stderr, res.stderr_im)
         assert all(math.isfinite(v) for v in parts)
         assert res.stderr > 0.0  # both branches were sampled, w1 != w3
+
+
+# -- The chunk kernel against the uniform-and-mask kernel it replaced ---------------
+
+
+def philox(seed, j):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
+
+
+def uniform_draws(spec, j, n):
+    """The chunk's draws as ``Generator.uniform`` makes them."""
+    if spec.model == "vn":
+        return philox(spec.seed, j).uniform(0.0, spec.cfg.delta_t_m, size=2 * n)
+    w = spec.cfg.weak_window
+    return philox(spec.seed, j).uniform(w.lo, w.hi, n)
+
+
+def mask_group(spec, branch, draws, n):
+    """A chunk's group, with the mid-collapse draws gathered by boolean mask."""
+    w1, w3, obs_in, slope = branch
+    mid = _EMPTY
+    if spec.model == "vn":
+        t_s, t_w = draws[0 : 2 * n : 2], draws[1 : 2 * n : 2]
+        weak_first = n - int(np.count_nonzero(t_w > t_s))
+    else:
+        t_w, dtc = draws[:n], spec.cfg.delta_t_c
+        weak_first = int(np.count_nonzero(t_w < 0.0))
+        x = t_w[(t_w >= 0.0) & (t_w <= dtc)]
+        if x.size:
+            x /= dtc
+            mean_x = float(x.mean())
+            x -= mean_x
+            m2_x = float(np.square(x, out=x).sum())
+            re, im = m2_x * slope.real**2, m2_x * slope.imag**2
+            mid = (x.size, obs_in + mean_x * slope, re, im)
+    strong_first = (n - weak_first - mid[0], w3, 0.0, 0.0)
+    return _merge(_merge((weak_first, w1, 0.0, 0.0), mid), strong_first)
+
+
+def oracle_stream(spec, checkpoints):
+    """``convergence_report`` from a fresh ``uniform`` array per chunk and
+    the boolean-mask gather: the kernel before the reused draw buffer."""
+    t = spec.cfg.traces
+    branch = (t.weak_first, t.strong_first, t.obs_in, t.obs_proj - t.obs_in)
+    todo = iter(checkpoints)
+    c, total, out = next(todo), _EMPTY, []
+    for j, lo, hi in _chunks(checkpoints[-1]):
+        draws = uniform_draws(spec, j, hi - lo)
+        chunk = mask_group(spec, branch, draws, hi - lo)
+        while c is not None and c <= hi:
+            part = chunk if c == hi else mask_group(spec, branch, draws, c - lo)
+            out.append(_result(_merge(total, part), spec.seed))
+            c = next(todo, None)
+        total = _merge(total, chunk)
+    return out
+
+
+def ratio_spec(model, ratio, trials, seed):
+    # d = 3 gives complex branch values; the mid-collapse share of the
+    # objective draws is min(ratio, 1).
+    cfg = random_config(np.random.default_rng(700 + seed), d=3)
+    cfg = replace(cfg, delta_t_c=ratio * cfg.delta_t_m)
+    return SimulationSpec(cfg, model, trials, seed)
+
+
+RATIOS = [0.05, 0.5, 0.9, 0.95, 1.0, 2.0]
+GATHERS = {"index": 2.0, "mask": -1.0}  # _MASK_GATHER_SHARE forcing each gather
+
+
+class TestKernelOracle:
+    """Results equal, bit for bit, those of the kernel that drew each chunk
+    with ``uniform`` into a fresh array and gathered with a boolean mask."""
+
+    @pytest.mark.parametrize("model", ["vn", "objective"])
+    @pytest.mark.parametrize("ratio", RATIOS)
+    @pytest.mark.parametrize(
+        "trials",
+        [1, 2, CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1, 3 * CHUNK_TRIALS + 5],
+    )
+    def test_run_matches_oracle(self, model, ratio, trials):
+        spec = ratio_spec(model, ratio, trials, seed=trials % 5)
+        assert run_simulation(spec) == oracle_stream(spec, [trials])[0]
+
+    @pytest.mark.parametrize("model", ["vn", "objective"])
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_report_matches_oracle(self, model, ratio):
+        # checkpoints inside chunks and exactly on chunk boundaries
+        k = CHUNK_TRIALS
+        checkpoints = [1, 2, 1000, k - 1, k, k + 17, 2 * k, 3 * k + 5]
+        spec = ratio_spec(model, ratio, checkpoints[-1], seed=8)
+        assert convergence_report(spec, checkpoints) == oracle_stream(spec, checkpoints)
+
+    @pytest.mark.parametrize("gather", sorted(GATHERS))
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_either_gather_matches_oracle(self, gather, ratio, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_MASK_GATHER_SHARE", GATHERS[gather])
+        checkpoints = [1, 777, CHUNK_TRIALS, 2 * CHUNK_TRIALS + 3]
+        spec = ratio_spec("objective", ratio, checkpoints[-1], seed=9)
+        assert convergence_report(spec, checkpoints) == oracle_stream(spec, checkpoints)
+
+
+class TestDrawOracle:
+    """``_chunk_draws`` gives the bits of ``Generator.uniform`` on the chunk's
+    Philox stream, fresh or written into a reused buffer."""
+
+    def check(self, spec, j, n):
+        want = uniform_draws(spec, j, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fresh = _chunk_draws(spec, j, n)
+            buf = np.full(2 * CHUNK_TRIALS, np.nan)
+            reused = _chunk_draws(spec, j, n, buf)
+        assert np.array_equal(fresh, want) and np.array_equal(reused, want)
+        assert np.shares_memory(reused, buf)
+
+    @pytest.mark.parametrize("model", ["vn", "objective"])
+    def test_random_windows(self, model):
+        rng = np.random.default_rng(808)
+        for _ in range(40):
+            dtm, dtc = 10.0 ** rng.uniform(-6, 6, size=2)
+            cfg = replace(spin_config(), delta_t_m=float(dtm), delta_t_c=float(dtc))
+            seed, j = int(rng.integers(2**64, dtype=np.uint64)), int(rng.integers(50))
+            spec = SimulationSpec(cfg, model, 1, seed)
+            self.check(spec, j, int(rng.integers(1, CHUNK_TRIALS + 1)))
+
+    def test_negative_and_positive_lo(self):
+        for dtm, dtc in ((1.0, 0.3), (0.3, 1.0)):
+            spec = objective_spec(seed=3, dtm=dtm, dtc=dtc)
+            assert (spec.cfg.weak_window.lo < 0.0) == (dtc < dtm)
+            self.check(spec, 2, CHUNK_TRIALS)
+
+    @pytest.mark.parametrize("model", ["vn", "objective"])
+    def test_extreme_window(self, model):
+        spec = generic_spec(model, 1, seed=6)
+        spec = replace(spec, cfg=replace(spec.cfg, delta_t_m=1e300, delta_t_c=1e-300))
+        self.check(spec, 0, CHUNK_TRIALS)
+        self.check(spec, 1, 5)
+
+
+class TestMemoryGuard:
+    @staticmethod
+    def peak(spec):
+        tracemalloc.start()
+        try:
+            run_simulation(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("model", ["vn", "objective"])
+    def test_short_run_buffer_fits_the_run(self, model):
+        # a buffer sized to CHUNK_TRIALS would cost 0.5-1 MB here
+        assert self.peak(generic_spec(model, 1024, seed=1)) < 64_000
+
+    def test_objective_peak_within_vn_peak(self):
+        vn = self.peak(generic_spec("vn", 4 * CHUNK_TRIALS, seed=1))
+        objective = self.peak(generic_spec("objective", 4 * CHUNK_TRIALS, seed=1))
+        assert objective <= vn

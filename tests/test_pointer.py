@@ -237,13 +237,37 @@ class TestStrongCouplingOverflow:
                 PLUS_X, PLUS_X, 2.0 * np.eye(2), GaussianPointer(1.0, 1e308)
             )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_momentum_mean_rejected(self):
         # hbar g overflows in the momentum weights, so the mean would be NaN
         with pytest.raises(ValueError, match="pointer mean .* not finite"):
             postselected_pointer_momentum_mean(
                 PLUS_X, self.PSI2, SIGMA_Z, GaussianPointer(1.0, 1e10), hbar=1e300
             )
+
+
+class TestSigmaRange:
+    """``8 sigma^2`` divides every overlap exponent, so it must be a positive
+    normal double: below sigma ~ 5e-155 it underflows and the exponent is 0/0,
+    above ~ 5e153 it overflows."""
+
+    @pytest.mark.parametrize("sigma", [1e-300, 5e-155, 5e153, 1e200])
+    def test_pointer_rejects(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            GaussianPointer(sigma, 0.0)
+
+    @pytest.mark.parametrize(
+        "sigma, g_max", [(1e-300, 1e-305), (1e-160, 1e-165), (1e200, 1e190)]
+    )
+    def test_slope_rejects(self, sigma, g_max):
+        with pytest.raises(ValueError, match="sigma"):
+            weak_limit_slope(PLUS_X, rotated(0.3), SIGMA_Z, sigma, [g_max / 100, g_max])
+
+    def test_smallest_scales_still_fit(self):
+        # 8 sigma^2 ~ 8e-300 is normal: the curve is the sigma = 1 curve, scaled
+        small = weak_limit_slope(PLUS_X, rotated(0.3), SIGMA_Z, 1e-150, GRID * 1e-150)
+        unit = weak_limit_slope(PLUS_X, rotated(0.3), SIGMA_Z, 1.0, GRID)
+        assert small.slope == pytest.approx(unit.slope, rel=1e-12)
+        assert small.weak_value_re == unit.weak_value_re
 
 
 class TestWeakLimitSlope:
