@@ -7,15 +7,13 @@ of weak values measured during the collapse window could.  This package
 computes the predictions of both pictures, samples them, models the
 Gaussian-pointer readout, and inverts a measured average into a model
 verdict.
+
+``import weakprobe`` loads the analytic core that every command uses:
+``errors``, ``operators``, ``weakvalues`` and ``hydrogen``.  The other
+modules load on first use, when one of their names is read from the
+package (PEP 562), so a cold command compiles only the modules it runs.
 """
 
-from .collapse import (
-    UniformTiming,
-    evolution_superop_objective,
-    objective_state_at,
-    projective_ensemble_state_at,
-    strong_statistics,
-)
 from .errors import (
     DegenerateScenario,
     DensityValidationError,
@@ -37,16 +35,6 @@ from .hydrogen import (
     hydrogen_predictions,
     hydrogen_traces,
 )
-from .montecarlo import (
-    CHUNK_TRIALS,
-    CSV_COLUMNS,
-    AveragedResult,
-    SimulationSpec,
-    analytic_target,
-    convergence_report,
-    run_simulation,
-    to_record,
-)
 from .operators import (
     DensityOperator,
     ObservableSpectral,
@@ -56,32 +44,6 @@ from .operators import (
     selective_projection,
     spectral_decompose,
     validate_density,
-)
-from .pointer import (
-    GaussianPointer,
-    SlopeFit,
-    postselected_pointer_mean,
-    postselected_pointer_momentum_mean,
-    weak_limit_slope,
-)
-from .serialization import (
-    config_from_json,
-    config_to_json,
-    operator_from_json,
-    operator_to_json,
-    superop_from_json,
-    superop_to_json,
-)
-from .superops import (
-    CompletionResult,
-    SuperOp,
-    apply_superop,
-    backward_state,
-    collapse_superop,
-    compose,
-    reconstruct_superop,
-    solve_completion,
-    superop_adjoint,
 )
 from .weakvalues import (
     DiscriminationVerdict,
@@ -101,3 +63,70 @@ from .weakvalues import (
 )
 
 __version__ = "0.1.0"
+
+# The public names of the modules that load on first use, by module.
+_DEFERRED = {
+    "collapse": (
+        "UniformTiming",
+        "evolution_superop_objective",
+        "objective_state_at",
+        "projective_ensemble_state_at",
+        "strong_statistics",
+    ),
+    "montecarlo": (
+        "CHUNK_TRIALS",
+        "CSV_COLUMNS",
+        "AveragedResult",
+        "SimulationSpec",
+        "analytic_target",
+        "convergence_report",
+        "run_simulation",
+        "to_record",
+    ),
+    "pointer": (
+        "GaussianPointer",
+        "SlopeFit",
+        "postselected_pointer_mean",
+        "postselected_pointer_momentum_mean",
+        "weak_limit_slope",
+    ),
+    "serialization": (
+        "config_from_json",
+        "config_to_json",
+        "operator_from_json",
+        "operator_to_json",
+        "superop_from_json",
+        "superop_to_json",
+    ),
+    "superops": (
+        "CompletionResult",
+        "SuperOp",
+        "apply_superop",
+        "backward_state",
+        "collapse_superop",
+        "compose",
+        "reconstruct_superop",
+        "solve_completion",
+        "superop_adjoint",
+    ),
+}
+# Name -> module; a module's own name maps to itself.
+_LAZY = {name: module for module, names in _DEFERRED.items() for name in (module, *names)}
+
+__all__ = sorted({name for name in (*globals(), *_LAZY) if not name.startswith("_")})
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f"{__name__}.{module}")  # binds the module here
+    if name != module:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -15,6 +15,9 @@ success, 2 for configuration or usage problems, 3 when pre/post
 selection is orthogonal, 4 when the scenario cannot discriminate the
 models.  Output is deterministic: rerunning a command with the same
 arguments (and seed) produces byte-identical bytes.
+
+A command imports the Monte Carlo, pointer and JSON modules only when it
+runs them, so a cold call does not compile what it never uses.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,16 +40,6 @@ from .hydrogen import (
     hydrogen_predictions,
     hydrogen_traces,
 )
-from .montecarlo import (
-    CSV_COLUMNS,
-    AveragedResult,
-    SimulationSpec,
-    analytic_target,
-    run_simulation,
-    to_record,
-)
-from .pointer import weak_limit_slope
-from .serialization import config_from_json, config_to_json
 from .weakvalues import (
     ProtocolTraces,
     apparent_resolution,
@@ -55,6 +49,9 @@ from .weakvalues import (
     trial_weak_value_strong_first,
     trial_weak_value_weak_first,
 )
+
+if TYPE_CHECKING:
+    from .montecarlo import AveragedResult
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,6 +95,8 @@ def _resolve_config(args):
     if (args.config is None) == (args.scenario is None):
         raise ValueError("exactly one of --config or --scenario is required")
     if args.config is not None:
+        from .serialization import config_from_json
+
         doc = json.loads(Path(args.config).read_text())
         cfg = config_from_json(doc)
         if args.dtc is not None or args.dtm is not None:
@@ -120,6 +119,8 @@ def _resolve_config(args):
 
 def _maybe_emit_config(args, cfg) -> None:
     if args.emit_config:
+        from .serialization import config_to_json
+
         Path(args.emit_config).write_text(_dumps(config_to_json(cfg)))
 
 
@@ -197,6 +198,14 @@ def z_score(result: AveragedResult, target: complex) -> float | None:
 
 
 def cmd_simulate(args) -> int:
+    from .montecarlo import (
+        CSV_COLUMNS,
+        SimulationSpec,
+        analytic_target,
+        run_simulation,
+        to_record,
+    )
+
     cfg = _resolve_config(args)
     _maybe_emit_config(args, cfg)
     spec = SimulationSpec(cfg, args.model, args.trials, args.seed)
@@ -276,6 +285,8 @@ def cmd_hydrogen(args) -> int:
 
 
 def cmd_pointer(args) -> int:
+    from .pointer import weak_limit_slope
+
     scenario = _scenario(args)
     if args.order == "strong-first":
         # The completed strong measurement re-prepares the selected branch.

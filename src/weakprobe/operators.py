@@ -90,18 +90,27 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
+def _max_abs(a: np.ndarray) -> float:
+    """Largest modulus of an entry of ``a``: NaN if one is, 0 if ``a`` is empty."""
+    return float(np.abs(a).max()) if a.size else 0.0
+
+
 def hermiticity_defect(a: np.ndarray) -> float:
     """Max-norm distance between ``a`` and its adjoint; NaN or inf when an
     entry of ``a`` is, which the ``not defect <= HERM_TOL`` checks reject."""
     a = np.asarray(a)
     with np.errstate(invalid="ignore", over="ignore"):
-        return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+        return _max_abs(a - a.conj().T)
+
+
+def _check_hermitian(defect: float, what: str) -> None:
+    """Raise for a Hermiticity ``defect`` above ``HERM_TOL``, or NaN."""
+    if not defect <= HERM_TOL:
+        raise HermiticityViolation(f"{what} is non-finite or not Hermitian", defect)
 
 
 def require_hermitian(a: np.ndarray, what: str) -> None:
-    defect = hermiticity_defect(a)
-    if not defect <= HERM_TOL:
-        raise HermiticityViolation(f"{what} is non-finite or not Hermitian", defect)
+    _check_hermitian(hermiticity_defect(a), what)
 
 
 def unit_ket(ket, error=ValueError) -> np.ndarray:
@@ -184,10 +193,13 @@ class Projector:
     @classmethod
     def from_matrix(cls, m) -> "Projector":
         p = as_operator(m)
-        herm = hermiticity_defect(p)
+        with np.errstate(invalid="ignore", over="ignore"):  # both checks fail on NaN or inf
+            herm = _max_abs(p - dagger(p))
+            # fmax skips a NaN (inf - inf off the diagonal of an overflowed
+            # p @ p); the diagonal of a Hermitian p @ p is a sum of squares.
+            idem = float(np.fmax.reduce(np.abs(p @ p - p), axis=None)) if p.size else 0.0
         if not herm <= HERM_TOL:
             raise InvalidProjector(f"not Hermitian (defect {herm:.3e})")
-        idem = float(np.max(np.abs(p @ p - p)))
         if not idem <= HERM_TOL:
             raise InvalidProjector(f"not idempotent (defect {idem:.3e})")
         tr = float(np.trace(p).real)
@@ -308,15 +320,21 @@ def validate_density(m) -> DensityOperator:
     ``psd_adjustment``.
     """
     m = as_operator(m)
-    require_hermitian(m, "matrix")
-    tr = complex(np.trace(m))
+    adj = dagger(m)
+    # Each check below fails on NaN or inf, so an overflow must not warn.
+    with np.errstate(invalid="ignore", over="ignore"):
+        defect = _max_abs(m - adj)
+        tr = complex(np.trace(m))
+        herm = (m + adj) / 2
+    _check_hermitian(defect, "matrix")
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise TraceViolation("trace differs from 1", abs(tr - 1.0))
-    herm = (m + dagger(m)) / 2
     # eigh, not eigvalsh, even when nothing is clipped: the two can differ in
     # the last bit, and so in the sign of a pure state's zero eigenvalue.
     w, v = np.linalg.eigh(herm)
     if not w[0] >= -PSD_TOL:
+        if np.isnan(w[0]):  # m + m^dag overflowed: an entry is above 1, so not PSD
+            w = np.linalg.eigvalsh(m / 2 + adj / 2)
         raise NegativeEigenvalue("negative eigenvalue", abs(float(w[0])))
     if w[0] >= 0.0:  # nothing to clip
         return DensityOperator(m)

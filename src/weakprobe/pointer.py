@@ -184,6 +184,13 @@ def weak_limit_slope(psi1, psi2, obs, sigma: float, g_grid) -> SlopeFit:
         )
     if float(g.max()) / float(g.min()) < 10.0:
         raise ValueError("g_grid must span at least one decade")
+    # bound_constant divides by (g_max / sigma)^2: keep it a normal double.
+    ratio = float(g.max()) / sigma
+    if not 2.0**-511 <= ratio < 2.0**512:
+        raise ValueError(
+            f"g_max / sigma = {g.max()} / {sigma} is out of range: "
+            "(g_max / sigma)^2 is not a normal double"
+        )
     shifts = _position_means(a, c, sigma, g)
     slope = float(np.dot(g, shifts) / np.dot(g, g))
     overlap = complex(np.asarray(c).sum())
@@ -191,5 +198,5 @@ def weak_limit_slope(psi1, psi2, obs, sigma: float, g_grid) -> SlopeFit:
         raise OrthogonalPostselection("selections are orthogonal: no weak value")
     numerator = complex(np.dot(a, c))
     weak_value_re = float((numerator / overlap).real)
-    bound_constant = abs(slope - weak_value_re) / (float(g.max()) / sigma) ** 2
+    bound_constant = abs(slope - weak_value_re) / ratio**2
     return SlopeFit(slope, weak_value_re, bound_constant, tuple(shifts.tolist()))

@@ -12,12 +12,15 @@ lossless at full double precision.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .operators import Projector, as_operator, validate_density
-from .superops import SuperOp
 from .weakvalues import ProtocolConfig
+
+if TYPE_CHECKING:
+    from .superops import SuperOp
 
 __all__ = [
     "operator_to_json",
@@ -69,6 +72,8 @@ def superop_to_json(k: SuperOp) -> dict:
 
 
 def superop_from_json(obj) -> SuperOp:
+    from .superops import SuperOp
+
     if isinstance(obj, dict) and obj.get("vectorization") != "column":
         raise ValueError(
             f"superoperator: vectorization tag must be 'column', "

@@ -41,23 +41,27 @@ construction, and the predictions read them from ``cfg.traces``.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .collapse import UniformTiming, objective_state_at
 from .errors import DegenerateScenario, DimensionMismatch, OrthogonalPostselection
 from .operators import (
     ZERO_TOL,
     DensityOperator,
     Projector,
+    _check_hermitian,
     _frozen,
+    _max_abs,
     as_operator,
-    require_hermitian,
     require_positive_finite,
     require_rank1,
 )
-from .superops import apply_superop, backward_state, collapse_superop
+
+if TYPE_CHECKING:
+    from .collapse import UniformTiming
 
 __all__ = [
     "ProtocolConfig",
@@ -146,17 +150,21 @@ class ProtocolConfig:
                 "one dimension"
             )
         require_rank1(self.strong_projector)
-        require_hermitian(obs, "weak_observable")
-        for name in ("delta_t_m", "delta_t_c", "hbar"):
-            require_positive_finite(getattr(self, name), name)
-        _require_weak_window(self.delta_t_m, self.delta_t_c)
         p, rin, rfin = self.strong_projector.mat, self.rho_in.mat, self.rho_fin.mat
         # The six products in field order, left to right, as two stacked
         # matmuls: each slice is the BLAS product of the unstacked one, bit for bit.
         left = np.array((p, p, rfin, rfin, obs, obs))
-        prods = left @ np.array((obs, rin, obs, p, rin, p))
-        prods[0:3:2] = prods[0:3:2] @ np.array((rin, p))  # P O rho_in, rho_fin O P
-        values = prods.diagonal(0, 1, 2).sum(-1).tolist()
+        # One errstate for the observable's check and the traces: a NaN or an
+        # overflow in either fails a check below, and must not warn first.
+        with np.errstate(invalid="ignore", over="ignore"):
+            obs_defect = _max_abs(obs - obs.conj().T)
+            prods = left @ np.array((obs, rin, obs, p, rin, p))
+            prods[0:3:2] = prods[0:3:2] @ np.array((rin, p))  # P O rho_in, rho_fin O P
+            values = prods.diagonal(0, 1, 2).sum(-1).tolist()
+        _check_hermitian(obs_defect, "weak_observable")
+        for name in ("delta_t_m", "delta_t_c", "hbar"):
+            require_positive_finite(getattr(self, name), name)
+        _require_weak_window(self.delta_t_m, self.delta_t_c)
         t = ProtocolTraces(*values)
         object.__setattr__(self, "traces", t)
         for name, overlap in (("rho_in", t.proj_in.real), ("rho_fin", t.fin_proj.real)):
@@ -176,9 +184,12 @@ class ProtocolConfig:
     @property
     def weak_window(self) -> UniformTiming:
         """Window of the weak-coupling time relative to the collapse start."""
+        # The module, not the name: a name import would cost twice the ~1 us per call.
+        from . import collapse
+
         half = self.delta_t_m / 2.0
         center = self.delta_t_c / 2.0
-        return UniformTiming(center - half, center + half)
+        return collapse.UniformTiming(center - half, center + half)
 
 
 def protocol_traces(cfg: ProtocolConfig) -> ProtocolTraces:
@@ -273,13 +284,15 @@ def objective_weak_value_forward(cfg: ProtocolConfig, t_w: float) -> complex:
     :func:`objective_weak_value_at` on ``0 <= t_w <= delta_t_c``; kept
     as an independent route through the superoperator machinery.
     """
-    rho1 = objective_state_at(
+    from . import collapse, superops
+
+    rho1 = collapse.objective_state_at(
         cfg.rho_in, cfg.strong_projector, t_w, cfg.delta_t_c
     ).mat
-    c = collapse_superop(cfg.strong_projector)
+    c = superops.collapse_superop(cfg.strong_projector)
     o = cfg.weak_observable
-    num = complex(np.trace(cfg.rho_fin.mat @ apply_superop(c, o @ rho1)))
-    den = complex(np.trace(cfg.rho_fin.mat @ apply_superop(c, rho1)))
+    num = complex(np.trace(cfg.rho_fin.mat @ superops.apply_superop(c, o @ rho1)))
+    den = complex(np.trace(cfg.rho_fin.mat @ superops.apply_superop(c, rho1)))
     if abs(den) <= ZERO_TOL:
         raise OrthogonalPostselection("forward-evolved overlap vanished")
     return num / den
@@ -292,11 +305,13 @@ def objective_weak_value_adjoint(cfg: ProtocolConfig, t_w: float) -> complex:
     (the adjoint collapse map applied to ``rho_fin``) and feeds it to
     the general two-state formula.
     """
-    rho1 = objective_state_at(
+    from . import collapse, superops
+
+    rho1 = collapse.objective_state_at(
         cfg.rho_in, cfg.strong_projector, t_w, cfg.delta_t_c
     ).mat
-    c = collapse_superop(cfg.strong_projector)
-    rho2 = backward_state(c, cfg.rho_fin)
+    c = superops.collapse_superop(cfg.strong_projector)
+    rho2 = superops.backward_state(c, cfg.rho_fin)
     return weak_value(rho1, rho2, cfg.weak_observable)
 
 
@@ -331,6 +346,28 @@ def averaged_weak_value_objective(cfg: ProtocolConfig) -> complex:
     # (dta - dtc) / (2 dta), written so that 2 dta cannot overflow
     ordered = (dta - dtc) / dta / 2.0 * (t.weak_first + t.strong_first)
     return ordered + dtc / dta * t.saturated
+
+
+def _line_coordinate(offset: complex, span: complex) -> float:
+    """``Re[offset conj(span)] / |span|^2``, the coordinate of ``offset``
+    along ``span``.  Where that formula overflows, both numbers are first
+    scaled by powers of two, which is exact, and a coordinate beyond the
+    double range comes out as an infinity of its sign."""
+    try:
+        x = (offset * span.conjugate()).real / abs(span) ** 2
+    except OverflowError:  # |span| or its square
+        x = math.nan
+    if math.isfinite(x):
+        return x
+    k_off = max(math.frexp(offset.real)[1], math.frexp(offset.imag)[1])
+    k_span = max(math.frexp(span.real)[1], math.frexp(span.imag)[1])
+    o = complex(math.ldexp(offset.real, -k_off), math.ldexp(offset.imag, -k_off))
+    s = complex(math.ldexp(span.real, -k_span), math.ldexp(span.imag, -k_span))
+    q = (o * s.conjugate()).real / abs(s) ** 2  # parts below 1, |s| at least 1/2
+    try:
+        return math.ldexp(q, k_off - k_span)
+    except OverflowError:
+        return math.copysign(math.inf, q)
 
 
 @dataclass(frozen=True)
@@ -388,8 +425,7 @@ def discriminate(
         return DiscriminationVerdict("vn", None, None, abs(measured - v_vn))
     # Objective prediction: (1 - x) v_vn + x v_sat with x = dtc/dtm in (0, 1],
     # constant at v_sat beyond x = 1.  Project the measurement onto the line.
-    span = v_sat - v_vn
-    x = float(((measured - v_vn) * span.conjugate()).real / abs(span) ** 2)
+    x = _line_coordinate(measured - v_vn, v_sat - v_vn)
     if x >= 1.0:
         residual = abs(measured - v_sat)
         if residual <= 2.0 * sigma_meas:

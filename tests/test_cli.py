@@ -179,6 +179,26 @@ class TestNonFiniteInput:
         assert proc.stdout == ""
         assert "zero width" in proc.stderr
 
+    # Finite entries whose sums or products overflow; each used to print
+    # RuntimeWarnings before its error line, the state a NaN defect.
+    @pytest.mark.parametrize(
+        "key, re, message",
+        [
+            ("rho_in", [[0.5, 1e308], [1e308, 0.5]], "error: negative eigenvalue (defect 1.000e+308)"),
+            ("strong_projector", [[1.0, 1e200], [1e200, 0.0]], "error: not idempotent (defect inf)"),
+            ("weak_observable", [[1e308, 1e308], [1e308, 1e308]], "error: trace obs_in = (inf+0j)"),
+        ],
+    )
+    def test_overflowing_config_single_error_line(self, tmp_path, key, re, message):
+        doc = config_to_json(spin_config())
+        doc[key]["re"] = re
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("analytic", "--config", path, check_exit=2)
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(message)
+
     def test_json_output_is_strict(self):
         from weakprobe.cli import _dumps
 
@@ -367,6 +387,16 @@ class TestDiscriminate:
         )
         assert "error" in proc.stderr
 
+    def test_huge_predictions(self):
+        # |span|^2 overflows here; this used to exit 2 with
+        # "error: (34, 'Numerical result out of range')"
+        proc = run_cli(
+            "discriminate", "--scenario", "hydrogen", "--hbar", 1e308,
+            "--measured", 1e308, "--sigma-meas", 1e-3, check_exit=0,
+        )
+        report = json.loads(proc.stdout)
+        assert (report["model"], report["residual"]) == ("inconclusive", 5e307)
+
     def test_csv_format(self):
         proc = run_cli(
             *self.BASE, "--measured", 0.375, "--format", "csv", check_exit=0
@@ -449,6 +479,16 @@ class TestPointerCommand:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: sigma = 1e-300 is out of range")
         assert "Warning" not in proc.stderr
+
+    def test_bound_scale_underflow_rejected(self):
+        # (g_max / sigma)^2 underflows to 0 here; this used to exit 2 with
+        # "error: float division by zero"
+        proc = run_cli(
+            "pointer", "--sigma", 1e150, "--g-min", 1e-160, "--g-max", 1e-150,
+            check_exit=2,
+        )
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: g_max / sigma = 1e-150 / 1e+150 is out of range")
 
     def test_no_nan_shift_with_exit_0(self):
         # 8 sigma^2 underflows to 0 here, so the kernel exponent is 0/0; the

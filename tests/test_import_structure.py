@@ -1,0 +1,242 @@
+"""What a cold ``import weakprobe`` and each cold command load.
+
+The package imports its analytic core eagerly and the other modules on
+first use.  pytest has long since imported every module, so each check
+runs in a fresh interpreter.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+CORE = {"errors", "operators", "weakvalues", "hydrogen"}
+
+# Every public name of the package before its modules were deferred, by the
+# module that defines it.
+PUBLIC = {
+    "collapse": (
+        "UniformTiming",
+        "evolution_superop_objective",
+        "objective_state_at",
+        "projective_ensemble_state_at",
+        "strong_statistics",
+    ),
+    "errors": (
+        "DegenerateScenario",
+        "DensityValidationError",
+        "DimensionMismatch",
+        "HermiticityViolation",
+        "InvalidProjector",
+        "NegativeEigenvalue",
+        "NoExactSolution",
+        "OrthogonalPostselection",
+        "RankDeficient",
+        "TraceViolation",
+        "VanishingPostselection",
+        "ZeroProbability",
+    ),
+    "hydrogen": (
+        "HydrogenPredictions",
+        "HydrogenScenario",
+        "build_hydrogen",
+        "hydrogen_predictions",
+        "hydrogen_traces",
+    ),
+    "montecarlo": (
+        "CHUNK_TRIALS",
+        "CSV_COLUMNS",
+        "AveragedResult",
+        "SimulationSpec",
+        "analytic_target",
+        "convergence_report",
+        "run_simulation",
+        "to_record",
+    ),
+    "operators": (
+        "DensityOperator",
+        "ObservableSpectral",
+        "Projector",
+        "density_operator_basis",
+        "hs_inner",
+        "selective_projection",
+        "spectral_decompose",
+        "validate_density",
+    ),
+    "pointer": (
+        "GaussianPointer",
+        "SlopeFit",
+        "postselected_pointer_mean",
+        "postselected_pointer_momentum_mean",
+        "weak_limit_slope",
+    ),
+    "serialization": (
+        "config_from_json",
+        "config_to_json",
+        "operator_from_json",
+        "operator_to_json",
+        "superop_from_json",
+        "superop_to_json",
+    ),
+    "superops": (
+        "CompletionResult",
+        "SuperOp",
+        "apply_superop",
+        "backward_state",
+        "collapse_superop",
+        "compose",
+        "reconstruct_superop",
+        "solve_completion",
+        "superop_adjoint",
+    ),
+    "weakvalues": (
+        "DiscriminationVerdict",
+        "ProtocolConfig",
+        "ProtocolTraces",
+        "apparent_resolution",
+        "averaged_weak_value_objective",
+        "averaged_weak_value_vn",
+        "discriminate",
+        "objective_weak_value_adjoint",
+        "objective_weak_value_at",
+        "objective_weak_value_forward",
+        "protocol_traces",
+        "trial_weak_value_strong_first",
+        "trial_weak_value_weak_first",
+        "weak_value",
+    ),
+}
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter; return the last line it prints."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def loaded_after(code: str) -> set[str]:
+    """The weakprobe submodules a fresh interpreter holds after ``code``."""
+    last = run_fresh(
+        code
+        + "\nimport sys\n"
+        + "print(' '.join(m for m in sys.modules if m.startswith('weakprobe.')))"
+    )
+    return {name.removeprefix("weakprobe.") for name in last.split()}
+
+
+def loaded_by_command(*argv: str) -> set[str]:
+    return loaded_after(
+        f"""
+import contextlib, io
+from weakprobe.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({list(argv)!r}) == 0
+"""
+    )
+
+
+def test_import_loads_the_core_only():
+    assert loaded_after("import weakprobe") == CORE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analytic", "--scenario", "hydrogen"),
+        ("analytic", "--scenario", "hydrogen", "--format", "csv"),
+        ("discriminate", "--scenario", "hydrogen", "--measured", "0.4", "--sigma-meas", "0.01"),
+        ("hydrogen",),
+    ],
+)
+def test_analytic_commands_load_no_deferred_module(argv):
+    assert loaded_by_command(*argv) == CORE | {"cli"}
+
+
+def test_simulate_loads_montecarlo_only():
+    argv = ("simulate", "--scenario", "hydrogen", "--model", "vn", "--trials", "1000")
+    loaded = loaded_by_command(*argv)
+    assert "montecarlo" in loaded
+    assert not loaded & {"pointer", "collapse", "superops"}
+
+
+def test_pointer_loads_pointer_only():
+    loaded = loaded_by_command("pointer", "--g-points", "5")
+    assert "pointer" in loaded
+    assert not loaded & {"montecarlo", "collapse", "superops", "serialization"}
+
+
+def test_config_file_loads_serialization(tmp_path):
+    from weakprobe import build_hydrogen, config_to_json
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config_to_json(build_hydrogen(0.6, 0.8, 1.0, 1.0, 0.5))))
+    loaded = loaded_by_command("analytic", "--config", str(path))
+    assert loaded == CORE | {"cli", "serialization"}
+
+
+def test_public_names_unchanged():
+    # getattr on the package, then on the module, so each name resolves lazily
+    # before its module is read directly.
+    last = run_fresh(
+        f"""
+import importlib, weakprobe
+public = {PUBLIC!r}
+for module, names in public.items():
+    for name in names:
+        got = getattr(weakprobe, name)
+        assert got is getattr(importlib.import_module("weakprobe." + module), name), name
+        assert name in dir(weakprobe), name
+    assert getattr(weakprobe, module) is importlib.import_module("weakprobe." + module)
+    assert module in dir(weakprobe), module
+expected = {{n for names in public.values() for n in names}} | set(public)
+listed = {{n for n in dir(weakprobe) if not n.startswith("_")}}
+assert listed == expected, listed ^ expected
+print("ok")
+"""
+    )
+    assert last == "ok"
+
+
+def test_star_import_binds_every_public_name():
+    last = run_fresh(
+        f"""
+namespace = {{}}
+exec("from weakprobe import *", namespace)
+expected = {{n for names in {PUBLIC!r}.values() for n in names}} | {set(PUBLIC)!r}
+missing = expected - namespace.keys()
+assert not missing, missing
+print("ok")
+"""
+    )
+    assert last == "ok"
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "vectorize", "_LAZY_MISSING"])
+def test_unknown_attribute_raises(name):
+    # vectorize is public in superops, but never was in the package
+    last = run_fresh(
+        f"""
+import weakprobe
+try:
+    getattr(weakprobe, {name!r})
+except AttributeError as exc:
+    print(type(exc).__name__)
+"""
+    )
+    assert last == "AttributeError"

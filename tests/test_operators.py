@@ -20,6 +20,7 @@ from weakprobe import (
     GaussianPointer,
     HermiticityViolation,
     HydrogenScenario,
+    InvalidProjector,
     NegativeEigenvalue,
     Projector,
     ProtocolConfig,
@@ -262,6 +263,27 @@ class TestValidateDensity:
         assert w.min() >= 0.0
         assert np.trace(out.mat).real == pytest.approx(1.0, abs=1e-14)
 
+    # A unit-trace Hermitian matrix with an entry above 1 in modulus is not
+    # positive.  Here m + m^dag overflows; that used to print RuntimeWarnings
+    # (errors in this suite) and then report a NaN defect.
+    @pytest.mark.parametrize(
+        "m, defect",
+        [
+            ([[0.5, 1e308], [1e308, 0.5]], 1e308),
+            ([[0.5, 1e308j], [-1e308j, 0.5]], 1e308),
+            (np.diag([1.7e308, -1.7e308, 1.0]), 1.7e308),
+        ],
+    )
+    def test_overflowing_entries_rejected_without_warning(self, m, defect):
+        with pytest.raises(NegativeEigenvalue) as exc:
+            validate_density(np.array(m))
+        assert exc.value.defect == pytest.approx(defect)
+
+    def test_overflowing_trace_rejected_without_warning(self):
+        with pytest.raises(TraceViolation) as exc:
+            validate_density(np.diag([1e308, 1e308]))
+        assert exc.value.defect == math.inf
+
     @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=4))
     def test_accepts_any_normalized_mixture(self, weights):
         w = np.array(weights) / sum(weights)
@@ -281,6 +303,14 @@ class TestProjector:
     def test_rejects_non_idempotent(self):
         with pytest.raises(Exception, match="idempotent"):
             Projector.from_matrix(np.diag([0.5, 0.0]))
+
+    # p @ p overflows; the defect is inf, never NaN, and nothing warns
+    @pytest.mark.parametrize(
+        "m", [[[1, 1e200], [1e200, 0]], [[1e200, 1e200], [1e200, -1e200]]]
+    )
+    def test_overflowing_square_rejected_without_warning(self, m):
+        with pytest.raises(InvalidProjector, match=r"not idempotent \(defect inf\)"):
+            Projector.from_matrix(np.array(m))
 
     def test_rejects_zero(self):
         with pytest.raises(Exception, match="zero projector"):

@@ -270,6 +270,27 @@ class TestSigmaRange:
         assert small.weak_value_re == unit.weak_value_re
 
 
+class TestBoundScaleRange:
+    """``bound_constant`` divides by ``(g_max / sigma)^2``, which must be a
+    positive normal double: ``g_max / sigma`` in ``[2^-511, 2^512)``."""
+
+    @pytest.mark.parametrize(
+        "obs, sigma, grid",
+        [
+            (SIGMA_Z, 1e150, [1e-160, 1e-150]),  # used to divide by zero
+            (SIGMA_Z, 1.0, [2.0**-516, np.nextafter(2.0**-511, 0)]),
+            (1e-300 * SIGMA_Z, 1.0, [1e198, 1e200]),  # used to overflow
+        ],
+    )
+    def test_rejected(self, obs, sigma, grid):
+        with pytest.raises(ValueError, match=r"g_max / sigma = .* out of range"):
+            weak_limit_slope(PLUS_X, rotated(0.3), obs, sigma, grid)
+
+    def test_smallest_scale_accepted(self):
+        fit = weak_limit_slope(PLUS_X, rotated(0.3), SIGMA_Z, 1.0, [2.0**-515, 2.0**-511])
+        assert math.isfinite(fit.bound_constant)
+
+
 class TestWeakLimitSlope:
     def test_single_branch_slope_exact(self):
         grid = np.geomspace(1e-3, 1e-2, 7)

@@ -1,4 +1,6 @@
+import math
 from dataclasses import replace
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from weakprobe import (
     apparent_resolution,
     averaged_weak_value_objective,
     averaged_weak_value_vn,
+    build_hydrogen,
     discriminate,
     objective_weak_value_adjoint,
     objective_weak_value_at,
@@ -107,7 +110,6 @@ class TestProtocolConfig:
                 delta_t_c=1.0,
             )
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_trace(self):
         with pytest.raises(ValueError, match="obs_in .* not finite"):
             ProtocolConfig(
@@ -115,6 +117,18 @@ class TestProtocolConfig:
                 rho_fin=DensityOperator.maximally_mixed(2),
                 strong_projector=Projector.onto(KET_PLUS),
                 weak_observable=np.full((2, 2), 1.7e308),
+                delta_t_m=1.0,
+                delta_t_c=1.0,
+            )
+
+    def test_overflowing_trace_sum(self):
+        # finite products whose diagonal sum overflows; this used to warn first
+        with pytest.raises(ValueError, match="trace .* not finite"):
+            ProtocolConfig(
+                rho_in=DensityOperator.pure([1.0, 1.0]),
+                rho_fin=DensityOperator.maximally_mixed(2),
+                strong_projector=Projector.onto(KET_PLUS),
+                weak_observable=np.full((2, 2), 1e308),
                 delta_t_m=1.0,
                 delta_t_c=1.0,
             )
@@ -480,6 +494,52 @@ class TestDiscriminate:
     def test_measured_must_be_finite(self, measured):
         with pytest.raises(ValueError, match="measured"):
             discriminate(measured, self.cfg, sigma_meas=0.01)
+
+    @pytest.mark.parametrize(
+        "measured, model, branch",
+        [(1e308, "inconclusive", None), (3e307, "objective", "jitter"), (2.5e307, "objective", "saturated")],
+    )
+    def test_huge_predictions(self, measured, model, branch):
+        # v_vn = 5e307 and v_sat = 2.5e307: |span|^2 overflows, which used to
+        # raise OverflowError out of discriminate
+        cfg = build_hydrogen(2**-0.5, 2**-0.5, hbar=1e308, delta_t_m=1.0, delta_t_c=1.0)
+        v = discriminate(measured, cfg, sigma_meas=1e-3 * 1e307)
+        assert (v.model, v.branch) == (model, branch)
+        if branch == "jitter":
+            assert v.delta_t_c_estimate == pytest.approx(0.8)
+
+    def test_line_coordinate_keeps_the_plain_formula_bits(self):
+        from weakprobe.weakvalues import _line_coordinate
+
+        def plain(offset, span):  # the formula before the overflow guard
+            return (offset * span.conjugate()).real / abs(span) ** 2
+
+        rng = np.random.default_rng(43)
+        kept = scaled = 0
+        for _ in range(4000):
+            o_re, o_im = np.ldexp(rng.uniform(-1, 1, 2), rng.integers(-1074, 1024, 2))
+            s_re, s_im = np.ldexp(rng.uniform(-1, 1, 2), rng.integers(-40, 1024, 2))
+            offset, span = complex(o_re, o_im), complex(s_re, s_im)
+            x = _line_coordinate(offset, span)
+            try:
+                expected = plain(offset, span)
+            except OverflowError:
+                expected = math.nan
+            if math.isfinite(expected):
+                assert x == expected
+                kept += 1
+                continue
+            # Exact rational value; a dot product's error bound is relative
+            # to |offset| / |span|, here up to the factor 2 of max-norms, plus
+            # the spacing of the subnormals.
+            exact = (F(o_re) * F(s_re) + F(o_im) * F(s_im)) / (F(s_re) ** 2 + F(s_im) ** 2)
+            scale = F(max(abs(o_re), abs(o_im))) / F(max(abs(s_re), abs(s_im)))
+            if math.isinf(x):
+                assert exact * F(np.sign(x)) > F(1e308)
+            else:
+                assert abs(F(x) - exact) <= F(1e-15) * scale + F(5e-324)
+            scaled += 1
+        assert kept > 500 and scaled > 500
 
     def test_round_trip_random_durations(self):
         # predict with some true dtc < dtm, then invert
