@@ -49,6 +49,7 @@ from .weakvalues import (
     DiscriminationVerdict,
     ProtocolConfig,
     ProtocolTraces,
+    UniformTiming,
     apparent_resolution,
     averaged_weak_value_objective,
     averaged_weak_value_vn,
@@ -67,7 +68,6 @@ __version__ = "0.1.0"
 # The public names of the modules that load on first use, by module.
 _DEFERRED = {
     "collapse": (
-        "UniformTiming",
         "evolution_superop_objective",
         "objective_state_at",
         "projective_ensemble_state_at",

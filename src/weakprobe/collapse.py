@@ -21,8 +21,6 @@ outcome leaves a selective measurement without a unique final state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .operators import (
@@ -34,36 +32,14 @@ from .operators import (
     validate_density,
 )
 from .superops import SuperOp, collapse_superop, solve_completion
+from .weakvalues import UniformTiming  # noqa: F401  still importable from here
 
 __all__ = [
-    "UniformTiming",
     "objective_state_at",
     "projective_ensemble_state_at",
     "evolution_superop_objective",
     "strong_statistics",
 ]
-
-
-@dataclass(frozen=True)
-class UniformTiming:
-    """Uniform distribution of an event time over ``(lo, hi)``."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        require_positive_finite(self.width, "timing window width")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def density(self) -> float:
-        return 1.0 / self.width
-
-    def contains(self, t: float) -> bool:
-        return self.lo <= t <= self.hi
 
 
 def _check_window(p: Projector, name: str, window: float, *times: float) -> None:

@@ -68,15 +68,23 @@ def require_positive_finite(value: float, name: str, error=ValueError) -> None:
         raise error(f"{name} must be finite and positive, got {value}")
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    out = np.array(m, dtype=complex)
+def _frozen(m) -> np.ndarray:
+    out = as_operator(m, copy=True)
     out.setflags(write=False)
     return out
 
 
-def as_operator(m) -> np.ndarray:
-    """Coerce ``m`` to a square complex matrix."""
-    a = np.asarray(m, dtype=complex)
+def _trusted(cls, mat: np.ndarray, **fields):
+    """``cls(mat, **fields)`` for a matrix only the library holds: frozen, not copied."""
+    mat.setflags(write=False)
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields, mat=mat)
+    return obj
+
+
+def as_operator(m, copy: bool | None = None) -> np.ndarray:
+    """Coerce ``m`` to a square complex matrix, a copy if ``copy`` is true."""
+    a = np.array(m, dtype=complex, copy=copy)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -160,7 +168,7 @@ class DensityOperator:
     psd_adjustment: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _frozen(as_operator(self.mat)))
+        object.__setattr__(self, "mat", _frozen(self.mat))
 
     @property
     def dim(self) -> int:
@@ -169,11 +177,11 @@ class DensityOperator:
     @classmethod
     def pure(cls, ket) -> "DensityOperator":
         v = unit_ket(ket)
-        return cls(np.outer(v, v.conj()))
+        return _trusted(cls, np.outer(v, v.conj()), psd_adjustment=0.0)
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "DensityOperator":
-        return cls(identity(d) / d)
+        return _trusted(cls, identity(d) / d, psd_adjustment=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +192,7 @@ class Projector:
     rank: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _frozen(as_operator(self.mat)))
+        object.__setattr__(self, "mat", _frozen(self.mat))
 
     @property
     def dim(self) -> int:
@@ -192,7 +200,7 @@ class Projector:
 
     @classmethod
     def from_matrix(cls, m) -> "Projector":
-        p = as_operator(m)
+        p = as_operator(m, copy=True)
         with np.errstate(invalid="ignore", over="ignore"):  # both checks fail on NaN or inf
             herm = _max_abs(p - dagger(p))
             # fmax skips a NaN (inf - inf off the diagonal of an overflowed
@@ -208,13 +216,13 @@ class Projector:
             raise InvalidProjector(f"trace {tr} is not near an integer")
         if rank < 1:
             raise InvalidProjector("zero projector has no selective outcome")
-        return cls(p, rank)
+        return _trusted(cls, p, rank=rank)
 
     @classmethod
     def onto(cls, ket) -> "Projector":
         """Rank-1 projector onto the ray of ``ket``."""
         v = unit_ket(ket, InvalidProjector)
-        return cls(np.outer(v, v.conj()), 1)
+        return _trusted(cls, np.outer(v, v.conj()), rank=1)
 
 
 def require_rank1(p: Projector) -> None:
@@ -236,7 +244,7 @@ class ObservableSpectral:
     pairs: tuple[tuple[float, Projector], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "observable", _frozen(as_operator(self.observable)))
+        object.__setattr__(self, "observable", _frozen(self.observable))
 
     @property
     def dim(self) -> int:
@@ -267,7 +275,7 @@ def spectral_decompose(a) -> ObservableSpectral:
     for i in range(1, len(w) + 1):
         if i == len(w) or w[i] - w[i - 1] > DEGENERACY_TOL:
             block = v[:, start:i]
-            proj = Projector(block @ dagger(block), i - start)
+            proj = _trusted(Projector, block @ dagger(block), rank=i - start)
             pairs.append((float(np.mean(w[start:i])), proj))
             start = i
     return ObservableSpectral(a, tuple(pairs))
@@ -317,28 +325,42 @@ def validate_density(m) -> DensityOperator:
     :class:`NegativeEigenvalue` with the offending defect.  Eigenvalues
     in ``[-PSD_TOL, 0)`` are treated as roundoff: they are clipped to
     zero, the state is renormalized, and the clipped mass is reported on
-    ``psd_adjustment``.
+    ``psd_adjustment``.  It is the one-matrix case of ``_validate_states``.
     """
-    m = as_operator(m)
-    adj = dagger(m)
+    return _validate_states(as_operator(m, copy=True)[None])[0]
+
+
+def _validate_states(stack: np.ndarray) -> list[DensityOperator]:
+    """:func:`validate_density` on each matrix of a ``(k, d, d)`` stack that the
+    library owns, in order, with one Hermiticity reduction and one ``eigh``."""
+    adj = stack.conj().swapaxes(1, 2)
     # Each check below fails on NaN or inf, so an overflow must not warn.
     with np.errstate(invalid="ignore", over="ignore"):
-        defect = _max_abs(m - adj)
-        tr = complex(np.trace(m))
-        herm = (m + adj) / 2
-    _check_hermitian(defect, "matrix")
-    if not abs(tr - 1.0) <= TRACE_TOL:
-        raise TraceViolation("trace differs from 1", abs(tr - 1.0))
+        defects = np.abs(stack - adj).max(axis=(1, 2), initial=0.0).tolist()
+        traces = stack.diagonal(0, 1, 2).sum(-1).tolist()
+        herm = (stack + adj) / 2
+    # Decompose the states before the first that fails a cheap check: a
+    # negative eigenvalue of an earlier state is reported before that failure.
+    n = 0
+    while n < len(stack) and defects[n] <= HERM_TOL and abs(traces[n] - 1.0) <= TRACE_TOL:
+        n += 1
     # eigh, not eigvalsh, even when nothing is clipped: the two can differ in
     # the last bit, and so in the sign of a pure state's zero eigenvalue.
-    w, v = np.linalg.eigh(herm)
-    if not w[0] >= -PSD_TOL:
-        if np.isnan(w[0]):  # m + m^dag overflowed: an entry is above 1, so not PSD
-            w = np.linalg.eigvalsh(m / 2 + adj / 2)
-        raise NegativeEigenvalue("negative eigenvalue", abs(float(w[0])))
-    if w[0] >= 0.0:  # nothing to clip
-        return DensityOperator(m)
-    clipped = np.clip(w, 0.0, None)
-    repaired = (v * clipped) @ dagger(v)
-    repaired = repaired / np.trace(repaired).real
-    return DensityOperator(repaired, psd_adjustment=float(np.sum(clipped - w)))
+    ws, vs = np.linalg.eigh(herm[:n])
+    out = []
+    for i, (low, *_) in enumerate(ws.tolist()):
+        if not low >= -PSD_TOL:
+            if math.isnan(low):  # m + m^dag overflowed: an entry is above 1, so not PSD
+                low = np.linalg.eigvalsh(stack[i] / 2 + adj[i] / 2)[0]
+            raise NegativeEigenvalue("negative eigenvalue", abs(float(low)))
+        if low >= 0.0:  # nothing to clip: the state is a frozen view of the stack
+            mat, adjustment = stack[i], 0.0
+        else:
+            clipped = np.clip(ws[i], 0.0, None)
+            mat = (vs[i] * clipped) @ dagger(vs[i])
+            mat, adjustment = mat / np.trace(mat).real, float(np.sum(clipped - ws[i]))
+        out.append(_trusted(DensityOperator, mat, psd_adjustment=adjustment))
+    if n < len(stack):
+        _check_hermitian(defects[n], "matrix")
+        raise TraceViolation("trace differs from 1", abs(traces[n] - 1.0))
+    return out

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .operators import Projector, as_operator, validate_density
+from .operators import Projector, _validate_states, as_operator, validate_density
 from .weakvalues import ProtocolConfig
 
 if TYPE_CHECKING:
@@ -47,7 +47,7 @@ def _matrix_from_json(obj, what: str) -> np.ndarray:
     if missing:
         raise ValueError(f"{what}: missing keys {sorted(missing)}")
     d = obj["dim"]
-    if not (isinstance(d, int) and d >= 1):
+    if not (type(d) is int and d >= 1):  # a bool is not a dimension
         raise ValueError(f"{what}: dim must be a positive integer, got {d!r}")
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
@@ -100,28 +100,46 @@ def config_to_json(cfg: ProtocolConfig) -> dict:
     }
 
 
+def _stack_from_json(obj: dict) -> np.ndarray | None:
+    """The four config operators as one ``(4, d, d)`` stack, by one ``np.array``
+    and one finiteness check; None unless all are well formed, of one ``dim``."""
+    ops = [obj[k] for k in _CONFIG_OPERATOR_KEYS]
+    try:  # a failure here is left to _matrix_from_json, which names the operator
+        d = ops[0]["dim"]
+        if [(type(op), type(op["dim"]), op["dim"]) for op in ops] != [(dict, int, d)] * 4:
+            return None
+        parts = np.array([(op["re"], op["im"]) for op in ops], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    if parts.shape != (4, 2, d, d) or not np.isfinite(parts).all():
+        return None
+    return parts[:, 0] + 1j * parts[:, 1]  # as _matrix_from_json adds them
+
+
 def config_from_json(obj) -> ProtocolConfig:
     """Parse and fully validate a configuration document.
 
     All operator invariants are enforced on the way in, so a config that
-    parses is a config the analytic functions accept.
+    parses is a config the analytic functions accept.  The four operators,
+    of one integer ``dim``, are decoded as one stack and both states checked
+    together, with the errors that checking each part in key order gives.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"config: expected an object, got {type(obj).__name__}")
     missing = set(_CONFIG_OPERATOR_KEYS + _CONFIG_SCALAR_KEYS) - obj.keys()
     if missing:
         raise ValueError(f"config: missing keys {sorted(missing)}")
-    mats = {k: _matrix_from_json(obj[k], k) for k in _CONFIG_OPERATOR_KEYS}
+    mats = stack = _stack_from_json(obj)
+    if stack is None:  # the first malformed operator raises; differing dims pass
+        mats = [_matrix_from_json(obj[k], k) for k in _CONFIG_OPERATOR_KEYS]
     scalars = {}
     for k in _CONFIG_SCALAR_KEYS:
         v = obj[k]
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ValueError(f"config: {k} must be a number, got {v!r}")
         scalars[k] = float(v)
-    return ProtocolConfig(
-        rho_in=validate_density(mats["rho_in"]),
-        rho_fin=validate_density(mats["rho_fin"]),
-        strong_projector=Projector.from_matrix(mats["strong_projector"]),
-        weak_observable=mats["weak_observable"],
-        **scalars,
-    )
+    if stack is None:  # ProtocolConfig rejects the differing dims, after these
+        states = map(validate_density, mats[:2])
+    else:  # own copies: views would keep all four operators alive
+        states = _validate_states(stack[:2].copy())
+    return ProtocolConfig(*states, Projector.from_matrix(mats[2]), mats[3], **scalars)

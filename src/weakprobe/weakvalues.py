@@ -43,7 +43,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -60,10 +59,8 @@ from .operators import (
     require_rank1,
 )
 
-if TYPE_CHECKING:
-    from .collapse import UniformTiming
-
 __all__ = [
+    "UniformTiming",
     "ProtocolConfig",
     "ProtocolTraces",
     "DiscriminationVerdict",
@@ -79,6 +76,28 @@ __all__ = [
     "protocol_traces",
     "discriminate",
 ]
+
+
+@dataclass(frozen=True)
+class UniformTiming:
+    """Uniform distribution of an event time over ``(lo, hi)``."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        require_positive_finite(self.width, "timing window width")
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
+
+    @property
+    def density(self) -> float:
+        return 1.0 / self.width
+
+    def contains(self, t: float) -> bool:
+        return self.lo <= t <= self.hi
 
 
 @dataclass(frozen=True)
@@ -141,16 +160,15 @@ class ProtocolConfig:
     traces: ProtocolTraces = field(init=False, repr=False)
 
     def __post_init__(self):
-        obs = _frozen(as_operator(self.weak_observable))
+        obs = _frozen(self.weak_observable)
         object.__setattr__(self, "weak_observable", obs)
-        d = self.rho_in.dim
-        if not (self.rho_fin.dim == d == self.strong_projector.dim == obs.shape[0]):
+        p, rin, rfin = self.strong_projector.mat, self.rho_in.mat, self.rho_fin.mat
+        if not (rin.shape == rfin.shape == p.shape == obs.shape):  # all are square
             raise DimensionMismatch(
                 "rho_in, rho_fin, strong_projector and weak_observable must share "
                 "one dimension"
             )
         require_rank1(self.strong_projector)
-        p, rin, rfin = self.strong_projector.mat, self.rho_in.mat, self.rho_fin.mat
         # The six products in field order, left to right, as two stacked
         # matmuls: each slice is the BLAS product of the unstacked one, bit for bit.
         left = np.array((p, p, rfin, rfin, obs, obs))
@@ -173,9 +191,9 @@ class ProtocolConfig:
                     f"Tr[P {name}] = {overlap:.3e}: the strong outcome never "
                     f"connects {name} to the rest of the protocol"
                 )
-        for f, value in zip(fields(t), values):  # finite entries can still overflow
-            if not cmath.isfinite(value):
-                raise ValueError(f"trace {f.name} = {value} is not finite")
+        if not all(map(cmath.isfinite, values)):  # finite entries can still overflow
+            name = next(f.name for f in fields(t) if not cmath.isfinite(getattr(t, f.name)))
+            raise ValueError(f"trace {name} = {getattr(t, name)} is not finite")
 
     @property
     def dim(self) -> int:
@@ -184,12 +202,8 @@ class ProtocolConfig:
     @property
     def weak_window(self) -> UniformTiming:
         """Window of the weak-coupling time relative to the collapse start."""
-        # The module, not the name: a name import would cost twice the ~1 us per call.
-        from . import collapse
-
-        half = self.delta_t_m / 2.0
-        center = self.delta_t_c / 2.0
-        return collapse.UniformTiming(center - half, center + half)
+        half, center = self.delta_t_m / 2.0, self.delta_t_c / 2.0
+        return UniformTiming(center - half, center + half)
 
 
 def protocol_traces(cfg: ProtocolConfig) -> ProtocolTraces:

@@ -133,6 +133,17 @@ class TestConfigSourceErrors:
         path.write_text(json.dumps({"delta_t_m": 1.0}))
         run_cli("analytic", "--config", path, check_exit=2)
 
+    def test_bool_dim_config_exit_code(self, tmp_path):
+        # JSON true used to pass as dim 1, and this document as a 1x1 config
+        op = {"dim": True, "re": [[1.0]], "im": [[0.0]]}
+        keys = ("rho_in", "rho_fin", "strong_projector", "weak_observable")
+        doc = {**dict.fromkeys(keys, op), "delta_t_m": 1.0, "delta_t_c": 0.5, "hbar": 1.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("analytic", "--config", path, check_exit=2)
+        assert proc.stdout == ""
+        assert "rho_in: dim must be a positive integer, got True" in proc.stderr
+
     def test_orthogonal_postselection_exit_code(self):
         proc = run_cli(
             "analytic", "--scenario", "hydrogen", "--b-re", 0.0, check_exit=3

@@ -24,7 +24,6 @@ CORE = {"errors", "operators", "weakvalues", "hydrogen"}
 # module that defines it.
 PUBLIC = {
     "collapse": (
-        "UniformTiming",
         "evolution_superop_objective",
         "objective_state_at",
         "projective_ensemble_state_at",
@@ -101,6 +100,7 @@ PUBLIC = {
         "DiscriminationVerdict",
         "ProtocolConfig",
         "ProtocolTraces",
+        "UniformTiming",
         "apparent_resolution",
         "averaged_weak_value_objective",
         "averaged_weak_value_vn",
@@ -175,6 +175,13 @@ def test_simulate_loads_montecarlo_only():
     assert not loaded & {"pointer", "collapse", "superops"}
 
 
+def test_objective_simulate_loads_neither_collapse_nor_superops():
+    # the objective model reads cfg.weak_window, a weakvalues.UniformTiming
+    loaded = loaded_by_command("simulate", "--scenario", "hydrogen", "--model", "objective")
+    assert "montecarlo" in loaded
+    assert not loaded & {"pointer", "collapse", "superops"}
+
+
 def test_pointer_loads_pointer_only():
     loaded = loaded_by_command("pointer", "--g-points", "5")
     assert "pointer" in loaded
@@ -204,6 +211,7 @@ for module, names in public.items():
         assert name in dir(weakprobe), name
     assert getattr(weakprobe, module) is importlib.import_module("weakprobe." + module)
     assert module in dir(weakprobe), module
+assert importlib.import_module("weakprobe.collapse").UniformTiming is weakprobe.UniformTiming
 expected = {{n for names in public.values() for n in names}} | set(public)
 listed = {{n for n in dir(weakprobe) if not n.startswith("_")}}
 assert listed == expected, listed ^ expected

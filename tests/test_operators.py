@@ -418,8 +418,8 @@ def config_with(**kw):
 
 # (public callable, float parameter) -> call with that parameter set to x
 SCALAR_BOUNDARIES = {
-    ("collapse.UniformTiming", "lo"): lambda x: UniformTiming(x, 1.0),
-    ("collapse.UniformTiming", "hi"): lambda x: UniformTiming(0.0, x),
+    ("weakvalues.UniformTiming", "lo"): lambda x: UniformTiming(x, 1.0),
+    ("weakvalues.UniformTiming", "hi"): lambda x: UniformTiming(0.0, x),
     ("collapse.objective_state_at", "t"): lambda x: objective_state_at(RHO, P_UP, x, 1.0),
     ("collapse.objective_state_at", "delta_t_c"): (
         lambda x: objective_state_at(RHO, P_UP, x, x)
@@ -493,7 +493,7 @@ SCALAR_EXEMPT = {
     ("superops.CompletionResult", "residual"),
     ("operators.DensityOperator", "psd_adjustment"),
     # a predicate: a NaN time is simply not inside the window
-    ("collapse.UniformTiming.contains", "t"),
+    ("weakvalues.UniformTiming.contains", "t"),
 }
 
 NAN_KET = [math.nan, 1.0]

@@ -47,6 +47,11 @@ class TestOperatorFormat:
         with pytest.raises(ValueError, match="dim"):
             operator_from_json({"dim": "2", "re": [[1]], "im": [[0]]})
 
+    def test_bool_dim_rejected(self):
+        # JSON true used to pass as dim 1
+        with pytest.raises(ValueError, match="dim must be a positive integer, got True"):
+            operator_from_json({"dim": True, "re": [[1.0]], "im": [[0.0]]})
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             operator_from_json({"dim": 2, "re": [[1, 0]], "im": [[0, 0]]})
@@ -154,3 +159,14 @@ class TestConfigFormat:
     def test_not_an_object(self):
         with pytest.raises(ValueError, match="object"):
             config_from_json("{}")
+
+    @pytest.mark.parametrize("key", ["rho_in", "weak_observable"])
+    def test_bool_dim_rejected(self, key):
+        # four 1x1 operators with JSON true as dim used to make a valid config
+        op = {"dim": 1, "re": [[1.0]], "im": [[0.0]]}
+        doc = {k: dict(op) for k in ("rho_in", "rho_fin", "strong_projector", "weak_observable")}
+        doc.update(delta_t_m=1.0, delta_t_c=0.5, hbar=1.0)
+        config_from_json(doc)
+        doc[key]["dim"] = True
+        with pytest.raises(ValueError, match=f"{key}: dim must be a positive integer, got True"):
+            config_from_json(doc)
