@@ -27,11 +27,11 @@ from .operators import (
     DensityOperator,
     ObservableSpectral,
     Projector,
+    _trusted,
     require_positive_finite,
     require_rank1,
-    validate_density,
 )
-from .superops import SuperOp, collapse_superop, solve_completion
+from .superops import SuperOp, _superop, collapse_superop, solve_completion
 from .weakvalues import UniformTiming  # noqa: F401  still importable from here
 
 __all__ = [
@@ -54,10 +54,11 @@ def _mix_toward(
     rho_in: DensityOperator, p: Projector, t: float, window: float, name: str
 ) -> DensityOperator:
     # Shared by both models so that equal window durations give
-    # bit-identical states.
+    # bit-identical states.  A convex combination of a state and a rank-1
+    # projector is a state, so it is not decomposed again.
     _check_window(p, name, window, t)
     x = t / window
-    return validate_density((1.0 - x) * rho_in.mat + x * p.mat)
+    return _trusted(DensityOperator, (1.0 - x) * rho_in.mat + x * p.mat, psd_adjustment=0.0)
 
 
 def objective_state_at(
@@ -110,7 +111,7 @@ def evolution_superop_objective(
     if t1 == 0.0:
         x = t2 / delta_t_c
         matrix = (1.0 - x) * np.eye(p.dim**2, dtype=complex) + x * c.matrix
-        return SuperOp(p.dim, matrix)
+        return _superop(p.dim, matrix)
     if abs(t2 - delta_t_c) <= 1e-12 * delta_t_c:
         e_first = evolution_superop_objective(0.0, t1, p, delta_t_c)
         return solve_completion(e_first, c).solution

@@ -35,8 +35,6 @@ __all__ = [
     "DensityOperator",
     "Projector",
     "ObservableSpectral",
-    "identity",
-    "dagger",
     "hs_inner",
     "hermiticity_defect",
     "spectral_decompose",
@@ -52,7 +50,7 @@ __all__ = [
 # every denominator (selection probabilities, weak-value overlaps);
 # DEGENERACY_TOL is the eigenvalue-clustering width of spectral_decompose.
 # The validators test ``not defect <= TOL``, which the NaN or infinite defect
-# of a non-finite entry fails (require_hermitian for states and observables);
+# of a non-finite entry fails (_check_hermitian for states and observables);
 # a duration, scale or hbar must pass require_positive_finite, and a ket is
 # normalised by unit_ket.
 HERM_TOL = 1e-10
@@ -74,11 +72,13 @@ def _frozen(m) -> np.ndarray:
     return out
 
 
-def _trusted(cls, mat: np.ndarray, **fields):
-    """``cls(mat, **fields)`` for a matrix only the library holds: frozen, not copied."""
+def _trusted(cls, mat: np.ndarray, field: str = "mat", **fields):
+    """``cls`` with ``mat`` as its ``field``, for a matrix only the library
+    holds: frozen in place, not copied, not checked."""
     mat.setflags(write=False)
     obj = object.__new__(cls)
-    obj.__dict__.update(fields, mat=mat)
+    obj.__dict__.update(fields)
+    obj.__dict__[field] = mat
     return obj
 
 
@@ -115,10 +115,6 @@ def _check_hermitian(defect: float, what: str) -> None:
     """Raise for a Hermiticity ``defect`` above ``HERM_TOL``, or NaN."""
     if not defect <= HERM_TOL:
         raise HermiticityViolation(f"{what} is non-finite or not Hermitian", defect)
-
-
-def require_hermitian(a: np.ndarray, what: str) -> None:
-    _check_hermitian(hermiticity_defect(a), what)
 
 
 def unit_ket(ket, error=ValueError) -> np.ndarray:
@@ -268,15 +264,21 @@ def spectral_decompose(a) -> ObservableSpectral:
     eigenvalue is the mean of its cluster.
     """
     a = as_operator(a)
-    require_hermitian(a, "observable")
-    w, v = np.linalg.eigh((a + dagger(a)) / 2)
+    adj = a.conj().T
+    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf defect fails
+        defect = _max_abs(a - adj)
+    _check_hermitian(defect, "observable")
+    w, v = np.linalg.eigh((a + adj) / 2)
+    ws = w.tolist()
     pairs: list[tuple[float, Projector]] = []
     start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > DEGENERACY_TOL:
+    for i in range(1, len(ws) + 1):
+        if i == len(ws) or ws[i] - ws[i - 1] > DEGENERACY_TOL:
             block = v[:, start:i]
             proj = _trusted(Projector, block @ dagger(block), rank=i - start)
-            pairs.append((float(np.mean(w[start:i])), proj))
+            # np.mean of one value w is (0.0 + w) / 1: -0.0 reads 0.0
+            mean = 0.0 + ws[start] if i - start == 1 else float(np.mean(w[start:i]))
+            pairs.append((mean, proj))
             start = i
     return ObservableSpectral(a, tuple(pairs))
 

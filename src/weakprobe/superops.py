@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NoExactSolution, RankDeficient
-from .operators import DensityOperator, Projector, _frozen, as_operator, identity
+from .operators import DensityOperator, Projector, _trusted, as_operator, identity
 
 __all__ = [
     "SuperOp",
@@ -52,7 +52,11 @@ def unvectorize(v, d: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SuperOp:
-    """A linear map on operators of a ``dim``-dimensional system."""
+    """A linear map on operators of a ``dim``-dimensional system.
+
+    The public constructor stores a frozen copy of ``matrix``; the maps
+    built here are frozen in place by :func:`_superop`.
+    """
 
     dim: int
     matrix: np.ndarray
@@ -64,11 +68,17 @@ class SuperOp:
             raise DimensionMismatch(
                 f"superoperator matrix shape {m.shape} != ({n}, {n})"
             )
-        object.__setattr__(self, "matrix", _frozen(m))
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
     @classmethod
     def identity(cls, d: int) -> "SuperOp":
-        return cls(d, np.eye(d * d, dtype=complex))
+        return _superop(d, np.eye(d * d, dtype=complex))
+
+
+def _superop(d: int, matrix: np.ndarray) -> SuperOp:
+    """A map whose complex ``(d*d, d*d)`` matrix only the library holds."""
+    return _trusted(SuperOp, matrix, "matrix", dim=d)
 
 
 def _mat(x) -> np.ndarray:
@@ -89,12 +99,12 @@ def compose(k2: SuperOp, k1: SuperOp) -> SuperOp:
     """The map ``x -> k2(k1(x))``."""
     if k1.dim != k2.dim:
         raise DimensionMismatch(f"superop dims differ: {k2.dim} vs {k1.dim}")
-    return SuperOp(k1.dim, k2.matrix @ k1.matrix)
+    return _superop(k1.dim, k2.matrix @ k1.matrix)
 
 
 def superop_adjoint(k: SuperOp) -> SuperOp:
     """Hilbert-Schmidt adjoint; conjugate transpose under column stacking."""
-    return SuperOp(k.dim, k.matrix.conj().T)
+    return _superop(k.dim, k.matrix.conj().T)
 
 
 def collapse_superop(p) -> SuperOp:
@@ -107,7 +117,7 @@ def collapse_superop(p) -> SuperOp:
         p = Projector.from_matrix(p)
     d = p.dim
     matrix = np.outer(vectorize(p.mat), vectorize(identity(d)).conj())
-    return SuperOp(d, matrix)
+    return _superop(d, matrix)
 
 
 def reconstruct_superop(inputs: Sequence, outputs: Sequence) -> SuperOp:
@@ -136,7 +146,7 @@ def reconstruct_superop(inputs: Sequence, outputs: Sequence) -> SuperOp:
     if rank < d * d:
         raise RankDeficient(f"inputs span only {rank} of {d*d} dimensions")
     k = np.linalg.solve(v_in.T, v_out.T).T
-    return SuperOp(d, k)
+    return _superop(d, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +186,7 @@ def solve_completion(e_first: SuperOp, e_total: SuperOp) -> CompletionResult:
         raise NoExactSolution("completion has no exact solution", residual)
     unique = rank == n
     affine_dimension = n * (n - int(rank))
-    return CompletionResult(SuperOp(e_first.dim, k), unique, affine_dimension, residual)
+    return CompletionResult(_superop(e_first.dim, k), unique, affine_dimension, residual)
 
 
 def backward_state(e_w_fin: SuperOp, rho_fin) -> np.ndarray:

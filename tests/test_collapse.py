@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_density, random_rank1_projector
+from conftest import random_density, random_ket, random_rank1_projector
 from weakprobe import (
     InvalidProjector,
     Projector,
@@ -15,8 +15,9 @@ from weakprobe import (
     projective_ensemble_state_at,
     strong_statistics,
     spectral_decompose,
+    validate_density,
 )
-from weakprobe.operators import DensityOperator
+from weakprobe.operators import TRACE_TOL, DensityOperator
 
 PLUS = np.array([1.0, 0.0], dtype=complex)
 P_PLUS = Projector.onto(PLUS)
@@ -76,6 +77,51 @@ class TestObjectiveState:
         p2 = Projector.from_matrix(np.eye(2))
         with pytest.raises(InvalidProjector):
             objective_state_at(HALF, p2, 0.5, 1.0)
+
+
+def mix_cases(d: int, pure_in: bool):
+    """``(rho_in, P, t, window)`` over the collapse window, the ends included."""
+    rng = np.random.default_rng(40 + 2 * d + pure_in)
+    for _ in range(8):
+        rho = DensityOperator.pure(random_ket(rng, d)) if pure_in else random_density(rng, d)
+        p = random_rank1_projector(rng, d)
+        window = float(rng.uniform(0.5, 2.0))
+        for frac in (0.0, 0.1, 0.37, 0.5, 0.9, 1.0):
+            yield rho, p, frac * window, window
+
+
+class TestTrustedMix:
+    """The mixes are convex combinations the library forms itself: stored as
+    computed, never decomposed or repaired."""
+
+    @pytest.mark.parametrize("pure_in", [False, True], ids=["mixed", "pure"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_mix_is_the_convex_combination(self, d, pure_in):
+        for rho, p, t, window in mix_cases(d, pure_in):
+            x = t / window
+            want = (1.0 - x) * rho.mat + x * p.mat
+            for route in (objective_state_at, projective_ensemble_state_at):
+                out = route(rho, p, t, window)
+                assert out.mat.dtype == want.dtype
+                assert out.mat.tobytes() == want.tobytes()
+                assert out.psd_adjustment == 0.0
+                assert not out.mat.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    out.mat[0, 0] = 7.0
+                assert not np.shares_memory(out.mat, rho.mat)
+                assert not np.shares_memory(out.mat, p.mat)
+            assert abs(np.trace(out.mat) - 1.0) <= TRACE_TOL
+            assert np.linalg.eigvalsh(out.mat)[0] >= -1e-12
+
+    def test_pure_inputs_are_where_a_repair_would_fire(self):
+        # Without the trusted path these mixes had roundoff eigenvalues
+        # clipped; the cases above cover that branch.
+        repaired = [
+            validate_density(objective_state_at(rho, p, t, window).mat).psd_adjustment > 0.0
+            for d in (3, 4, 8, 16)
+            for rho, p, t, window in mix_cases(d, True)
+        ]
+        assert any(repaired)
 
 
 class TestEnsembleState:

@@ -3,7 +3,8 @@
 ``ProtocolConfig`` takes its six traces from two stacked products, and
 ``validate_density`` returns an unclipped state without the repair
 arithmetic.  ``config_from_json`` decodes its four operators as one stack
-and validates both states with one ``eigh``.  Each must give exactly the
+and validates both states with one ``eigh``.  ``spectral_decompose`` takes
+one adjoint and reads its eigenvalues as Python floats.  Each must give exactly the
 bits, and the errors, of the plain code it replaced, which is copied here
 as test-local oracles: every comparison is ``==``, ``np.array_equal`` or a
 byte comparison, never a tolerance.
@@ -12,6 +13,7 @@ byte comparison, never a tolerance.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -36,13 +38,15 @@ from weakprobe.errors import (
     TraceViolation,
 )
 from weakprobe.operators import (
+    DEGENERACY_TOL,
     HERM_TOL,
     PSD_TOL,
     TRACE_TOL,
+    _check_hermitian,
     _validate_states,
     as_operator,
     dagger,
-    require_hermitian,
+    hermiticity_defect,
 )
 from weakprobe.serialization import _stack_from_json
 
@@ -67,7 +71,7 @@ def oracle_validate_density(m) -> tuple[np.ndarray, float]:
     """The eigendecomposition, clip and repair of ``validate_density``, with
     no early return; gives the state's matrix and ``psd_adjustment``."""
     m = as_operator(m)
-    require_hermitian(m, "matrix")
+    _check_hermitian(hermiticity_defect(m), "matrix")
     tr = complex(np.trace(m))
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise TraceViolation("trace differs from 1", abs(tr - 1.0))
@@ -529,3 +533,88 @@ def test_stored_matrices_are_read_only_and_unaliased(route):
         _mutate(given)
     for m, b in zip(stored(obj), before):
         assert same_bits(m, b)
+
+
+# -- spectral_decompose ----------------------------------------------------------
+
+
+def parent_spectral_decompose(a) -> tuple[np.ndarray, list[tuple[float, np.ndarray, int]]]:
+    """The replaced body: the observable, then ``(value, projector, rank)``
+    per level, each value the ``np.mean`` of its cluster."""
+    a = as_operator(a)
+    _check_hermitian(hermiticity_defect(a), "observable")
+    w, v = np.linalg.eigh((a + dagger(a)) / 2)
+    levels = []
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > DEGENERACY_TOL:
+            block = v[:, start:i]
+            levels.append((float(np.mean(w[start:i])), block @ dagger(block), i - start))
+            start = i
+    return a.copy(), levels
+
+
+def assert_spectral_exact(a) -> None:
+    got = spectral_decompose(a)
+    observable, levels = parent_spectral_decompose(a)
+    assert same_bits(got.observable, observable)
+    assert len(got.pairs) == len(levels)
+    for (value, proj), (want, mat, rank) in zip(got.pairs, levels):
+        assert type(value) is float
+        assert value == want and math.copysign(1.0, value) == math.copysign(1.0, want)
+        assert same_bits(proj.mat, mat)
+        assert proj.rank == rank
+
+
+def degenerate_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
+    """``U diag(levels) U^dag`` with repeated levels, some split by less than
+    ``DEGENERACY_TOL`` so that they cluster."""
+    levels = rng.choice([-1.5, 0.0, 2.0], size=d) + rng.choice([0.0, 3e-10], size=d)
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    return (u * levels) @ u.conj().T
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
+class TestSpectralDecomposeBitExact:
+    def test_random_observables(self, d):
+        rng = np.random.default_rng(1500 + d)
+        for _ in range(20):
+            assert_spectral_exact(random_hermitian(rng, d) * 10.0 ** rng.uniform(-6, 6))
+
+    def test_degenerate_clusters(self, d):
+        rng = np.random.default_rng(1600 + d)
+        for _ in range(20):
+            assert_spectral_exact(degenerate_hermitian(rng, d))
+        assert_spectral_exact(np.eye(d))
+        assert_spectral_exact(np.diag(np.arange(d) * 0.5e-9))  # one chained cluster
+
+    def test_signed_zero_diagonals(self, d):
+        rng = np.random.default_rng(1700 + d)
+        for _ in range(20):
+            diag = rng.choice([-0.0, 0.0, -0.0, 1.0, -2.0], size=d)
+            assert_spectral_exact(np.diag(diag))
+            assert_spectral_exact(np.diag(diag).astype(complex))
+        assert_spectral_exact(np.diag(np.full(d, -0.0)))
+
+    def test_hermitian_within_tolerance(self, d):
+        rng = np.random.default_rng(1800 + d)
+        for _ in range(20):
+            noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            assert_spectral_exact(random_hermitian(rng, d) + 1e-12 * noise)
+
+    def test_rejected_input_fails_as_before(self, d):
+        nan = np.eye(d, dtype=complex)
+        nan[0, -1] = math.nan
+        inf = np.eye(d, dtype=complex)
+        inf[-1, -1] = math.inf
+        cases = [nan, inf, np.ones((d, d + 1))]
+        if d > 1:
+            skew = np.eye(d, dtype=complex)
+            skew[0, 1] = 1e-3
+            cases.append(skew)
+        for a in cases:
+            want = _outcome(parent_spectral_decompose, a)
+            assert want is not None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _outcome(spectral_decompose, a) == want

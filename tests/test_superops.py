@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from weakprobe import (
     solve_completion,
     superop_adjoint,
 )
+from weakprobe.collapse import evolution_superop_objective
 
 PLUS = np.array([1.0, 0.0], dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -137,7 +140,7 @@ class TestCollapseSuperop:
         rebuilt = reconstruct_superop(basis, outputs)
         assert np.max(np.abs(rebuilt.matrix - c.matrix)) <= 1e-12
 
-    def test_rejects_rank2_target_for_dim_checks(self):
+    def test_accepts_rank2_projector(self):
         # rank-2 projectors are fine for the bare superoperator algebra
         p = Projector.from_matrix(np.diag([1.0, 1.0, 0.0]))
         c = collapse_superop(p)
@@ -147,6 +150,67 @@ class TestCollapseSuperop:
     def test_invalid_projector_matrix(self):
         with pytest.raises(Exception, match="idempotent"):
             collapse_superop(np.diag([0.5, 0.0]))
+
+
+P_TILT = Projector.onto([0.8, 0.6j])
+C_TILT = collapse_superop(P_TILT)
+C_AT_HALF = evolution_superop_objective(0.0, 0.5, P_TILT, 1.0)
+BASIS = density_operator_basis(2)
+
+# Every route that builds a map itself, with the maps it was built from.
+LIBRARY_MAPS = {
+    "SuperOp.identity": lambda: (SuperOp.identity(2), []),
+    "collapse_superop": lambda: (collapse_superop(P_TILT), []),
+    "compose": lambda: (compose(C_AT_HALF, C_TILT), [C_AT_HALF, C_TILT]),
+    "superop_adjoint": lambda: (superop_adjoint(C_AT_HALF), [C_AT_HALF]),
+    "solve_completion": lambda: (solve_completion(C_AT_HALF, C_TILT).solution, [C_AT_HALF, C_TILT]),
+    "reconstruct_superop": lambda: (
+        reconstruct_superop(BASIS, [apply_superop(C_TILT, b) for b in BASIS]),
+        [C_TILT],
+    ),
+    "evolution_superop_objective:start": lambda: (
+        evolution_superop_objective(0.0, 0.3, P_TILT, 1.0),
+        [],
+    ),
+    "evolution_superop_objective:end": lambda: (
+        evolution_superop_objective(0.3, 1.0, P_TILT, 1.0),
+        [],
+    ),
+}
+
+
+class TestSuperOpStorage:
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_constructor_keeps_a_frozen_copy(self, dtype):
+        m = (np.arange(16.0) - 3.0).reshape(4, 4).astype(dtype)
+        k = SuperOp(2, m)
+        assert k.matrix.dtype == complex
+        assert not np.shares_memory(k.matrix, m)
+        assert m.flags.writeable
+        m[...] = 7.0
+        np.testing.assert_array_equal(k.matrix, (np.arange(16.0) - 3.0).reshape(4, 4))
+        assert not k.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            k.matrix[0, 0] = 7.0
+
+    @pytest.mark.parametrize(
+        "matrix, shape", [(np.eye(3), "(3, 3)"), (np.eye(4)[:3], "(3, 4)"), (np.ones(16), "(16,)")]
+    )
+    def test_wrong_shape_message(self, matrix, shape):
+        message = f"superoperator matrix shape {shape} != (4, 4)"
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            SuperOp(2, matrix)
+
+    @pytest.mark.parametrize("route", sorted(LIBRARY_MAPS))
+    def test_library_maps_are_read_only(self, route):
+        k, sources = LIBRARY_MAPS[route]()
+        assert type(k) is SuperOp and k.dim == 2
+        assert k.matrix.shape == (4, 4) and k.matrix.dtype == complex
+        assert not k.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            k.matrix[0, 0] = 7.0
+        for source in sources:
+            assert not np.shares_memory(k.matrix, source.matrix)
 
 
 class TestReconstruct:
