@@ -23,10 +23,8 @@ from .errors import (
     NegativeEigenvalue,
     NoExactSolution,
     OrthogonalPostselection,
-    RankDeficient,
     TraceViolation,
     VanishingPostselection,
-    ZeroProbability,
 )
 from .hydrogen import (
     HydrogenPredictions,
@@ -39,9 +37,7 @@ from .operators import (
     DensityOperator,
     ObservableSpectral,
     Projector,
-    density_operator_basis,
     hs_inner,
-    selective_projection,
     spectral_decompose,
     validate_density,
 )
@@ -95,8 +91,6 @@ _DEFERRED = {
         "config_to_json",
         "operator_from_json",
         "operator_to_json",
-        "superop_from_json",
-        "superop_to_json",
     ),
     "superops": (
         "CompletionResult",
@@ -105,7 +99,6 @@ _DEFERRED = {
         "backward_state",
         "collapse_superop",
         "compose",
-        "reconstruct_superop",
         "solve_completion",
         "superop_adjoint",
     ),

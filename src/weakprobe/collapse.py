@@ -32,7 +32,6 @@ from .operators import (
     require_rank1,
 )
 from .superops import SuperOp, _superop, collapse_superop, solve_completion
-from .weakvalues import UniformTiming  # noqa: F401  still importable from here
 
 __all__ = [
     "objective_state_at",

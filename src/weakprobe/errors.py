@@ -39,18 +39,9 @@ class InvalidProjector(ValueError):
     """Matrix is not an orthogonal projector, or has the wrong rank."""
 
 
-class ZeroProbability(ValueError):
-    """A selective measurement outcome has vanishing probability."""
-
-
 class OrthogonalPostselection(ValueError):
     """A weak-value denominator vanished: pre- and post-selection are
     (numerically) orthogonal and the conditional average is undefined."""
-
-
-class RankDeficient(ValueError):
-    """Input operators do not span the operator space, so the linear map
-    cannot be reconstructed from their images."""
 
 
 class NoExactSolution(ValueError):

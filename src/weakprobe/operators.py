@@ -23,7 +23,6 @@ from .errors import (
     InvalidProjector,
     NegativeEigenvalue,
     TraceViolation,
-    ZeroProbability,
 )
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "hs_inner",
     "hermiticity_defect",
     "spectral_decompose",
-    "selective_projection",
-    "density_operator_basis",
     "validate_density",
 ]
 
@@ -267,9 +264,13 @@ def spectral_decompose(a) -> ObservableSpectral:
     adj = a.conj().T
     with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf defect fails
         defect = _max_abs(a - adj)
+        herm = (a + adj) / 2
     _check_hermitian(defect, "observable")
-    w, v = np.linalg.eigh((a + adj) / 2)
+    w, v = np.linalg.eigh(herm)
     ws = w.tolist()
+    if math.isnan(sum(ws)):  # a + a^dag overflowed: an entry is near the float limit
+        w, v = np.linalg.eigh(a / 2 + adj / 2)
+        ws = w.tolist()
     pairs: list[tuple[float, Projector]] = []
     start = 0
     for i in range(1, len(ws) + 1):
@@ -281,43 +282,6 @@ def spectral_decompose(a) -> ObservableSpectral:
             pairs.append((mean, proj))
             start = i
     return ObservableSpectral(a, tuple(pairs))
-
-
-def selective_projection(rho: DensityOperator, p: Projector) -> DensityOperator:
-    """State after selecting the outcome ``p``: ``P rho P / Tr[P rho P]``.
-
-    Raises :class:`ZeroProbability` when the outcome probability is at
-    most ``ZERO_TOL``.  For rank-1 ``p`` the result is ``p`` itself.
-    """
-    if rho.dim != p.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} != projector dim {p.dim}")
-    out = p.mat @ rho.mat @ p.mat
-    prob = float(np.trace(out).real)
-    if not prob > ZERO_TOL:  # NaN fails too
-        raise ZeroProbability(f"selection probability {prob:.3e} below tolerance")
-    return validate_density(out / prob)
-
-
-def density_operator_basis(d: int) -> list[DensityOperator]:
-    """A basis of the operator space made entirely of density operators.
-
-    Returns ``d**2`` linearly independent pure states: the ``d``
-    computational-basis projectors ``|j><j|``, then for each pair
-    ``j < k`` the projectors onto ``(|j> + |k>)/sqrt(2)`` and
-    ``(|j> + i|k>)/sqrt(2)`` (in that order).  Any linear map on
-    operators is determined by its action on this family.
-    """
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    kets = np.eye(d, dtype=complex)
-    out = [DensityOperator(np.outer(kets[j], kets[j].conj())) for j in range(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            plus = (kets[j] + kets[k]) / np.sqrt(2.0)
-            phase = (kets[j] + 1j * kets[k]) / np.sqrt(2.0)
-            out.append(DensityOperator(np.outer(plus, plus.conj())))
-            out.append(DensityOperator(np.outer(phase, phase.conj())))
-    return out
 
 
 def validate_density(m) -> DensityOperator:

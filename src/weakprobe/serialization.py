@@ -1,32 +1,22 @@
-"""JSON wire formats for operators, superoperators and configurations.
+"""JSON wire formats for operators and configurations.
 
 An operator is ``{"dim": d, "re": [[...]], "im": [[...]]}`` with
-row-major nested lists.  A superoperator uses the same number-array
-layout for its ``d^2 x d^2`` matrix plus a ``"vectorization": "column"``
-tag recording the stacking convention.  A protocol configuration nests
-operator objects under fixed keys.  Floats pass through ``json`` with
-their shortest round-trip representation, so a dump/load cycle is
-lossless at full double precision.
+row-major nested lists.  A protocol configuration nests operator objects
+under fixed keys.  Floats pass through ``json`` with their shortest
+round-trip representation, so a dump/load cycle is lossless at full
+double precision.
 """
 
 from __future__ import annotations
-
-import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .operators import Projector, _validate_states, as_operator, validate_density
 from .weakvalues import ProtocolConfig
 
-if TYPE_CHECKING:
-    from .superops import SuperOp
-
 __all__ = [
     "operator_to_json",
     "operator_from_json",
-    "superop_to_json",
-    "superop_from_json",
     "config_to_json",
     "config_from_json",
 ]
@@ -63,29 +53,6 @@ def _matrix_from_json(obj, what: str) -> np.ndarray:
 def operator_from_json(obj) -> np.ndarray:
     """Parse the ``{"dim", "re", "im"}`` layout back into a matrix."""
     return _matrix_from_json(obj, "operator")
-
-
-def superop_to_json(k: SuperOp) -> dict:
-    out = operator_to_json(k.matrix)
-    out["vectorization"] = "column"
-    return out
-
-
-def superop_from_json(obj) -> SuperOp:
-    from .superops import SuperOp
-
-    if isinstance(obj, dict) and obj.get("vectorization") != "column":
-        raise ValueError(
-            f"superoperator: vectorization tag must be 'column', "
-            f"got {obj.get('vectorization')!r}"
-        )
-    m = _matrix_from_json(obj, "superoperator")
-    d = math.isqrt(m.shape[0])
-    if d * d != m.shape[0]:
-        raise ValueError(
-            f"superoperator: matrix dim {m.shape[0]} is not a perfect square"
-        )
-    return SuperOp(d, m)
 
 
 def config_to_json(cfg: ProtocolConfig) -> dict:

@@ -16,11 +16,10 @@ except the trace, and its adjoint acts as ``C^dag(A) = Tr[P A] * Id``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoExactSolution, RankDeficient
+from .errors import DimensionMismatch, NoExactSolution
 from .operators import DensityOperator, Projector, _trusted, as_operator, identity
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "compose",
     "superop_adjoint",
     "collapse_superop",
-    "reconstruct_superop",
     "solve_completion",
     "backward_state",
 ]
@@ -118,35 +116,6 @@ def collapse_superop(p) -> SuperOp:
     d = p.dim
     matrix = np.outer(vectorize(p.mat), vectorize(identity(d)).conj())
     return _superop(d, matrix)
-
-
-def reconstruct_superop(inputs: Sequence, outputs: Sequence) -> SuperOp:
-    """Recover the unique linear map sending ``inputs[j]`` to ``outputs[j]``.
-
-    ``inputs`` must be ``d**2`` operators spanning the operator space
-    (e.g. :func:`weakprobe.operators.density_operator_basis`); otherwise
-    :class:`RankDeficient` is raised.  This is how an unknown ensemble
-    evolution is assembled from tomographic before/after snapshots.
-    """
-    if len(inputs) == 0 or len(inputs) != len(outputs):
-        raise ValueError(
-            f"need equally many inputs and outputs, got {len(inputs)}/{len(outputs)}"
-        )
-    ins = [_mat(x) for x in inputs]
-    outs = [_mat(x) for x in outputs]
-    d = ins[0].shape[0]
-    for m in ins + outs:
-        if m.shape[0] != d:
-            raise DimensionMismatch("operators live on different dimensions")
-    if len(ins) != d * d:
-        raise RankDeficient(f"{len(ins)} operators cannot span a {d*d}-dim space")
-    v_in = np.column_stack([vectorize(m) for m in ins])
-    v_out = np.column_stack([vectorize(m) for m in outs])
-    rank = np.linalg.matrix_rank(v_in)
-    if rank < d * d:
-        raise RankDeficient(f"inputs span only {rank} of {d*d} dimensions")
-    k = np.linalg.solve(v_in.T, v_out.T).T
-    return _superop(d, k)
 
 
 @dataclass(frozen=True, eq=False)

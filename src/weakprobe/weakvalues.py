@@ -92,10 +92,6 @@ class UniformTiming:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def density(self) -> float:
-        return 1.0 / self.width
-
     def contains(self, t: float) -> bool:
         return self.lo <= t <= self.hi
 

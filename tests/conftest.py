@@ -30,30 +30,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def rank_by_elimination(m: np.ndarray, tol: float = 1e-8) -> int:
-    """Rank via plain Gaussian elimination with partial pivoting.
-
-    Deliberately independent of numpy's SVD-based matrix_rank; used as
-    the oracle for linear-independence claims.
-    """
-    a = np.array(m, dtype=complex)
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        pivot = rank + int(np.argmax(np.abs(a[rank:, col])))
-        if abs(a[pivot, col]) <= tol:
-            continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank] = a[rank] / a[rank, col]
-        for r in range(rows):
-            if r != rank:
-                a[r] = a[r] - a[r, col] * a[rank]
-        rank += 1
-    return rank
-
-
 def random_ket(rng: np.random.Generator, d: int) -> np.ndarray:
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return v / np.linalg.norm(v)

@@ -25,10 +25,8 @@ HALF = DensityOperator.maximally_mixed(2)
 
 
 class TestUniformTiming:
-    def test_width_and_density(self):
-        w = UniformTiming(0.0, 2.0)
-        assert w.width == 2.0
-        assert w.density == 0.5
+    def test_width(self):
+        assert UniformTiming(0.0, 2.0).width == 2.0
 
     def test_contains(self):
         w = UniformTiming(-1.0, 1.0)

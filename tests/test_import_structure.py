@@ -38,10 +38,8 @@ PUBLIC = {
         "NegativeEigenvalue",
         "NoExactSolution",
         "OrthogonalPostselection",
-        "RankDeficient",
         "TraceViolation",
         "VanishingPostselection",
-        "ZeroProbability",
     ),
     "hydrogen": (
         "HydrogenPredictions",
@@ -64,9 +62,7 @@ PUBLIC = {
         "DensityOperator",
         "ObservableSpectral",
         "Projector",
-        "density_operator_basis",
         "hs_inner",
-        "selective_projection",
         "spectral_decompose",
         "validate_density",
     ),
@@ -82,8 +78,6 @@ PUBLIC = {
         "config_to_json",
         "operator_from_json",
         "operator_to_json",
-        "superop_from_json",
-        "superop_to_json",
     ),
     "superops": (
         "CompletionResult",
@@ -92,7 +86,6 @@ PUBLIC = {
         "backward_state",
         "collapse_superop",
         "compose",
-        "reconstruct_superop",
         "solve_completion",
         "superop_adjoint",
     ),
@@ -211,7 +204,6 @@ for module, names in public.items():
         assert name in dir(weakprobe), name
     assert getattr(weakprobe, module) is importlib.import_module("weakprobe." + module)
     assert module in dir(weakprobe), module
-assert importlib.import_module("weakprobe.collapse").UniformTiming is weakprobe.UniformTiming
 expected = {{n for names in public.values() for n in names}} | set(public)
 listed = {{n for n in dir(weakprobe) if not n.startswith("_")}}
 assert listed == expected, listed ^ expected
@@ -235,9 +227,24 @@ print("ok")
     assert last == "ok"
 
 
-@pytest.mark.parametrize("name", ["no_such_name", "vectorize", "_LAZY_MISSING"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "no_such_name",
+        "vectorize",
+        "_LAZY_MISSING",
+        "reconstruct_superop",
+        "density_operator_basis",
+        "selective_projection",
+        "superop_to_json",
+        "superop_from_json",
+        "ZeroProbability",
+        "RankDeficient",
+    ],
+)
 def test_unknown_attribute_raises(name):
-    # vectorize is public in superops, but never was in the package
+    # vectorize is public in superops, but never was in the package; the
+    # others were public once and were removed
     last = run_fresh(
         f"""
 import weakprobe

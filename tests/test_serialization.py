@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_config, random_hermitian, random_superop, spin_config
+from conftest import random_config, random_hermitian, spin_config
 from weakprobe import (
     DensityValidationError,
     HermiticityViolation,
@@ -12,8 +12,6 @@ from weakprobe import (
     config_to_json,
     operator_from_json,
     operator_to_json,
-    superop_from_json,
-    superop_to_json,
 )
 
 
@@ -59,40 +57,6 @@ class TestOperatorFormat:
     def test_not_an_object(self):
         with pytest.raises(ValueError, match="object"):
             operator_from_json([[1, 0], [0, 1]])
-
-
-class TestSuperopFormat:
-    def test_tag_present(self):
-        k = random_superop(np.random.default_rng(3), 2)
-        doc = superop_to_json(k)
-        assert doc["vectorization"] == "column"
-        assert doc["dim"] == 4
-
-    def test_round_trip_bit_exact(self):
-        k = random_superop(np.random.default_rng(4), 3)
-        back = superop_from_json(json.loads(json.dumps(superop_to_json(k))))
-        assert back.dim == 3
-        assert np.array_equal(back.matrix, k.matrix)
-
-    def test_wrong_tag_rejected(self):
-        k = random_superop(np.random.default_rng(5), 2)
-        doc = superop_to_json(k)
-        doc["vectorization"] = "row"
-        with pytest.raises(ValueError, match="vectorization"):
-            superop_from_json(doc)
-
-    def test_missing_tag_rejected(self):
-        k = random_superop(np.random.default_rng(6), 2)
-        doc = superop_to_json(k)
-        del doc["vectorization"]
-        with pytest.raises(ValueError, match="vectorization"):
-            superop_from_json(doc)
-
-    def test_non_square_total_dim(self):
-        doc = operator_to_json(np.eye(3))
-        doc["vectorization"] = "column"
-        with pytest.raises(ValueError, match="square"):
-            superop_from_json(doc)
 
 
 class TestConfigFormat:

@@ -1,0 +1,55 @@
+"""Every name a module imports is used by that module.
+
+A stand-in for a linter's unused-import check, built on ``ast`` alone.  The
+package ``__init__`` is left out: its imports are its public names.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weakprobe"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """The names the module's imports bind, with the line of each import."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names the module reads, in code and in annotations, quoted or not."""
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            annotations.append(node.annotation)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+    for annotation in annotations:
+        for part in ast.walk(annotation):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                used |= used_names(ast.parse(part.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = used_names(tree)
+    bound = imported_names(tree)
+    unused = [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+    assert unused == []

@@ -6,7 +6,6 @@ import pytest
 from conftest import (
     random_density,
     random_hermitian,
-    random_ket,
     random_rank1_projector,
     random_superop,
 )
@@ -16,15 +15,12 @@ from weakprobe import (
     DimensionMismatch,
     NoExactSolution,
     Projector,
-    RankDeficient,
     SuperOp,
     apply_superop,
     backward_state,
     collapse_superop,
     compose,
-    density_operator_basis,
     hs_inner,
-    reconstruct_superop,
     solve_completion,
     superop_adjoint,
 )
@@ -37,6 +33,30 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 def conjugation_superop(u: np.ndarray) -> SuperOp:
     """X -> U X U^dag as a column-stacked matrix: kron(conj(U), U)."""
     return SuperOp(u.shape[0], np.kron(u.conj(), u))
+
+
+def pure_state_basis(d: int) -> list[np.ndarray]:
+    """``d**2`` pure states that span the operator space: ``|j><j|``, then for
+    each ``j < k`` the states along ``|j> + |k>`` and ``|j> + i|k>``."""
+    e = np.eye(d, dtype=complex)
+    pairs = [e[j] + phase * e[k] for j in range(d) for k in range(j + 1, d) for phase in (1, 1j)]
+    return [np.outer(v, v.conj()) / np.vdot(v, v).real for v in [*e, *pairs]]
+
+
+def tomography(k: SuperOp) -> np.ndarray:
+    """Matrix of ``k`` rebuilt from its action on :func:`pure_state_basis`,
+    solving ``K v_in = v_out`` as ``v_in^T K^T = v_out^T``."""
+    basis = pure_state_basis(k.dim)
+    v_in = np.column_stack([b.reshape(-1, order="F") for b in basis])
+    v_out = np.column_stack([apply_superop(k, b).reshape(-1, order="F") for b in basis])
+    return np.linalg.solve(v_in.T, v_out.T).T
+
+
+def choi(k: SuperOp) -> np.ndarray:
+    """Choi matrix ``sum_ij |i><j| (x) k(|i><j|)``."""
+    d = k.dim
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return sum(np.kron(e, apply_superop(k, e)) for e in units)
 
 
 def random_unitary(rng, d):
@@ -75,9 +95,9 @@ class TestApplyCompose:
         k1 = random_superop(rng, 2)
         k2 = random_superop(rng, 2)
         both = compose(k2, k1)
-        for b in density_operator_basis(2):
-            oracle = apply_superop(k2, apply_superop(k1, b.mat))
-            np.testing.assert_allclose(apply_superop(both, b.mat), oracle, atol=1e-12)
+        for b in pure_state_basis(2):
+            oracle = apply_superop(k2, apply_superop(k1, b))
+            np.testing.assert_allclose(apply_superop(both, b), oracle, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -132,13 +152,26 @@ class TestAdjoint:
 
 class TestCollapseSuperop:
     def test_matrix_matches_tomographic_reconstruction(self):
-        # Oracle: assemble the same map from its action on a basis of states.
+        # Oracle: assemble the same map from its action on a basis of states,
+        # solving K v_in = v_out as v_in^T K^T = v_out^T.
         p = Projector.onto([0.6, 0.8])
         c = collapse_superop(p)
-        basis = density_operator_basis(2)
-        outputs = [np.trace(b.mat) * p.mat for b in basis]
-        rebuilt = reconstruct_superop(basis, outputs)
-        assert np.max(np.abs(rebuilt.matrix - c.matrix)) <= 1e-12
+        basis = pure_state_basis(2)
+        v_in = np.column_stack([b.reshape(-1, order="F") for b in basis])
+        v_out = np.column_stack([(np.trace(b) * p.mat).reshape(-1, order="F") for b in basis])
+        rebuilt = np.linalg.solve(v_in.T, v_out.T).T
+        assert np.max(np.abs(rebuilt - c.matrix)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_tomography_in_higher_dims(self, d):
+        c = collapse_superop(random_rank1_projector(np.random.default_rng(80 + d), d))
+        assert np.max(np.abs(tomography(c) - c.matrix)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_tomography_of_random_map(self, d):
+        # the oracle itself: it must recover an arbitrary linear map
+        k = random_superop(np.random.default_rng(40 + d), d)
+        assert np.max(np.abs(tomography(k) - k.matrix)) <= 1e-10
 
     def test_accepts_rank2_projector(self):
         # rank-2 projectors are fine for the bare superoperator algebra
@@ -155,7 +188,6 @@ class TestCollapseSuperop:
 P_TILT = Projector.onto([0.8, 0.6j])
 C_TILT = collapse_superop(P_TILT)
 C_AT_HALF = evolution_superop_objective(0.0, 0.5, P_TILT, 1.0)
-BASIS = density_operator_basis(2)
 
 # Every route that builds a map itself, with the maps it was built from.
 LIBRARY_MAPS = {
@@ -164,10 +196,6 @@ LIBRARY_MAPS = {
     "compose": lambda: (compose(C_AT_HALF, C_TILT), [C_AT_HALF, C_TILT]),
     "superop_adjoint": lambda: (superop_adjoint(C_AT_HALF), [C_AT_HALF]),
     "solve_completion": lambda: (solve_completion(C_AT_HALF, C_TILT).solution, [C_AT_HALF, C_TILT]),
-    "reconstruct_superop": lambda: (
-        reconstruct_superop(BASIS, [apply_superop(C_TILT, b) for b in BASIS]),
-        [C_TILT],
-    ),
     "evolution_superop_objective:start": lambda: (
         evolution_superop_objective(0.0, 0.3, P_TILT, 1.0),
         [],
@@ -177,6 +205,43 @@ LIBRARY_MAPS = {
         [],
     ),
 }
+
+
+P_QUTRIT = random_rank1_projector(np.random.default_rng(90), 3)
+
+# Ensemble evolution maps of the collapse models; each must be a channel.
+EVOLUTION_MAPS = {
+    "identity": lambda: SuperOp.identity(2),
+    "collapse": lambda: C_TILT,
+    "objective:start": lambda: evolution_superop_objective(0.0, 0.3, P_TILT, 1.0),
+    "objective:end": lambda: evolution_superop_objective(0.3, 1.0, P_TILT, 1.0),
+    "objective:composed": lambda: compose(
+        evolution_superop_objective(0.3, 1.0, P_TILT, 1.0),
+        evolution_superop_objective(0.0, 0.3, P_TILT, 1.0),
+    ),
+    "objective:qutrit": lambda: evolution_superop_objective(0.0, 0.6, P_QUTRIT, 2.0),
+}
+
+
+class TestEvolutionMapsAreChannels:
+    @pytest.mark.parametrize("route", sorted(EVOLUTION_MAPS))
+    def test_trace_preserving(self, route):
+        k = EVOLUTION_MAPS[route]()
+        vec_id = np.eye(k.dim, dtype=complex).reshape(-1, order="F")
+        assert np.max(np.abs(vec_id.conj() @ k.matrix - vec_id.conj())) <= 1e-12
+
+    @pytest.mark.parametrize("route", sorted(EVOLUTION_MAPS))
+    def test_completely_positive(self, route):
+        j = choi(EVOLUTION_MAPS[route]())
+        assert np.max(np.abs(j - j.conj().T)) <= 1e-12
+        assert np.linalg.eigvalsh(j).min() >= -1e-12
+
+    @pytest.mark.parametrize("route", sorted(EVOLUTION_MAPS))
+    def test_adjoint_is_unital(self, route):
+        # trace preservation seen from the Heisenberg side: E^dag(I) = I
+        k = EVOLUTION_MAPS[route]()
+        out = apply_superop(superop_adjoint(k), np.eye(k.dim))
+        assert np.max(np.abs(out - np.eye(k.dim))) <= 1e-12
 
 
 class TestSuperOpStorage:
@@ -211,43 +276,6 @@ class TestSuperOpStorage:
             k.matrix[0, 0] = 7.0
         for source in sources:
             assert not np.shares_memory(k.matrix, source.matrix)
-
-
-class TestReconstruct:
-    def test_identity_map(self):
-        basis = density_operator_basis(2)
-        k = reconstruct_superop(basis, [b.mat for b in basis])
-        np.testing.assert_allclose(k.matrix, np.eye(4), atol=1e-12)
-
-    def test_partial_collapse_map(self):
-        s = 0.3
-        p = Projector.onto(PLUS)
-        c = collapse_superop(p)
-        basis = density_operator_basis(2)
-        outputs = [(1 - s) * b.mat + s * np.trace(b.mat) * p.mat for b in basis]
-        k = reconstruct_superop(basis, outputs)
-        expected = (1 - s) * np.eye(4) + s * c.matrix
-        assert np.max(np.abs(k.matrix - expected)) <= 1e-12
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_round_trip_random_map(self, d):
-        rng = np.random.default_rng(40 + d)
-        k = random_superop(rng, d)
-        basis = density_operator_basis(d)
-        outputs = [apply_superop(k, b.mat) for b in basis]
-        rebuilt = reconstruct_superop(basis, outputs)
-        assert np.max(np.abs(rebuilt.matrix - k.matrix)) <= 1e-10
-
-    def test_rank_deficient_inputs(self):
-        basis = density_operator_basis(2)
-        bad = list(basis[:3]) + [basis[0]]  # repeated element cannot span
-        with pytest.raises(RankDeficient):
-            reconstruct_superop(bad, [b.mat for b in bad])
-
-    def test_wrong_count(self):
-        basis = density_operator_basis(2)
-        with pytest.raises(RankDeficient):
-            reconstruct_superop(basis[:3], [b.mat for b in basis[:3]])
 
 
 class TestSolveCompletion:
