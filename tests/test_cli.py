@@ -9,6 +9,7 @@ import pytest
 
 from conftest import spin_config
 from weakprobe import config_from_json, config_to_json
+from weakprobe.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -438,6 +439,15 @@ class TestHydrogenCommand:
     def test_csv(self):
         proc = run_cli("hydrogen", "--format", "csv", check_exit=0)
         assert proc.stdout.splitlines()[0] == "field,re,im"
+
+    @pytest.mark.parametrize("hbar", ["1e-20", "1e5", "1e300"])
+    def test_traces_at_extreme_hbar_match_analytic(self, hbar, capsys):
+        # the observable traces scale with hbar, and so does their rounding
+        def traces(*argv):
+            assert main([*argv, "--hbar", hbar]) == 0
+            return json.loads(capsys.readouterr().out)["traces"]
+
+        assert traces("hydrogen") == traces("analytic", "--scenario", "hydrogen")
 
 
 class TestPointerCommand:

@@ -177,6 +177,21 @@ class TestSpectralDecompose:
         assert spec.eigenvalues == (-1e308, 1e308)
         assert [p.rank for p in spec.projectors] == [1, 1]
 
+    @pytest.mark.parametrize(
+        "a, levels",
+        [
+            (1e308 * np.eye(2), [1e308]),
+            (np.diag([1e308, 1e308, -1e308]), [-1e308, 1e308]),
+        ],
+    )
+    def test_cluster_near_float_limit_is_finite(self, a, levels):
+        # the sum of a degenerate cluster overflows where its mean does not;
+        # that used to warn and report the level at inf
+        spec = spectral_decompose(a)
+        assert spec.eigenvalues == pytest.approx(tuple(levels), rel=1e-15)
+        assert all(map(math.isfinite, spec.eigenvalues))
+        assert sum(p.rank for p in spec.projectors) == len(a)
+
 
 class TestValidateDensity:
     def test_accepts_maximally_mixed(self):
