@@ -122,25 +122,27 @@ def hydrogen_traces(scenario: HydrogenScenario) -> ProtocolTraces:
     ``Tr[P S_z rho_in] = hbar p / 2``, ``Tr[P rho_in] = p``,
     ``Tr[rho_fin S_z P] = hbar q / 2``, ``Tr[rho_fin P] = q``,
     ``Tr[S_z rho_in] = hbar (2p - 1) / 2``, ``Tr[S_z P] = hbar / 2``.
-    A mismatch beyond 1e-12 means the scenario wiring is broken, so it
-    raises rather than returning silently wrong numbers.
+    A mismatch beyond 1e-12 (``1e-12 hbar`` for the four traces of
+    ``S_z``) means the scenario wiring is broken, so it raises rather
+    than returning silently wrong numbers.
     """
     cfg = build_hydrogen(scenario.a, scenario.b, scenario.hbar)
     t = protocol_traces(cfg)
     p = abs(scenario.a) ** 2
     q = abs(scenario.b) ** 2
     hbar = scenario.hbar
+    # name: (closed form, its scale)
     closed = {
-        "proj_obs_in": hbar * p / 2.0,
-        "proj_in": p,
-        "fin_obs_proj": hbar * q / 2.0,
-        "fin_proj": q,
-        "obs_in": hbar * (2.0 * p - 1.0) / 2.0,
-        "obs_proj": hbar / 2.0,
+        "proj_obs_in": (hbar * p / 2.0, hbar),
+        "proj_in": (p, 1.0),
+        "fin_obs_proj": (hbar * q / 2.0, hbar),
+        "fin_proj": (q, 1.0),
+        "obs_in": (hbar * (2.0 * p - 1.0) / 2.0, hbar),
+        "obs_proj": (hbar / 2.0, hbar),
     }
-    for name, expected in closed.items():
+    for name, (expected, scale) in closed.items():
         got = getattr(t, name)
-        if abs(got - expected) > 1e-12:
+        if abs(got - expected) > 1e-12 * scale:
             raise ArithmeticError(
                 f"trace {name} = {got} disagrees with closed form {expected}"
             )

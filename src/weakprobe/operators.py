@@ -277,8 +277,13 @@ def spectral_decompose(a) -> ObservableSpectral:
         if i == len(ws) or ws[i] - ws[i - 1] > DEGENERACY_TOL:
             block = v[:, start:i]
             proj = _trusted(Projector, block @ dagger(block), rank=i - start)
-            # np.mean of one value w is (0.0 + w) / 1: -0.0 reads 0.0
-            mean = 0.0 + ws[start] if i - start == 1 else float(np.mean(w[start:i]))
+            # np.mean of one value w is (0.0 + w) / 1: -0.0 reads 0.0.  Above
+            # 2^1000 a gap is at least 2^948, so a cluster's values are equal,
+            # and its mean is its first value where their sum would overflow.
+            if i - start == 1 or abs(ws[start]) > 2.0**1000:
+                mean = 0.0 + ws[start]
+            else:
+                mean = float(np.mean(w[start:i]))
             pairs.append((mean, proj))
             start = i
     return ObservableSpectral(a, tuple(pairs))
