@@ -26,6 +26,7 @@ from weakprobe import (
     analytic_target,
     build_hydrogen,
     convergence_report,
+    to_record,
 )
 from weakprobe.cli import run, z_score
 
@@ -63,21 +64,10 @@ def report(args) -> int:
     )
     spec = SimulationSpec(cfg, args.model, args.trials, args.seed)
     target = analytic_target(spec)
-    rows = []
-    for res in convergence_report(spec, checkpoints(args.trials, args.per_decade)):
-        rows.append(
-            {
-                "model": args.model,
-                "N": res.trials,
-                "seed": res.seed,
-                "mean_re": res.mean.real,
-                "mean_im": res.mean.imag,
-                "stderr_re": res.stderr,
-                "stderr_im": res.stderr_im,
-                "target_re": target.real,
-                "z": z_score(res, target),
-            }
-        )
+    rows = [
+        {**to_record(spec, res), "target_re": target.real, "z": z_score(res, target)}
+        for res in convergence_report(spec, checkpoints(args.trials, args.per_decade))
+    ]
     stream = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.DictWriter(stream, fieldnames=list(rows[0]))

@@ -54,8 +54,6 @@ from .weakvalues import (
     objective_weak_value_at,
     objective_weak_value_forward,
     protocol_traces,
-    trial_weak_value_strong_first,
-    trial_weak_value_weak_first,
     weak_value,
 )
 

@@ -16,6 +16,10 @@ selection is orthogonal, 4 when the scenario cannot discriminate the
 models.  Output is deterministic: rerunning a command with the same
 arguments (and seed) produces byte-identical bytes.
 
+Each command returns one report, the JSON document it prints.  With
+``--format csv`` it prints a table read off that report instead, so
+every CSV value is a value of the JSON report.
+
 A command imports the Monte Carlo, pointer and JSON modules only when it
 runs them, so a cold call does not compile what it never uses.
 """
@@ -46,8 +50,6 @@ from .weakvalues import (
     averaged_weak_value_objective,
     averaged_weak_value_vn,
     discriminate,
-    trial_weak_value_strong_first,
-    trial_weak_value_weak_first,
 )
 
 if TYPE_CHECKING:
@@ -117,13 +119,6 @@ def _resolve_config(args):
     )
 
 
-def _maybe_emit_config(args, cfg) -> None:
-    if args.emit_config:
-        from .serialization import config_to_json
-
-        Path(args.emit_config).write_text(_dumps(config_to_json(cfg)))
-
-
 def _scenario(args) -> HydrogenScenario:
     return HydrogenScenario(
         complex(args.a_re, args.a_im), complex(args.b_re, args.b_im), args.hbar
@@ -143,51 +138,76 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def _emit(text: str, args) -> None:
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _table(command: str, report: dict) -> list[list]:
+    """The CSV table of ``command``, read off its report.
+
+    ``analytic`` and ``hydrogen`` give ``field,re,im`` rows, a real entry
+    with im 0.0, followed by the traces; ``simulate`` and ``discriminate``
+    a header and one record; ``pointer`` its ``(g, shift)`` pairs.
+    """
+    if command == "pointer":
+        return [["g", "shift"], *report["pairs"]]
+    if command in ("simulate", "discriminate"):
+        if command == "simulate":
+            from .montecarlo import CSV_COLUMNS as keys
+        else:
+            keys = ("model", "delta_t_c_estimate", "branch", "residual")
+        return [list(keys), [report[k] for k in keys]]
+    keys = ("prediction_vn", "prediction_objective")
+    if command == "analytic":
+        keys += ("trial_weak_first", "trial_strong_first", "apparent_resolution")
+    rows = [["field", "re", "im"]]
+    for key in keys:
+        v = report[key]
+        rows.append([key, v["re"], v["im"]] if isinstance(v, dict) else [key, v, 0.0])
+    rows += ([f"trace_{k}", v["re"], v["im"]] for k, v in report["traces"].items())
+    return rows
 
 
 def _csv(rows: list[list]) -> str:
-    # repr keeps full double precision and is deterministic.
+    # repr keeps full double precision and is deterministic; null is empty.
     def cell(v):
-        return repr(v) if isinstance(v, float) else str(v)
+        return "" if v is None else repr(v) if isinstance(v, float) else str(v)
 
     return "\n".join(",".join(cell(v) for v in row) for row in rows) + "\n"
 
 
-def cmd_analytic(args) -> int:
-    cfg = _resolve_config(args)
-    _maybe_emit_config(args, cfg)
-    report = {
+def _write_report(args) -> int:
+    """Run ``args.func`` and write its report as JSON or as its CSV table.
+
+    A command with a config source gets the resolved config, written to
+    ``--emit-config`` first when that is given.
+    """
+    if "config" in args:
+        cfg = _resolve_config(args)
+        if args.emit_config:
+            from .serialization import config_to_json
+
+            Path(args.emit_config).write_text(_dumps(config_to_json(cfg)))
+        report = args.func(cfg, args)
+    else:
+        report = args.func(args)
+    text = _csv(_table(args.command, report)) if args.format == "csv" else _dumps(report)
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
+
+
+def cmd_analytic(cfg, args) -> dict:
+    t = cfg.traces
+    return {
         "delta_t_m": cfg.delta_t_m,
         "delta_t_c": cfg.delta_t_c,
         "hbar": cfg.hbar,
         "apparent_resolution": apparent_resolution(cfg.delta_t_m, cfg.delta_t_c),
-        "trial_weak_first": _c(trial_weak_value_weak_first(cfg)),
-        "trial_strong_first": _c(trial_weak_value_strong_first(cfg)),
+        "trial_weak_first": _c(t.weak_first),
+        "trial_strong_first": _c(t.strong_first),
         "prediction_vn": _c(averaged_weak_value_vn(cfg)),
         "prediction_objective": _c(averaged_weak_value_objective(cfg)),
-        "traces": _traces(cfg.traces),
+        "traces": _traces(t),
     }
-    if args.format == "csv":
-        rows = [["field", "re", "im"]]
-        for key in (
-            "prediction_vn",
-            "prediction_objective",
-            "trial_weak_first",
-            "trial_strong_first",
-        ):
-            rows.append([key, report[key]["re"], report[key]["im"]])
-        rows.append(["apparent_resolution", report["apparent_resolution"], 0.0])
-        for key, val in report["traces"].items():
-            rows.append([f"trace_{key}", val["re"], val["im"]])
-        _emit(_csv(rows), args)
-    else:
-        _emit(_dumps(report), args)
-    return EXIT_OK
 
 
 def z_score(result: AveragedResult, target: complex) -> float | None:
@@ -197,38 +217,19 @@ def z_score(result: AveragedResult, target: complex) -> float | None:
     return 0.0 if abs(result.mean - target) <= 1e-12 else None
 
 
-def cmd_simulate(args) -> int:
-    from .montecarlo import (
-        CSV_COLUMNS,
-        SimulationSpec,
-        analytic_target,
-        run_simulation,
-        to_record,
-    )
+def cmd_simulate(cfg, args) -> dict:
+    from .montecarlo import SimulationSpec, analytic_target, run_simulation, to_record
 
-    cfg = _resolve_config(args)
-    _maybe_emit_config(args, cfg)
     spec = SimulationSpec(cfg, args.model, args.trials, args.seed)
     result = run_simulation(spec)
     target = analytic_target(spec)
-    if args.format == "csv":
-        record = to_record(spec, result)
-        rows = [list(CSV_COLUMNS), [record[k] for k in CSV_COLUMNS]]
-        _emit(_csv(rows), args)
-    else:
-        report = dict(to_record(spec, result))
-        report["analytic"] = _c(target)
-        report["z"] = z_score(result, target)
-        _emit(_dumps(report), args)
-    return EXIT_OK
+    return {**to_record(spec, result), "analytic": _c(target), "z": z_score(result, target)}
 
 
-def cmd_discriminate(args) -> int:
-    cfg = _resolve_config(args)
-    _maybe_emit_config(args, cfg)
+def cmd_discriminate(cfg, args) -> dict:
     measured = complex(args.measured, args.measured_im)
     verdict = discriminate(measured, cfg, args.sigma_meas)
-    report = {
+    return {
         "model": verdict.model,
         "delta_t_c_estimate": verdict.delta_t_c_estimate,
         "branch": verdict.branch,
@@ -238,27 +239,13 @@ def cmd_discriminate(args) -> int:
         "prediction_vn": _c(averaged_weak_value_vn(cfg)),
         "prediction_saturated": _c(cfg.traces.saturated),
     }
-    if args.format == "csv":
-        rows = [
-            ["model", "delta_t_c_estimate", "branch", "residual"],
-            [
-                verdict.model,
-                "" if verdict.delta_t_c_estimate is None else verdict.delta_t_c_estimate,
-                "" if verdict.branch is None else verdict.branch,
-                verdict.residual,
-            ],
-        ]
-        _emit(_csv(rows), args)
-    else:
-        _emit(_dumps(report), args)
-    return EXIT_OK
 
 
-def cmd_hydrogen(args) -> int:
+def cmd_hydrogen(args) -> dict:
     scenario = _scenario(args)
     t = hydrogen_traces(scenario)
     pred = hydrogen_predictions(scenario, args.dtc, args.dtm)
-    report = {
+    return {
         "a": _c(scenario.a),
         "b": _c(scenario.b),
         "hbar": scenario.hbar,
@@ -270,21 +257,9 @@ def cmd_hydrogen(args) -> int:
         "degenerate": pred.degenerate,
         "traces": _traces(t),
     }
-    if args.format == "csv":
-        rows = [["field", "re", "im"]]
-        rows.append(["prediction_vn", report["prediction_vn"]["re"], 0.0])
-        rows.append(
-            ["prediction_objective", report["prediction_objective"]["re"], 0.0]
-        )
-        for key, val in report["traces"].items():
-            rows.append([f"trace_{key}", val["re"], val["im"]])
-        _emit(_csv(rows), args)
-    else:
-        _emit(_dumps(report), args)
-    return EXIT_OK
 
 
-def cmd_pointer(args) -> int:
+def cmd_pointer(args) -> dict:
     from .pointer import weak_limit_slope
 
     scenario = _scenario(args)
@@ -297,20 +272,14 @@ def cmd_pointer(args) -> int:
         raise ValueError(f"--g-points {args.g_points} exceeds {MAX_G_POINTS}")
     g_grid = np.geomspace(args.g_min, args.g_max, args.g_points)
     fit = weak_limit_slope(psi1, psi2, scenario.hbar / 2.0 * SIGMA_Z, args.sigma, g_grid)
-    pairs = [[float(g), s] for g, s in zip(g_grid, fit.shifts)]
-    if args.format == "csv":
-        _emit(_csv([["g", "shift"], *pairs]), args)
-    else:
-        report = {
-            "sigma": args.sigma,
-            "order": args.order,
-            "pairs": pairs,
-            "slope": fit.slope,
-            "weak_value_re": fit.weak_value_re,
-            "bound_constant": fit.bound_constant,
-        }
-        _emit(_dumps(report), args)
-    return EXIT_OK
+    return {
+        "sigma": args.sigma,
+        "order": args.order,
+        "pairs": [[float(g), s] for g, s in zip(g_grid, fit.shifts)],
+        "slope": fit.slope,
+        "weak_value_re": fit.weak_value_re,
+        "bound_constant": fit.bound_constant,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,8 +350,7 @@ def run(command, args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(args.func, args)
+    return run(_write_report, build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

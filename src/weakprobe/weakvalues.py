@@ -65,8 +65,6 @@ __all__ = [
     "ProtocolTraces",
     "DiscriminationVerdict",
     "weak_value",
-    "trial_weak_value_strong_first",
-    "trial_weak_value_weak_first",
     "averaged_weak_value_vn",
     "objective_weak_value_at",
     "averaged_weak_value_objective",
@@ -232,23 +230,6 @@ def weak_value(rho1, rho2, obs) -> complex:
     return num / den
 
 
-def trial_weak_value_strong_first(cfg: ProtocolConfig) -> complex:
-    """Weak value of a trial whose weak coupling fires *after* the collapse.
-
-    The completed strong measurement acts as a fresh preselection in the
-    outcome projector: ``Tr[rho_fin O P] / Tr[rho_fin P]``.
-    """
-    return cfg.traces.strong_first
-
-
-def trial_weak_value_weak_first(cfg: ProtocolConfig) -> complex:
-    """Weak value of a trial whose weak coupling fires *before* the collapse.
-
-    The strong outcome acts as the postselection: ``Tr[P O rho_in] / Tr[P rho_in]``.
-    """
-    return cfg.traces.weak_first
-
-
 def averaged_weak_value_vn(cfg: ProtocolConfig) -> complex:
     """Time-averaged weak value when collapse is instantaneous.
 
@@ -256,7 +237,7 @@ def averaged_weak_value_vn(cfg: ProtocolConfig) -> complex:
     uniformly from the same window, the two orderings are equally
     likely, so the average is ``(W1 + W3) / 2``.
     """
-    return (trial_weak_value_weak_first(cfg) + trial_weak_value_strong_first(cfg)) / 2.0
+    return (cfg.traces.weak_first + cfg.traces.strong_first) / 2.0
 
 
 def objective_weak_value_at(t_w: float, cfg: ProtocolConfig) -> complex:
@@ -276,11 +257,11 @@ def objective_weak_value_at(t_w: float, cfg: ProtocolConfig) -> complex:
             f"t_w={t_w} outside the weak-coupling window "
             f"[{window.lo}, {window.hi}]"
         )
-    if t_w < 0.0:
-        return trial_weak_value_weak_first(cfg)
-    if t_w > cfg.delta_t_c:
-        return trial_weak_value_strong_first(cfg)
     t = cfg.traces
+    if t_w < 0.0:
+        return t.weak_first
+    if t_w > cfg.delta_t_c:
+        return t.strong_first
     x = t_w / cfg.delta_t_c
     return (1.0 - x) * t.obs_in + x * t.obs_proj
 

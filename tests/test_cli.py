@@ -10,6 +10,7 @@ import pytest
 from conftest import spin_config
 from weakprobe import config_from_json, config_to_json
 from weakprobe.cli import main
+from test_golden_cli import INVOCATIONS, invoke
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -522,3 +523,45 @@ class TestPointerCommand:
         assert (proc.returncode, proc.stdout) == (2, "") or (
             proc.returncode == 0 and "nan" not in proc.stdout
         )
+
+
+CSV_CASES = sorted(name for name, argv in INVOCATIONS.items() if "csv" in argv)
+
+
+def assert_cell(cell: str, value) -> None:
+    """A CSV cell holds the report's value: null is an empty cell."""
+    if value is None:
+        assert cell == ""
+    elif isinstance(value, str):
+        assert cell == value
+    else:
+        assert type(value)(cell) == value
+
+
+@pytest.mark.parametrize("name", CSV_CASES)
+def test_csv_is_a_projection_of_the_json_report(name, tmp_path):
+    argv = INVOCATIONS[name]
+    i = argv.index("--format")
+    as_csv = invoke(argv, tmp_path)
+    as_json = invoke(argv[:i] + argv[i + 2 :], tmp_path)
+    assert as_csv["exit"] == as_json["exit"] == 0
+    report = json.loads(as_json["stdout"])
+    header, *rows = [line.split(",") for line in as_csv["stdout"].splitlines()]
+    assert rows
+    if header == ["field", "re", "im"]:
+        for field, re, im in rows:
+            key = field.removeprefix("trace_")
+            value = report["traces"][key] if key != field else report[field]
+            if not isinstance(value, dict):
+                value = {"re": value, "im": 0.0}
+            assert_cell(re, value["re"])
+            assert_cell(im, value["im"])
+    elif header == ["g", "shift"]:
+        assert len(rows) == len(report["pairs"])
+        for row, pair in zip(rows, report["pairs"]):
+            for cell, value in zip(row, pair, strict=True):
+                assert_cell(cell, value)
+    else:
+        (record,) = rows
+        for key, cell in zip(header, record, strict=True):
+            assert_cell(cell, report[key])

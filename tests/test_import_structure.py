@@ -102,8 +102,6 @@ PUBLIC = {
         "objective_weak_value_at",
         "objective_weak_value_forward",
         "protocol_traces",
-        "trial_weak_value_strong_first",
-        "trial_weak_value_weak_first",
         "weak_value",
     ),
 }
@@ -240,6 +238,8 @@ print("ok")
         "superop_from_json",
         "ZeroProbability",
         "RankDeficient",
+        "trial_weak_value_strong_first",
+        "trial_weak_value_weak_first",
     ],
 )
 def test_unknown_attribute_raises(name):

@@ -105,13 +105,8 @@ class TestExactCases:
     def test_single_trial(self):
         res = run_simulation(vn_spec(trials=1, seed=0, a=0.6, b=0.8))
         assert res.stderr == 0.0 and res.stderr_im == 0.0
-        cfg = spin_config(a=0.6, b=0.8)
-        from weakprobe import trial_weak_value_strong_first, trial_weak_value_weak_first
-
-        options = {
-            complex(trial_weak_value_weak_first(cfg)),
-            complex(trial_weak_value_strong_first(cfg)),
-        }
+        t = spin_config(a=0.6, b=0.8).traces
+        options = {complex(t.weak_first), complex(t.strong_first)}
         assert res.mean in options
 
 

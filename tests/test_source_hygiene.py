@@ -1,7 +1,8 @@
 """Every name a module imports is used by that module.
 
-A stand-in for a linter's unused-import check, built on ``ast`` alone.  The
-package ``__init__`` is left out: its imports are its public names.
+A stand-in for a linter's unused-import check, built on ``ast`` alone, over
+the package and the scripts.  The package ``__init__`` is left out: its
+imports are its public names.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weakprobe"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "weakprobe"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "scripts").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:

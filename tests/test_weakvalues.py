@@ -25,8 +25,6 @@ from weakprobe import (
     objective_weak_value_at,
     objective_weak_value_forward,
     protocol_traces,
-    trial_weak_value_strong_first,
-    trial_weak_value_weak_first,
     weak_value,
 )
 
@@ -276,19 +274,19 @@ class TestTrialValues:
             cfg = random_config(rng)
             p = cfg.strong_projector.mat
             o = cfg.weak_observable
-            w1 = trial_weak_value_weak_first(cfg)
+            w1 = cfg.traces.weak_first
             assert w1 == pytest.approx(
                 weak_value(cfg.rho_in.mat, p, o), abs=1e-11
             )
-            w3 = trial_weak_value_strong_first(cfg)
+            w3 = cfg.traces.strong_first
             assert w3 == pytest.approx(
                 weak_value(p, cfg.rho_fin.mat, o), abs=1e-11
             )
 
     def test_spin_reference_values(self):
         cfg = spin_config()
-        assert trial_weak_value_weak_first(cfg) == pytest.approx(0.5)
-        assert trial_weak_value_strong_first(cfg) == pytest.approx(0.5)
+        assert cfg.traces.weak_first == pytest.approx(0.5)
+        assert cfg.traces.strong_first == pytest.approx(0.5)
 
 
 class TestAveragedVn:
@@ -299,9 +297,7 @@ class TestAveragedVn:
         rng = np.random.default_rng(19)
         for _ in range(10):
             cfg = random_config(rng)
-            expected = (
-                trial_weak_value_weak_first(cfg) + trial_weak_value_strong_first(cfg)
-            ) / 2
+            expected = (cfg.traces.weak_first + cfg.traces.strong_first) / 2
             assert averaged_weak_value_vn(cfg) == pytest.approx(expected, abs=1e-12)
 
 
@@ -310,13 +306,9 @@ class TestObjectivePerTrial:
         cfg = spin_config(dtm=1.0, dtc=0.5)
         t = protocol_traces(cfg)
         # weak-first stretch
-        assert objective_weak_value_at(-0.1, cfg) == pytest.approx(
-            trial_weak_value_weak_first(cfg)
-        )
+        assert objective_weak_value_at(-0.1, cfg) == pytest.approx(t.weak_first)
         # strong-first stretch
-        assert objective_weak_value_at(0.7, cfg) == pytest.approx(
-            trial_weak_value_strong_first(cfg)
-        )
+        assert objective_weak_value_at(0.7, cfg) == pytest.approx(t.strong_first)
         # interior: unconditional expectation in the partially collapsed state
         assert objective_weak_value_at(0.0, cfg) == pytest.approx(t.obs_in)
         assert objective_weak_value_at(0.5, cfg) == pytest.approx(t.obs_proj)
@@ -366,12 +358,12 @@ def quadrature_average(cfg: ProtocolConfig) -> complex:
     total = 0.0 + 0.0j
     lo_mid, hi_mid = max(w.lo, 0.0), min(w.hi, dtc)
     if w.lo < 0.0:
-        total += trial_weak_value_weak_first(cfg) * (min(w.hi, 0.0) - w.lo)
+        total += t.weak_first * (min(w.hi, 0.0) - w.lo)
     if hi_mid > lo_mid:
         value = lambda s: (1 - s / dtc) * t.obs_in + (s / dtc) * t.obs_proj
         total += (value(lo_mid) + value(hi_mid)) / 2 * (hi_mid - lo_mid)
     if w.hi > dtc:
-        total += trial_weak_value_strong_first(cfg) * (w.hi - max(w.lo, dtc))
+        total += t.strong_first * (w.hi - max(w.lo, dtc))
     return total / w.width
 
 
