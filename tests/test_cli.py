@@ -265,6 +265,19 @@ class TestSimulate:
             report["mean_re"], abs=5 * report["stderr_re"]
         )
 
+    def test_huge_hbar_scales_the_report(self, capsys):
+        # M2 squares values near 1e200 here; this used to exit 2 with
+        # "error: (34, 'Numerical result out of range')"
+        def report(hbar):
+            argv = ["simulate", "--scenario", "hydrogen", "--hbar", hbar]
+            assert main([*argv, "--model", "objective", "--dtc", "0.5"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        huge, big = report("1e200"), report("1e150")
+        assert huge["stderr_re"] > 0.0
+        for key in ("mean_re", "stderr_re"):
+            assert huge[key] == pytest.approx(big[key] * 1e50, rel=1e-12)
+
     def test_byte_identical_reruns(self):
         argv = (
             "simulate",

@@ -334,6 +334,20 @@ class TestStreamingReduction:
         assert all(math.isfinite(v) for v in parts)
         assert res.stderr > 0.0  # both branches were sampled, w1 != w3
 
+    @pytest.mark.parametrize("model", ["vn", "objective"])
+    def test_huge_branch_values_scale_with_the_observable(self, model):
+        # squares of branch values near 1e200 overflow a double; this used to
+        # raise OverflowError (34, 'Numerical result out of range')
+        def run(unit):
+            cfg = generic_spec(model, 1, seed=4).cfg
+            cfg = replace(cfg, weak_observable=unit * cfg.weak_observable)
+            return run_simulation(SimulationSpec(cfg, model, CHUNK_TRIALS + 3, 4))
+
+        huge, big = run(1e200), run(1e150)
+        assert huge.stderr > 0.0 and huge.stderr_im > 0.0
+        for field in ("mean", "stderr", "stderr_im"):
+            assert getattr(huge, field) == pytest.approx(getattr(big, field) * 1e50, rel=1e-12)
+
 
 # -- The chunk kernel against the uniform-and-mask kernel it replaced ---------------
 
