@@ -17,12 +17,12 @@ draws of any trial are fixed by ``(seed, trial index)`` alone: results
 are bit-identical for a given spec no matter how the chunks are
 evaluated, and prefixes of a stream are stable.
 
-Each call allocates one draw buffer of ``min(trials, CHUNK_TRIALS)``
-trials (two doubles per trial under the instantaneous model, one under
-the objective model).  Each chunk fills it with ``Generator.random`` and
-scales it in place to its window, ``u * (hi - lo) + lo``: the same two
-roundings as ``Generator.uniform(lo, hi)``, so every draw has the bits
-``uniform`` gives it.
+Each thread of a call reuses one ``Philox``, set through its documented
+``state`` to the key ``(seed, j)`` and the counter of its next draw, and
+one draw buffer.  ``Generator.random`` fills the buffer, which is scaled
+in place to its window, ``u * (hi - lo) + lo``: the same two roundings
+as ``Generator.uniform(lo, hi)``, so every draw has the bits ``uniform``
+gives it on a fresh ``Philox(key=[seed, j])``.
 
 Each chunk reduces to branch counts plus the mean and M2 of
 ``x = t_w/delta_t_c`` over its mid-collapse trials, where the value is
@@ -34,12 +34,28 @@ the choice never changes a result.  Memory is O(``CHUNK_TRIALS``)
 whatever the trial count.  This reduction replaced a per-trial value
 array and changed result bits once, in the last places; the draws did
 not change.
+
+An instantaneous (vn) chunk reduces to a count of weak-first trials, so
+it is drawn and counted in two halves.  A vn run of ``2 * CHUNK_TRIALS``
+trials or more counts every second half on one helper thread while the
+calling thread counts the first halves, each thread in a half-chunk
+buffer: one chunk of draws in all.  Counts merge in chunk order, so the
+results do not depend on scheduling.  The helper is joined before the
+call returns, and what it raises reaches the caller.  Shorter vn runs
+count both halves in turn, in one half-chunk buffer.  The objective
+model stays on one thread: its mid-collapse sums run over whole chunks,
+so a split chunk would move bits, and a chunk per thread would double
+the memory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
+import queue
+import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,6 +79,9 @@ __all__ = [
 ]
 
 CHUNK_TRIALS = 1 << 16
+
+# A vn run of at least this many trials counts second halves on a helper thread.
+_THREAD_TRIALS = 2 * CHUNK_TRIALS
 
 MODELS = ("vn", "objective")
 
@@ -102,9 +121,8 @@ class AveragedResult:
     seed: int
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _generator() -> np.random.Generator:
+    return np.random.Generator(np.random.Philox())  # positioned before every use
 
 
 def _chunks(n: int):
@@ -113,17 +131,39 @@ def _chunks(n: int):
         yield j, lo, min(lo + CHUNK_TRIALS, n)
 
 
-def _chunk_draws(
-    spec: SimulationSpec, j: int, n: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Draws of the first ``n`` trials of chunk ``j``: ``t_s, t_w`` interleaved
-    under the instantaneous model, ``t_w`` under the objective model.  They
-    are written into the front of ``out`` when it is given."""
-    size = 2 * n if spec.model == "vn" else n
+def _position(rng: np.random.Generator, seed: int, j: int, draw: int) -> None:
+    """Set ``rng`` to make draw ``draw`` (a multiple of 4) of chunk ``j`` next.
+    Philox steps its counter, then makes four draws: counter ``k`` with an
+    empty buffer makes draws ``4k`` to ``4k + 3``."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [draw // 4, 0, 0, 0], "key": [seed, j]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _ends(checkpoints: list[int], lo: int, hi: int) -> list[int]:
+    """The checkpoints strictly inside trials ``lo..hi``, then ``hi``, less ``lo``."""
+    inside = checkpoints[bisect_right(checkpoints, lo) : bisect_left(checkpoints, hi)]
+    return [c - lo for c in inside] + [hi - lo]
+
+
+def _chunk_draws(spec: SimulationSpec, j: int, n: int, out=None, rng=None, first=0):
+    """Draws of trials ``first .. first + n - 1`` of chunk ``j``: ``t_s, t_w``
+    interleaved under the instantaneous model, ``t_w`` under the objective
+    model.  They are written into the front of ``out`` when it is given, and
+    drawn with the reused ``rng`` when it is given."""
+    per_trial = 2 if spec.model == "vn" else 1
+    size = per_trial * n
     if out is None:
         out = np.empty(size)
-    draws = out[:size] if size < out.size else out  # no view object on a full chunk
-    _chunk_rng(spec.seed, j).random(out=draws)
+    draws = out[:size] if size < out.size else out  # no view object on a full buffer
+    rng = _generator() if rng is None else rng
+    _position(rng, spec.seed, j, per_trial * first)
+    rng.random(out=draws)
     if spec.model == "vn":
         draws *= spec.cfg.delta_t_m
     else:
@@ -157,41 +197,102 @@ def _merge(a, b):
     return n, ma + d * (nb / n), ra + rb + d.real**2 * f, ia + ib + d.imag**2 * f
 
 
-def _chunk_group(spec: SimulationSpec, branch, draws: np.ndarray, n: int):
-    """The group of the first ``n`` trials of a chunk, from the chunk's draws."""
-    w1, w3, obs_in, slope = branch
+def _group(branch, n: int, weak_first: int, mid=_EMPTY):
+    """The group of ``n`` trials, ``weak_first`` of them weak-first and
+    ``mid`` the group of those mid-collapse."""
+    strong_first = (n - weak_first - mid[0], branch[1], 0.0, 0.0)
+    return _merge(_merge((weak_first, branch[0], 0.0, 0.0), mid), strong_first)
+
+
+def _objective_group(spec: SimulationSpec, branch, draws: np.ndarray, n: int):
+    """The group of the first ``n`` objective trials of a chunk, from its draws."""
+    _, _, obs_in, slope = branch
     mid = _EMPTY
-    if spec.model == "vn":
-        t_s, t_w = draws[0 : 2 * n : 2], draws[1 : 2 * n : 2]
-        weak_first = n - int(np.count_nonzero(t_w > t_s))
-    else:
-        t_w, dtc = draws[:n], spec.cfg.delta_t_c
-        mask = t_w >= 0.0
-        weak_first = n - int(np.count_nonzero(mask))
-        mask &= t_w <= dtc
-        k = int(np.count_nonzero(mask))
-        if k:
-            if k > _MASK_GATHER_SHARE * n:
-                x = t_w[mask]
-            else:
-                idx = np.flatnonzero(mask)
-                del mask  # the peak holds the draws, idx and x, not the mask too
-                x = t_w.take(idx)
-            x /= dtc  # mid draws only: x <= 1, while t_w/dtc can overflow elsewhere
-            mean_x = float(x.mean())
-            x -= mean_x
-            m2_x = float(np.square(x, out=x).sum())
-            re, im = m2_x * slope.real**2, m2_x * slope.imag**2
-            mid = (k, obs_in + mean_x * slope, re, im)
-    strong_first = (n - weak_first - mid[0], w3, 0.0, 0.0)
-    return _merge(_merge((weak_first, w1, 0.0, 0.0), mid), strong_first)
+    t_w, dtc = draws[:n], spec.cfg.delta_t_c
+    mask = t_w >= 0.0
+    weak_first = n - int(np.count_nonzero(mask))
+    mask &= t_w <= dtc
+    k = int(np.count_nonzero(mask))
+    if k:
+        if k > _MASK_GATHER_SHARE * n:
+            x = t_w[mask]
+        else:
+            idx = np.flatnonzero(mask)
+            del mask  # the peak holds the draws, idx and x, not the mask too
+            x = t_w.take(idx)
+        x /= dtc  # mid draws only: x <= 1, while t_w/dtc can overflow elsewhere
+        mean_x = float(x.mean())
+        x -= mean_x
+        m2_x = float(np.square(x, out=x).sum())
+        re, im = m2_x * slope.real**2, m2_x * slope.imag**2
+        mid = (k, obs_in + mean_x * slope, re, im)
+    return _group(branch, n, weak_first, mid)
 
 
-def _result(group, seed: int) -> AveragedResult:
+# vn trials compared at a time, which bounds the comparison's boolean temporary.
+_COMPARE_TRIALS = 1 << 13
+
+
+def _weak_first(draws: np.ndarray, n: int) -> int:
+    """How many of the first ``n`` vn trials of ``draws`` have ``t_w <= t_s``."""
+    later = 0
+    for i in range(0, 2 * n, 2 * _COMPARE_TRIALS):
+        end = min(i + 2 * _COMPARE_TRIALS, 2 * n)
+        later += int(np.count_nonzero(draws[i + 1 : end : 2] > draws[i:end:2]))
+    return n - later
+
+
+def _half_counts(spec: SimulationSpec, rng, buf, j: int, h: int, ends: list[int]):
+    """Weak-first counts among the trials of half ``h`` of chunk ``j`` that
+    come before each chunk-relative trial index in ``ends``; the last end is
+    the chunk's size."""
+    half = CHUNK_TRIALS // 2
+    first = h * half
+    n = max(min(half, ends[-1] - first), 0)
+    draws = _chunk_draws(spec, j, n, buf, rng, first)
+    return [_weak_first(draws, min(max(e - first, 0), n)) for e in ends]
+
+
+@contextlib.contextmanager
+def _on_helper_thread(items):
+    """Iterate ``items`` on a helper thread, at most one item ahead of the
+    iterator this yields, which raises what the helper raised.  The helper
+    is stopped and joined on exit."""
+    handoff, stop = queue.Queue(1), threading.Event()
+
+    def work():
+        try:
+            for item in items:
+                handoff.put(item)
+                if stop.is_set():
+                    return
+        except BaseException as exc:
+            handoff.put(exc)
+
+    def received():
+        while not isinstance(item := handoff.get(), BaseException):
+            yield item
+        raise item
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    try:
+        yield received()
+    finally:
+        stop.set()
+        with contextlib.suppress(queue.Empty):
+            handoff.get_nowait()  # a helper waiting to hand over sees the stop
+        thread.join()
+
+
+def _result(group, seed: int, scale: int = 0) -> AveragedResult:
+    """The result of a group carried in units of ``2**scale``."""
     n, mean, m2_re, m2_im = group
     dof = max(n * (n - 1), 1)  # a single trial has M2 = 0, so zero stderr
     stderr, stderr_im = math.sqrt(m2_re / dof), math.sqrt(m2_im / dof)
-    return AveragedResult(complex(mean), stderr, stderr_im, n, seed)
+    mean = complex(math.ldexp(mean.real, scale), math.ldexp(mean.imag, scale))
+    stderr, stderr_im = math.ldexp(stderr, scale), math.ldexp(stderr_im, scale)
+    return AveragedResult(mean, stderr, stderr_im, n, seed)
 
 
 def _stream(spec: SimulationSpec, checkpoints: list[int]) -> list[AveragedResult]:
@@ -199,20 +300,38 @@ def _stream(spec: SimulationSpec, checkpoints: list[int]) -> list[AveragedResult
 
     Checkpoint ``c`` in chunk ``j`` merges whole chunks ``0..j-1``, then
     the ``c``-prefix of chunk ``j``: the same order as a run of ``c``.
+    Branch values from 2**256 up are carried in units of a power of two
+    that brings them below it, or squares in M2 would overflow; smaller
+    ones are not scaled, so they keep their bits.
     """
     t = spec.cfg.traces
     branch = (t.weak_first, t.strong_first, t.obs_in, t.obs_proj - t.obs_in)
-    todo = iter(checkpoints)
-    c, total, out = next(todo), _EMPTY, []
-    draws = None  # chunk 0 is the longest, so its array holds every later chunk
-    for j, lo, hi in _chunks(checkpoints[-1]):
-        draws = _chunk_draws(spec, j, hi - lo, draws)
-        chunk = _chunk_group(spec, branch, draws, hi - lo)
-        while c is not None and c <= hi:
-            part = chunk if c == hi else _chunk_group(spec, branch, draws, c - lo)
-            out.append(_result(_merge(total, part), spec.seed))
-            c = next(todo, None)
-        total = _merge(total, chunk)
+    scale = max(max(math.frexp(p)[1] for v in branch for p in (v.real, v.imag)) - 256, 0)
+    branch = [complex(math.ldexp(v.real, -scale), math.ldexp(v.imag, -scale)) for v in branch]
+    n_total, vn = checkpoints[-1], spec.model == "vn"
+    rng, buf = _generator(), np.empty(min((2 if vn else 1) * n_total, CHUNK_TRIALS))
+    total, out = _EMPTY, []
+    with contextlib.ExitStack() as stack:
+        if vn:  # the second halves, on a helper thread in long runs
+            threaded = n_total >= _THREAD_TRIALS
+            own = (_generator(), np.empty(CHUNK_TRIALS)) if threaded else (rng, buf)
+            second = (
+                _half_counts(spec, *own, j, 1, _ends(checkpoints, lo, hi))
+                for j, lo, hi in _chunks(n_total)
+            )
+            if threaded:
+                second = stack.enter_context(_on_helper_thread(second))
+        for j, lo, hi in _chunks(n_total):
+            ends = _ends(checkpoints, lo, hi)
+            if vn:
+                counts = zip(_half_counts(spec, rng, buf, j, 0, ends), next(second))
+                groups = [_group(branch, e, a + b) for e, (a, b) in zip(ends, counts)]
+            else:
+                draws = _chunk_draws(spec, j, hi - lo, buf, rng)
+                groups = [_objective_group(spec, branch, draws, e) for e in ends]
+            reported = bisect_right(checkpoints, hi) - bisect_right(checkpoints, lo)
+            out += [_result(_merge(total, g), spec.seed, scale) for g in groups[:reported]]
+            total = _merge(total, groups[-1])
     return out
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -501,7 +503,128 @@ class TestMemoryGuard:
         # a buffer sized to CHUNK_TRIALS would cost 0.5-1 MB here
         assert self.peak(generic_spec(model, 1024, seed=1)) < 64_000
 
+    def test_two_thread_vn_peak_within_one_thread_kernel(self):
+        # both threads' half-chunk buffers, comparison temporaries and the
+        # hand-over stay within what one thread held: a chunk of draws
+        # (16 bytes a trial) and its boolean comparison (1 byte a trial)
+        assert self.peak(generic_spec("vn", 4 * CHUNK_TRIALS, seed=1)) <= 17 * CHUNK_TRIALS
+
     def test_objective_peak_within_vn_peak(self):
         vn = self.peak(generic_spec("vn", 4 * CHUNK_TRIALS, seed=1))
         objective = self.peak(generic_spec("objective", 4 * CHUNK_TRIALS, seed=1))
         assert objective <= vn
+
+
+# -- Positioned Philox streams and the two-thread vn run -----------------------------
+
+
+class TestPositionedPhilox:
+    """A reused generator positioned through its ``state`` yields the draws
+    of a fresh ``Philox(key=[seed, j])`` from the given offset on."""
+
+    def test_tail_of_fresh_stream(self):
+        rng = np.random.default_rng(1601)
+        reused = montecarlo._generator()
+        for _ in range(20):
+            seed, j = int(rng.integers(2**64, dtype=np.uint64)), int(rng.integers(2**32))
+            fresh = philox(seed, j).random(65540 + 1000)
+            for offset in (0, 4, 65536, 65540):
+                montecarlo._position(reused, seed, j, offset)
+                assert np.array_equal(reused.random(1000), fresh[offset : offset + 1000])
+
+    def test_halves_concatenate_to_uniform_draws(self):
+        rng = np.random.default_rng(1602)
+        reused, half = montecarlo._generator(), CHUNK_TRIALS // 2
+        for n in (half + 1, half + 2, CHUNK_TRIALS - 1, CHUNK_TRIALS):
+            dtm = float(10.0 ** rng.uniform(-6, 6))
+            cfg = replace(spin_config(), delta_t_m=dtm)
+            seed, j = int(rng.integers(2**64, dtype=np.uint64)), int(rng.integers(50))
+            spec = SimulationSpec(cfg, "vn", 1, seed)
+            first = _chunk_draws(spec, j, half, None, reused, 0)
+            second = _chunk_draws(spec, j, n - half, None, reused, half)
+            assert np.array_equal(np.concatenate([first, second]), uniform_draws(spec, j, n))
+
+
+THREADINGS = {"two": 1, "one": 2**62}  # _THREAD_TRIALS forcing each path
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads ``montecarlo`` starts during the test."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    namespace = type("threading", (), {"Thread": Counted, "Event": threading.Event})
+    monkeypatch.setattr(montecarlo, "threading", namespace)
+    return started
+
+
+class TestTwoThreadVn:
+    @pytest.mark.parametrize("threads", sorted(THREADINGS))
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_matches_oracle(self, threads, seed, monkeypatch, thread_starts):
+        monkeypatch.setattr(montecarlo, "_THREAD_TRIALS", THREADINGS[threads])
+        k = CHUNK_TRIALS
+        checkpoints = [k // 2 - 1, k // 2, k // 2 + 1, k, 3 * k // 2, 3 * k + 5]
+        spec = ratio_spec("vn", 0.5, checkpoints[-1], seed)
+        want = oracle_stream(spec, checkpoints)
+        assert convergence_report(spec, checkpoints) == want
+        for c, res in zip(checkpoints, want):
+            assert run_simulation(replace(spec, trials=c)) == res
+        assert len(thread_starts) == (1 + len(checkpoints) if threads == "two" else 0)
+
+    def test_no_thread_left_behind(self, thread_starts):
+        before = threading.active_count()
+        spec = generic_spec("vn", 4 * CHUNK_TRIALS, seed=2)
+        run_simulation(spec)
+        convergence_report(spec, [1, CHUNK_TRIALS + 1, 2 * CHUNK_TRIALS, spec.trials])
+        assert len(thread_starts) == 2
+        assert threading.active_count() == before
+
+    def test_no_thread_below_threshold(self, thread_starts):
+        spec = generic_spec("vn", montecarlo._THREAD_TRIALS - 1, seed=2)
+        run_simulation(spec)
+        convergence_report(spec, [1, CHUNK_TRIALS, spec.trials])
+        run_simulation(generic_spec("objective", 4 * CHUNK_TRIALS, seed=2))
+        convergence_report(generic_spec("objective", 1, seed=2), [1, 4 * CHUNK_TRIALS])
+        assert thread_starts == []
+
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_exception_reaches_caller(self, half, monkeypatch):
+        # the helper counts every second half, the calling thread every first
+        counts, raised_on = montecarlo._half_counts, []
+
+        def failing(spec, rng, buf, j, h, ends):
+            if (j, h) == (2, half):
+                raised_on.append(threading.current_thread())
+                raise RuntimeError("planted")
+            return counts(spec, rng, buf, j, h, ends)
+
+        monkeypatch.setattr(montecarlo, "_half_counts", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="planted"):
+            run_simulation(generic_spec("vn", 4 * CHUNK_TRIALS, seed=2))
+        assert threading.active_count() == before
+        assert (raised_on == [threading.current_thread()]) == (half == 0)
+
+    def test_concurrent_callers(self):
+        # more threads than cores, switching often: each call has its own
+        # generators, buffers and hand-over
+        spec = generic_spec("vn", 3 * CHUNK_TRIALS + 5, seed=7)
+        want, got = oracle_stream(spec, [spec.trials]), []
+        callers = [threading.Thread(target=lambda: got.append(run_simulation(spec))) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == want * 4
