@@ -121,8 +121,13 @@ class AveragedResult:
     seed: int
 
 
+# Seeds a generator that is positioned before every use: any seed would do,
+# and a given one spares each call the OS entropy of an unseeded one.
+_SEEDS = np.random.SeedSequence(0)
+
+
 def _generator() -> np.random.Generator:
-    return np.random.Generator(np.random.Philox())  # positioned before every use
+    return np.random.Generator(np.random.Philox(_SEEDS))
 
 
 def _chunks(n: int):
@@ -249,6 +254,8 @@ def _half_counts(spec: SimulationSpec, rng, buf, j: int, h: int, ends: list[int]
     half = CHUNK_TRIALS // 2
     first = h * half
     n = max(min(half, ends[-1] - first), 0)
+    if n == 0:  # a chunk of half a chunk or less
+        return [0] * len(ends)
     draws = _chunk_draws(spec, j, n, buf, rng, first)
     return [_weak_first(draws, min(max(e - first, 0), n)) for e in ends]
 
@@ -306,8 +313,10 @@ def _stream(spec: SimulationSpec, checkpoints: list[int]) -> list[AveragedResult
     """
     t = spec.cfg.traces
     branch = (t.weak_first, t.strong_first, t.obs_in, t.obs_proj - t.obs_in)
-    scale = max(max(math.frexp(p)[1] for v in branch for p in (v.real, v.imag)) - 256, 0)
-    branch = [complex(math.ldexp(v.real, -scale), math.ldexp(v.imag, -scale)) for v in branch]
+    top = max(max(abs(v.real), abs(v.imag)) for v in branch)
+    scale = max(math.frexp(top)[1] - 256, 0)
+    if scale:
+        branch = [complex(math.ldexp(v.real, -scale), math.ldexp(v.imag, -scale)) for v in branch]
     n_total, vn = checkpoints[-1], spec.model == "vn"
     rng, buf = _generator(), np.empty(min((2 if vn else 1) * n_total, CHUNK_TRIALS))
     total, out = _EMPTY, []
