@@ -36,16 +36,18 @@ array and changed result bits once, in the last places; the draws did
 not change.
 
 An instantaneous (vn) chunk reduces to a count of weak-first trials, so
-it is drawn and counted in two halves.  A vn run of ``2 * CHUNK_TRIALS``
-trials or more counts every second half on one helper thread while the
-calling thread counts the first halves, each thread in a half-chunk
-buffer: one chunk of draws in all.  Counts merge in chunk order, so the
-results do not depend on scheduling.  The helper is joined before the
-call returns, and what it raises reaches the caller.  Shorter vn runs
-count both halves in turn, in one half-chunk buffer.  The objective
-model stays on one thread: its mid-collapse sums run over whole chunks,
-so a split chunk would move bits, and a chunk per thread would double
-the memory.
+it is drawn and counted in two halves.  In a vn run of ``2 *
+CHUNK_TRIALS`` trials or more, one helper thread counts second halves
+ahead of the calling thread, which counts the first halves and takes
+each second half from the helper, or counts it itself when the helper
+has not got it ready, so a helper starved of CPU never stalls the run.
+Each thread has a half-chunk buffer: one chunk of draws in all.  Counts
+merge in chunk order, so the results do not depend on scheduling.  The
+helper is joined before the call returns, and what it raises reaches
+the caller.  Shorter vn runs count both halves on the calling thread.
+The objective model stays on one thread: its mid-collapse sums run over
+whole chunks, so a split chunk would move bits, and a chunk per thread
+would double the memory.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
-import queue
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -261,35 +262,55 @@ def _half_counts(spec: SimulationSpec, rng, buf, j: int, h: int, ends: list[int]
 
 
 @contextlib.contextmanager
-def _on_helper_thread(items):
-    """Iterate ``items`` on a helper thread, at most one item ahead of the
-    iterator this yields, which raises what the helper raised.  The helper
-    is stopped and joined on exit."""
-    handoff, stop = queue.Queue(1), threading.Event()
+def _computed_ahead(compute, count: int):
+    """Run ``compute(j)`` for ``j`` from 1 up to ``count - 1`` on a helper
+    thread, ahead of the caller, and yield ``take``: ``take(j)`` returns
+    ``compute(j)`` when the helper has it ready, else None, and the caller
+    then computes it itself, so it never waits on a helper that is behind.
+    What the helper raises is raised by ``take``, or on exit; the helper is
+    stopped and joined on exit."""
+    ready = threading.Condition()
+    box = {"item": None, "taken": -1, "stop": False}  # item: (j, result) or an exception
 
     def work():
+        j = 0
         try:
-            for item in items:
-                handoff.put(item)
-                if stop.is_set():
-                    return
+            while True:
+                with ready:
+                    j = max(j, box["taken"]) + 1  # nothing the caller has passed
+                    if box["stop"] or j >= count:
+                        return
+                item = (j, compute(j))
+                with ready:
+                    ready.wait_for(lambda: box["item"] is None or box["stop"])
+                    if j > box["taken"]:
+                        box["item"] = item
         except BaseException as exc:
-            handoff.put(exc)
+            with ready:
+                box["item"] = exc
 
-    def received():
-        while not isinstance(item := handoff.get(), BaseException):
-            yield item
-        raise item
+    def take(j: int):
+        with ready:
+            box["taken"], item = j, box["item"]
+            if isinstance(item, BaseException):
+                raise item
+            if item is None or item[0] != j:
+                return None
+            box["item"] = None
+            ready.notify()
+            return item[1]
 
     thread = threading.Thread(target=work)
     thread.start()
     try:
-        yield received()
+        yield take
     finally:
-        stop.set()
-        with contextlib.suppress(queue.Empty):
-            handoff.get_nowait()  # a helper waiting to hand over sees the stop
+        with ready:
+            box["stop"] = True
+            ready.notify()
         thread.join()
+    if isinstance(box["item"], BaseException):
+        raise box["item"]
 
 
 def _result(group, seed: int, scale: int = 0) -> AveragedResult:
@@ -321,20 +342,25 @@ def _stream(spec: SimulationSpec, checkpoints: list[int]) -> list[AveragedResult
     rng, buf = _generator(), np.empty(min((2 if vn else 1) * n_total, CHUNK_TRIALS))
     total, out = _EMPTY, []
     with contextlib.ExitStack() as stack:
-        if vn:  # the second halves, on a helper thread in long runs
-            threaded = n_total >= _THREAD_TRIALS
-            own = (_generator(), np.empty(CHUNK_TRIALS)) if threaded else (rng, buf)
-            second = (
-                _half_counts(spec, *own, j, 1, _ends(checkpoints, lo, hi))
-                for j, lo, hi in _chunks(n_total)
-            )
-            if threaded:
-                second = stack.enter_context(_on_helper_thread(second))
+        take = None
+        if vn and n_total >= _THREAD_TRIALS:  # second halves ahead, on a helper thread
+            own = (_generator(), np.empty(CHUNK_TRIALS))
+
+            def second_half(j):
+                lo = j * CHUNK_TRIALS
+                hi = min(lo + CHUNK_TRIALS, n_total)
+                return _half_counts(spec, *own, j, 1, _ends(checkpoints, lo, hi))
+
+            count = -(-n_total // CHUNK_TRIALS)
+            take = stack.enter_context(_computed_ahead(second_half, count))
         for j, lo, hi in _chunks(n_total):
             ends = _ends(checkpoints, lo, hi)
             if vn:
-                counts = zip(_half_counts(spec, rng, buf, j, 0, ends), next(second))
-                groups = [_group(branch, e, a + b) for e, (a, b) in zip(ends, counts)]
+                a = _half_counts(spec, rng, buf, j, 0, ends)
+                b = take(j) if take else None
+                if b is None:
+                    b = _half_counts(spec, rng, buf, j, 1, ends)
+                groups = [_group(branch, e, x + y) for e, x, y in zip(ends, a, b)]
             else:
                 draws = _chunk_draws(spec, j, hi - lo, buf, rng)
                 groups = [_objective_group(spec, branch, draws, e) for e in ends]

@@ -558,7 +558,7 @@ def thread_starts(monkeypatch):
             started.append(self)
             super().start()
 
-    namespace = type("threading", (), {"Thread": Counted, "Event": threading.Event})
+    namespace = type("threading", (), {"Thread": Counted, "Condition": threading.Condition})
     monkeypatch.setattr(montecarlo, "threading", namespace)
     return started
 
@@ -593,23 +593,20 @@ class TestTwoThreadVn:
         convergence_report(generic_spec("objective", 1, seed=2), [1, 4 * CHUNK_TRIALS])
         assert thread_starts == []
 
-    @pytest.mark.parametrize("half", [0, 1])
-    def test_exception_reaches_caller(self, half, monkeypatch):
-        # the helper counts every second half, the calling thread every first
-        counts, raised_on = montecarlo._half_counts, []
+    @pytest.mark.parametrize("on_helper", [False, True])
+    def test_exception_reaches_caller(self, on_helper, monkeypatch):
+        counts, caller = montecarlo._half_counts, threading.current_thread()
 
         def failing(spec, rng, buf, j, h, ends):
-            if (j, h) == (2, half):
-                raised_on.append(threading.current_thread())
+            if (threading.current_thread() is not caller) if on_helper else (j, h) == (2, 0):
                 raise RuntimeError("planted")
             return counts(spec, rng, buf, j, h, ends)
 
         monkeypatch.setattr(montecarlo, "_half_counts", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="planted"):
-            run_simulation(generic_spec("vn", 4 * CHUNK_TRIALS, seed=2))
+            run_simulation(generic_spec("vn", 8 * CHUNK_TRIALS, seed=2))
         assert threading.active_count() == before
-        assert (raised_on == [threading.current_thread()]) == (half == 0)
 
     def test_concurrent_callers(self):
         # more threads than cores, switching often: each call has its own
