@@ -36,26 +36,26 @@ array and changed result bits once, in the last places; the draws did
 not change.
 
 An instantaneous (vn) chunk reduces to a count of weak-first trials, so
-it is drawn and counted in two halves.  In a vn run of ``2 *
-CHUNK_TRIALS`` trials or more, one helper thread counts second halves
-ahead of the calling thread, which counts the first halves and takes
-each second half from the helper, or counts it itself when the helper
-has not got it ready, so a helper starved of CPU never stalls the run.
-Each thread has a half-chunk buffer: one chunk of draws in all.  Counts
-merge in chunk order, so the results do not depend on scheduling.  The
-helper is joined before the call returns, and what it raises reaches
-the caller.  Shorter vn runs count both halves on the calling thread.
-The objective model stays on one thread: its mid-collapse sums run over
-whole chunks, so a split chunk would move bits, and a chunk per thread
-would double the memory.
+it is drawn and counted in two halves.  A vn run of ``2 * CHUNK_TRIALS``
+trials or more hands the second halves of the current and the next chunk
+to a one-worker ``ThreadPoolExecutor`` while the calling thread counts
+the first halves.  The caller takes each second half the worker has
+finished; one the worker has not started is cancelled, and one it is
+running is left to finish, and the caller counts either itself, so a
+worker starved of CPU never stalls the run.  Each thread has a half-chunk
+buffer: one chunk of draws in all.  Counts merge in chunk order, so the
+results do not depend on scheduling.  The executor is shut down before
+the call returns, which waits only for the half in flight, and what the
+worker raises reaches the caller.  Shorter vn runs count both halves on
+the calling thread.  The objective model stays on one thread: its
+mid-collapse sums run over whole chunks, so a split chunk would move
+bits, and a chunk per thread would double the memory.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
-import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -151,23 +151,22 @@ def _position(rng: np.random.Generator, seed: int, j: int, draw: int) -> None:
     }
 
 
-def _ends(checkpoints: list[int], lo: int, hi: int) -> list[int]:
-    """The checkpoints strictly inside trials ``lo..hi``, then ``hi``, less ``lo``."""
+def _ends(checkpoints: list[int], j: int, n: int) -> list[int]:
+    """The checkpoints strictly inside chunk ``j`` of a run of ``n`` trials,
+    then the chunk's end, each less the chunk's start."""
+    lo = j * CHUNK_TRIALS
+    hi = min(lo + CHUNK_TRIALS, n)
     inside = checkpoints[bisect_right(checkpoints, lo) : bisect_left(checkpoints, hi)]
     return [c - lo for c in inside] + [hi - lo]
 
 
-def _chunk_draws(spec: SimulationSpec, j: int, n: int, out=None, rng=None, first=0):
-    """Draws of trials ``first .. first + n - 1`` of chunk ``j``: ``t_s, t_w``
-    interleaved under the instantaneous model, ``t_w`` under the objective
-    model.  They are written into the front of ``out`` when it is given, and
-    drawn with the reused ``rng`` when it is given."""
+def _chunk_draws(spec: SimulationSpec, j: int, n: int, out: np.ndarray, rng, first=0):
+    """Draws of trials ``first .. first + n - 1`` of chunk ``j``, made with
+    ``rng`` into the front of ``out``: ``t_s, t_w`` interleaved under the
+    instantaneous model, ``t_w`` under the objective model."""
     per_trial = 2 if spec.model == "vn" else 1
     size = per_trial * n
-    if out is None:
-        out = np.empty(size)
     draws = out[:size] if size < out.size else out  # no view object on a full buffer
-    rng = _generator() if rng is None else rng
     _position(rng, spec.seed, j, per_trial * first)
     rng.random(out=draws)
     if spec.model == "vn":
@@ -261,58 +260,6 @@ def _half_counts(spec: SimulationSpec, rng, buf, j: int, h: int, ends: list[int]
     return [_weak_first(draws, min(max(e - first, 0), n)) for e in ends]
 
 
-@contextlib.contextmanager
-def _computed_ahead(compute, count: int):
-    """Run ``compute(j)`` for ``j`` from 1 up to ``count - 1`` on a helper
-    thread, ahead of the caller, and yield ``take``: ``take(j)`` returns
-    ``compute(j)`` when the helper has it ready, else None, and the caller
-    then computes it itself, so it never waits on a helper that is behind.
-    What the helper raises is raised by ``take``, or on exit; the helper is
-    stopped and joined on exit."""
-    ready = threading.Condition()
-    box = {"item": None, "taken": -1, "stop": False}  # item: (j, result) or an exception
-
-    def work():
-        j = 0
-        try:
-            while True:
-                with ready:
-                    j = max(j, box["taken"]) + 1  # nothing the caller has passed
-                    if box["stop"] or j >= count:
-                        return
-                item = (j, compute(j))
-                with ready:
-                    ready.wait_for(lambda: box["item"] is None or box["stop"])
-                    if j > box["taken"]:
-                        box["item"] = item
-        except BaseException as exc:
-            with ready:
-                box["item"] = exc
-
-    def take(j: int):
-        with ready:
-            box["taken"], item = j, box["item"]
-            if isinstance(item, BaseException):
-                raise item
-            if item is None or item[0] != j:
-                return None
-            box["item"] = None
-            ready.notify()
-            return item[1]
-
-    thread = threading.Thread(target=work)
-    thread.start()
-    try:
-        yield take
-    finally:
-        with ready:
-            box["stop"] = True
-            ready.notify()
-        thread.join()
-    if isinstance(box["item"], BaseException):
-        raise box["item"]
-
-
 def _result(group, seed: int, scale: int = 0) -> AveragedResult:
     """The result of a group carried in units of ``2**scale``."""
     n, mean, m2_re, m2_im = group
@@ -340,24 +287,28 @@ def _stream(spec: SimulationSpec, checkpoints: list[int]) -> list[AveragedResult
         branch = [complex(math.ldexp(v.real, -scale), math.ldexp(v.imag, -scale)) for v in branch]
     n_total, vn = checkpoints[-1], spec.model == "vn"
     rng, buf = _generator(), np.empty(min((2 if vn else 1) * n_total, CHUNK_TRIALS))
-    total, out = _EMPTY, []
-    with contextlib.ExitStack() as stack:
-        take = None
-        if vn and n_total >= _THREAD_TRIALS:  # second halves ahead, on a helper thread
-            own = (_generator(), np.empty(CHUNK_TRIALS))
+    total, out, pool, ahead, in_flight = _EMPTY, [], None, {}, None
+    if vn and n_total >= _THREAD_TRIALS:  # second halves ahead, on a helper thread
+        from concurrent.futures import ThreadPoolExecutor  # ~5 ms cold: import on use
 
-            def second_half(j):
-                lo = j * CHUNK_TRIALS
-                hi = min(lo + CHUNK_TRIALS, n_total)
-                return _half_counts(spec, *own, j, 1, _ends(checkpoints, lo, hi))
-
-            count = -(-n_total // CHUNK_TRIALS)
-            take = stack.enter_context(_computed_ahead(second_half, count))
+        pool, own = ThreadPoolExecutor(max_workers=1), (_generator(), np.empty(CHUNK_TRIALS))
+    try:
         for j, lo, hi in _chunks(n_total):
-            ends = _ends(checkpoints, lo, hi)
+            ends = _ends(checkpoints, j, n_total)
             if vn:
-                a = _half_counts(spec, rng, buf, j, 0, ends)
-                b = take(j) if take else None
+                for k in (j, j + 1) if pool else ():
+                    if k * CHUNK_TRIALS < n_total and k not in ahead:
+                        ahead[k] = pool.submit(
+                            _half_counts, spec, *own, k, 1, _ends(checkpoints, k, n_total)
+                        )
+                a, b = _half_counts(spec, rng, buf, j, 0, ends), None
+                helped = ahead.pop(j, None)
+                if helped and helped.done():
+                    b = helped.result()
+                elif helped and not helped.cancel():  # running: the one half in flight
+                    if in_flight:  # done, as the helper runs in order: raise what it raised
+                        in_flight.result()
+                    in_flight = helped
                 if b is None:
                     b = _half_counts(spec, rng, buf, j, 1, ends)
                 groups = [_group(branch, e, x + y) for e, x, y in zip(ends, a, b)]
@@ -367,6 +318,11 @@ def _stream(spec: SimulationSpec, checkpoints: list[int]) -> list[AveragedResult
             reported = bisect_right(checkpoints, hi) - bisect_right(checkpoints, lo)
             out += [_result(_merge(total, g), spec.seed, scale) for g in groups[:reported]]
             total = _merge(total, groups[-1])
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    if in_flight:
+        in_flight.result()
     return out
 
 

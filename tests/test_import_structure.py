@@ -122,11 +122,13 @@ def run_fresh(code: str) -> str:
 
 
 def loaded_after(code: str) -> set[str]:
-    """The weakprobe submodules a fresh interpreter holds after ``code``."""
+    """The weakprobe submodules a fresh interpreter holds after ``code``, and
+    ``concurrent.futures`` if it holds that: the vn executor's ~5 ms import."""
     last = run_fresh(
         code
         + "\nimport sys\n"
-        + "print(' '.join(m for m in sys.modules if m.startswith('weakprobe.')))"
+        + "print(' '.join(m for m in sys.modules"
+        + " if m.startswith('weakprobe.') or m == 'concurrent.futures'))"
     )
     return {name.removeprefix("weakprobe.") for name in last.split()}
 
@@ -156,7 +158,17 @@ def test_import_loads_the_core_only():
     ],
 )
 def test_analytic_commands_load_no_deferred_module(argv):
-    assert loaded_by_command(*argv) == CORE | {"cli"}
+    loaded = loaded_by_command(*argv)
+    assert loaded == CORE | {"cli"}
+    assert "concurrent.futures" not in loaded
+
+
+@pytest.mark.parametrize("trials, executor", [("100000", False), ("200000", True)])
+def test_only_a_long_vn_simulate_loads_the_executor(trials, executor):
+    # 2 * CHUNK_TRIALS = 131072 trials start the helper; every cold simulate
+    # in the benchmark is shorter
+    argv = ("simulate", "--scenario", "hydrogen", "--model", "vn", "--trials", trials)
+    assert ("concurrent.futures" in loaded_by_command(*argv)) == executor
 
 
 def test_simulate_loads_montecarlo_only():

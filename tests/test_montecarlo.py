@@ -159,7 +159,10 @@ def all_draws(spec):
     """Every trial's draws in trial order: ``t_s, t_w`` interleaved under the
     instantaneous model, ``t_w`` under the objective model."""
     chunks = _chunks(spec.trials)
-    return np.concatenate([_chunk_draws(spec, j, hi - lo) for j, lo, hi in chunks])
+    rng = montecarlo._generator()
+    return np.concatenate(
+        [_chunk_draws(spec, j, hi - lo, np.empty(2 * (hi - lo)), rng) for j, lo, hi in chunks]
+    )
 
 
 class TestDrawContracts:
@@ -452,15 +455,17 @@ class TestKernelOracle:
 
 class TestDrawOracle:
     """``_chunk_draws`` gives the bits of ``Generator.uniform`` on the chunk's
-    Philox stream, fresh or written into a reused buffer."""
+    Philox stream, into a fresh buffer or a reused one, with a fresh
+    generator or a reused one."""
 
     def check(self, spec, j, n):
         want = uniform_draws(spec, j, n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fresh = _chunk_draws(spec, j, n)
+            rng = montecarlo._generator()
+            fresh = _chunk_draws(spec, j, n, np.empty(2 * n), rng)
             buf = np.full(2 * CHUNK_TRIALS, np.nan)
-            reused = _chunk_draws(spec, j, n, buf)
+            reused = _chunk_draws(spec, j, n, buf, rng)
         assert np.array_equal(fresh, want) and np.array_equal(reused, want)
         assert np.shares_memory(reused, buf)
 
@@ -506,8 +511,11 @@ class TestMemoryGuard:
     def test_two_thread_vn_peak_within_one_thread_kernel(self):
         # both threads' half-chunk buffers, comparison temporaries and the
         # hand-over stay within what one thread held: a chunk of draws
-        # (16 bytes a trial) and its boolean comparison (1 byte a trial)
-        assert self.peak(generic_spec("vn", 4 * CHUNK_TRIALS, seed=1)) <= 17 * CHUNK_TRIALS
+        # (16 bytes a trial) and its boolean comparison (1 byte a trial); the
+        # first two-thread run of a process also imports the executor, once
+        spec = generic_spec("vn", 4 * CHUNK_TRIALS, seed=1)
+        run_simulation(spec)
+        assert self.peak(spec) <= 17 * CHUNK_TRIALS
 
     def test_objective_peak_within_vn_peak(self):
         vn = self.peak(generic_spec("vn", 4 * CHUNK_TRIALS, seed=1))
@@ -540,8 +548,8 @@ class TestPositionedPhilox:
             cfg = replace(spin_config(), delta_t_m=dtm)
             seed, j = int(rng.integers(2**64, dtype=np.uint64)), int(rng.integers(50))
             spec = SimulationSpec(cfg, "vn", 1, seed)
-            first = _chunk_draws(spec, j, half, None, reused, 0)
-            second = _chunk_draws(spec, j, n - half, None, reused, half)
+            first = _chunk_draws(spec, j, half, np.empty(2 * half), reused, 0)
+            second = _chunk_draws(spec, j, n - half, np.empty(2 * (n - half)), reused, half)
             assert np.array_equal(np.concatenate([first, second]), uniform_draws(spec, j, n))
 
 
@@ -550,16 +558,15 @@ THREADINGS = {"two": 1, "one": 2**62}  # _THREAD_TRIALS forcing each path
 
 @pytest.fixture
 def thread_starts(monkeypatch):
-    """The threads ``montecarlo`` starts during the test."""
-    started = []
+    """The threads started during the test; an executor's workers are
+    ``threading.Thread``s too."""
+    started, start = [], threading.Thread.start
 
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    def counted(self):
+        started.append(self)
+        start(self)
 
-    namespace = type("threading", (), {"Thread": Counted, "Condition": threading.Condition})
-    monkeypatch.setattr(montecarlo, "threading", namespace)
+    monkeypatch.setattr(threading.Thread, "start", counted)
     return started
 
 
@@ -607,6 +614,30 @@ class TestTwoThreadVn:
         with pytest.raises(RuntimeError, match="planted"):
             run_simulation(generic_spec("vn", 8 * CHUNK_TRIALS, seed=2))
         assert threading.active_count() == before
+
+    def test_starved_helper_never_stalls_the_caller(self, monkeypatch):
+        # The helper's first half blocks until the caller has counted the last
+        # chunk's second half.  A caller that waited on the helper would sit
+        # out the 30 s safety timeout, then take nearly every half from it.
+        counts, caller, released = montecarlo._half_counts, threading.current_thread(), threading.Event()
+        spec = generic_spec("vn", 6 * CHUNK_TRIALS + 5, seed=5)
+        count = -(-spec.trials // CHUNK_TRIALS)
+        blocked, by_caller = [], []
+
+        def starved(spec, rng, buf, j, h, ends):
+            if threading.current_thread() is caller:
+                if h == 1:
+                    by_caller.append(j)
+                    if j == count - 1:
+                        released.set()
+            elif not blocked:
+                blocked.append(j)
+                released.wait(timeout=30)
+            return counts(spec, rng, buf, j, h, ends)
+
+        monkeypatch.setattr(montecarlo, "_half_counts", starved)
+        assert run_simulation(spec) == oracle_stream(spec, [spec.trials])[0]
+        assert len(by_caller) >= count - 2
 
     def test_concurrent_callers(self):
         # more threads than cores, switching often: each call has its own
