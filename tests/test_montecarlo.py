@@ -619,7 +619,8 @@ class TestTwoThreadVn:
         # The helper's first half blocks until the caller has counted the last
         # chunk's second half.  A caller that waited on the helper would sit
         # out the 30 s safety timeout, then take nearly every half from it.
-        counts, caller, released = montecarlo._half_counts, threading.current_thread(), threading.Event()
+        counts, caller = montecarlo._half_counts, threading.current_thread()
+        released = threading.Event()
         spec = generic_spec("vn", 6 * CHUNK_TRIALS + 5, seed=5)
         count = -(-spec.trials // CHUNK_TRIALS)
         blocked, by_caller = [], []
