@@ -17,18 +17,22 @@ draws of any trial are fixed by ``(seed, trial index)`` alone: results
 are bit-identical for a given spec no matter how the chunks are
 evaluated, and prefixes of a stream are stable.
 
-Each thread of a call reuses one ``Philox``, set through its documented
-``state`` to the key ``(seed, j)`` and the counter of its next draw, and
-one draw buffer.  ``Generator.random`` fills the buffer, which is scaled
-in place to its window, ``u * (hi - lo) + lo``: the same two roundings
-as ``Generator.uniform(lo, hi)``, so every draw has the bits ``uniform``
-gives it on a fresh ``Philox(key=[seed, j])``.
+Each thread keeps one ``Philox`` for its whole life and reuses it across
+calls: before every chunk, or half chunk, it is set through its
+documented ``state`` to the key ``(seed, j)`` and the counter of its next
+draw, so no call sees what an earlier one drew.  A call holds its
+thread's generator while it runs, so a call nested in it (from a signal
+handler) builds its own.  Each call draws into one buffer of its own,
+freed when it returns.  ``Generator.random`` fills the buffer, which is
+scaled in place to its window, ``u * (hi - lo) + lo``: the same two
+roundings as ``Generator.uniform(lo, hi)``, so every draw has the bits
+``uniform`` gives it on a fresh ``Philox(key=[seed, j])``.
 
 Each chunk reduces to branch counts plus the mean and M2 of
 ``x = t_w/delta_t_c`` over its mid-collapse trials, where the value is
 affine in ``x``; chunks merge in index order by the pairwise update of
 Chan, Golub & LeVeque (1983).  The mid-collapse draws are gathered by
-index (``flatnonzero`` then ``take``), or by boolean mask when nearly
+index (``nonzero`` then ``take``), or by boolean mask when nearly
 every draw of the chunk is mid-collapse; both give the same array, so
 the choice never changes a result.  Memory is O(``CHUNK_TRIALS``)
 whatever the trial count.  This reduction replaced a per-trial value
@@ -38,16 +42,16 @@ not change.
 An instantaneous (vn) chunk reduces to a count of weak-first trials, so
 it is drawn and counted in two halves.  A vn run of ``2 * CHUNK_TRIALS``
 trials or more hands the second halves of the current and the next chunk
-to a one-worker ``ThreadPoolExecutor`` while the calling thread counts
-the first halves.  The caller takes each second half the worker has
-finished; one the worker has not started is cancelled, and one it is
-running is left to finish, and the caller counts either itself, so a
-worker starved of CPU never stalls the run.  Each thread has a half-chunk
-buffer: one chunk of draws in all.  Counts merge in chunk order, so the
-results do not depend on scheduling.  The executor is shut down before
-the call returns, which waits only for the half in flight, and what the
-worker raises reaches the caller.  Shorter vn runs count both halves on
-the calling thread.  The objective model stays on one thread: its
+to a one-worker ``ThreadPoolExecutor``, which has a ``Philox`` of its
+own, while the calling thread counts the first halves.  The caller takes
+each second half the worker has finished; one the worker has not started
+is cancelled, and one it is running is left to finish, and the caller
+counts either itself, so a worker starved of CPU never stalls the run.
+Each thread has a half-chunk buffer: one chunk of draws in all.  Counts
+merge in chunk order, so the results do not depend on scheduling.  The
+executor is shut down before the call returns, which waits only for the
+half in flight, and what the worker raises reaches the caller.  Shorter
+vn runs count both halves on the calling thread.  The objective model stays on one thread: its
 mid-collapse sums run over whole chunks, so a split chunk would move
 bits, and a chunk per thread would double the memory.
 """
@@ -56,6 +60,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -122,9 +127,14 @@ class AveragedResult:
     seed: int
 
 
-# Seeds a generator that is positioned before every use: any seed would do,
-# and a given one spares each call the OS entropy of an unseeded one.
+# Seeds the generators, which are positioned before every use: any seed
+# would do, and a given one spares the OS entropy of an unseeded one.  Each
+# thread builds one, on its first call, and reuses it across calls (``_held``);
+# a vn helper builds its own.
 _SEEDS = np.random.SeedSequence(0)
+
+# The generator of each thread, while none of its calls holds it.
+_held = threading.local()
 
 
 def _generator() -> np.random.Generator:
@@ -222,11 +232,11 @@ def _objective_group(spec: SimulationSpec, branch, draws: np.ndarray, n: int):
         if k > _MASK_GATHER_SHARE * n:
             x = t_w[mask]
         else:
-            idx = np.flatnonzero(mask)
+            idx = mask.nonzero()[0]  # what np.flatnonzero does, without its wrapper
             del mask  # the peak holds the draws, idx and x, not the mask too
             x = t_w.take(idx)
         x /= dtc  # mid draws only: x <= 1, while t_w/dtc can overflow elsewhere
-        mean_x = float(x.mean())
+        mean_x = float(x.sum()) / k  # what x.mean() does, without its wrapper
         x -= mean_x
         m2_x = float(np.square(x, out=x).sum())
         re, im = m2_x * slope.real**2, m2_x * slope.imag**2
@@ -286,12 +296,13 @@ def _stream(spec: SimulationSpec, checkpoints: list[int]) -> list[AveragedResult
     if scale:
         branch = [complex(math.ldexp(v.real, -scale), math.ldexp(v.imag, -scale)) for v in branch]
     n_total, vn = checkpoints[-1], spec.model == "vn"
-    rng, buf = _generator(), np.empty(min((2 if vn else 1) * n_total, CHUNK_TRIALS))
+    buf = np.empty(min((2 if vn else 1) * n_total, CHUNK_TRIALS))
     total, out, pool, ahead, in_flight = _EMPTY, [], None, {}, None
     if vn and n_total >= _THREAD_TRIALS:  # second halves ahead, on a helper thread
         from concurrent.futures import ThreadPoolExecutor  # ~5 ms cold: import on use
 
         pool, own = ThreadPoolExecutor(max_workers=1), (_generator(), np.empty(CHUNK_TRIALS))
+    rng, _held.rng = getattr(_held, "rng", None) or _generator(), None
     try:
         for j, lo, hi in _chunks(n_total):
             ends = _ends(checkpoints, j, n_total)
@@ -319,6 +330,7 @@ def _stream(spec: SimulationSpec, checkpoints: list[int]) -> list[AveragedResult
             out += [_result(_merge(total, g), spec.seed, scale) for g in groups[:reported]]
             total = _merge(total, groups[-1])
     finally:
+        _held.rng = rng
         if pool:
             pool.shutdown(cancel_futures=True)
     if in_flight:

@@ -657,3 +657,126 @@ class TestTwoThreadVn:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert got == want * 4
+
+
+# -- One generator per thread, reused across calls -----------------------------------
+
+
+def on_fresh_thread(fn):
+    """``fn()`` on a new ``threading.Thread``; what it returns or raises
+    reaches the caller."""
+    box = []
+
+    def target():
+        try:
+            box.append((fn(), None))
+        except BaseException as exc:  # handed to the caller, which raises it
+            box.append((None, exc))
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    value, exc = box[0]
+    if exc is not None:
+        raise exc
+    return value
+
+
+K = CHUNK_TRIALS
+# model, weak-window ratio, checkpoints, seed, and whether the call fails in chunk 1
+HISTORY = [
+    ("vn", 0.5, [3000], 11, False),
+    ("objective", 0.7, [5, 700, K + 9], 12, False),
+    ("vn", 0.5, [10, K + 100], 13, True),
+    ("objective", 0.3, [1, 2, 1024], 14, False),
+    ("objective", 2.0, [2 * K + 7], 15, True),
+    ("vn", 0.5, [1, 40, K - 1, K + 3], 16, False),
+    ("objective", 0.9, [K], 17, False),
+    ("vn", 0.5, [1], 18, False),
+]
+
+
+class TestPerThreadGenerator:
+    """Each thread reuses one generator across calls; a vn helper and a call
+    nested in another build their own."""
+
+    @staticmethod
+    def replay_history(failing):
+        """Run ``HISTORY`` in order; each call that does not fail must give
+        the oracle's bits, whatever the calls before it drew."""
+        for model, ratio, checkpoints, seed, fails in HISTORY:
+            spec = ratio_spec(model, ratio, checkpoints[-1], seed)
+            want = oracle_stream(spec, checkpoints)
+            if fails:
+                failing.append(True)
+                with pytest.raises(RuntimeError, match="planted"):
+                    convergence_report(spec, checkpoints)
+                failing.clear()
+            elif len(checkpoints) == 1:
+                assert run_simulation(spec) == want[0]
+            else:
+                assert convergence_report(spec, checkpoints) == want
+
+    def test_bits_do_not_depend_on_the_calls_before(self, monkeypatch):
+        draws, failing = montecarlo._chunk_draws, []
+
+        def planted(spec, j, n, out, rng, first=0):
+            got = draws(spec, j, n, out, rng, first)
+            if failing and j == 1:  # after its draws: the generator is mid-stream
+                raise RuntimeError("planted")
+            return got
+
+        monkeypatch.setattr(montecarlo, "_chunk_draws", planted)
+        self.replay_history(failing)
+        on_fresh_thread(lambda: self.replay_history(failing))
+
+    def test_one_generator_per_thread(self, monkeypatch):
+        generator, built = montecarlo._generator, []
+
+        def counted():
+            built.append(generator())
+            return built[-1]
+
+        counts, used = montecarlo._half_counts, {}
+
+        def recorded(spec, rng, buf, j, h, ends):
+            used.setdefault(threading.current_thread(), []).append(rng)
+            return counts(spec, rng, buf, j, h, ends)
+
+        monkeypatch.setattr(montecarlo, "_generator", counted)
+        monkeypatch.setattr(montecarlo, "_half_counts", recorded)
+
+        def calls():
+            run_simulation(generic_spec("vn", 1024, seed=1))
+            first = len(built)
+            run_simulation(generic_spec("objective", 1024, seed=1))
+            convergence_report(generic_spec("objective", 1, seed=2), [1, K + 1])
+            convergence_report(generic_spec("vn", 1, seed=3), [7, K + 5])
+            later = len(built)
+            run_simulation(generic_spec("vn", montecarlo._THREAD_TRIALS, seed=4))
+            return first, later, len(built), threading.current_thread()
+
+        first, later, after_two_threads, caller = on_fresh_thread(calls)
+        assert (first, later, after_two_threads) == (1, 1, 2)
+        worker = [t for t in used if t is not caller]
+        assert len(worker) == 1
+        assert all(rng is built[0] for rng in used[caller])
+        assert all(rng is built[1] for rng in used[worker[0]])
+        assert built[1] is not built[0]
+
+    def test_nested_call_builds_its_own(self, monkeypatch):
+        # A signal handler that runs a simulation on the thread it interrupts,
+        # here between positioning and drawing, must not move the outer draws.
+        position, fired, nested = montecarlo._position, [], []
+        inner, outer = generic_spec("objective", 1000, seed=8), generic_spec("vn", 3000, seed=9)
+
+        def interrupted(rng, seed, j, draw):
+            position(rng, seed, j, draw)
+            if not fired:
+                fired.append(True)
+                nested.append(run_simulation(inner))
+
+        monkeypatch.setattr(montecarlo, "_position", interrupted)
+        assert run_simulation(outer) == oracle_stream(outer, [outer.trials])[0]
+        assert nested == oracle_stream(inner, [inner.trials])
