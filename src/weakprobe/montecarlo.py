@@ -51,9 +51,10 @@ Each thread has a half-chunk buffer: one chunk of draws in all.  Counts
 merge in chunk order, so the results do not depend on scheduling.  The
 executor is shut down before the call returns, which waits only for the
 half in flight, and what the worker raises reaches the caller.  Shorter
-vn runs count both halves on the calling thread.  The objective model stays on one thread: its
-mid-collapse sums run over whole chunks, so a split chunk would move
-bits, and a chunk per thread would double the memory.
+vn runs count both halves on the calling thread.  The objective model
+stays on one thread: its mid-collapse sums run over whole chunks, so a
+split chunk would move bits, and a chunk per thread would double the
+memory.
 """
 
 from __future__ import annotations
