@@ -738,16 +738,21 @@ class TestPerThreadGenerator:
             built.append(generator())
             return built[-1]
 
-        counts, used = montecarlo._half_counts, {}
+        counts, used, caller, worker_ran = montecarlo._half_counts, {}, [], threading.Event()
 
         def recorded(spec, rng, buf, j, h, ends):
             used.setdefault(threading.current_thread(), []).append(rng)
+            if threading.current_thread() is not caller[0]:
+                worker_ran.set()
+            elif spec.trials == montecarlo._THREAD_TRIALS and (j, h) == (0, 0):
+                worker_ran.wait(timeout=30)  # else a starved worker might count no half
             return counts(spec, rng, buf, j, h, ends)
 
         monkeypatch.setattr(montecarlo, "_generator", counted)
         monkeypatch.setattr(montecarlo, "_half_counts", recorded)
 
         def calls():
+            caller.append(threading.current_thread())
             run_simulation(generic_spec("vn", 1024, seed=1))
             first = len(built)
             run_simulation(generic_spec("objective", 1024, seed=1))
@@ -755,13 +760,12 @@ class TestPerThreadGenerator:
             convergence_report(generic_spec("vn", 1, seed=3), [7, K + 5])
             later = len(built)
             run_simulation(generic_spec("vn", montecarlo._THREAD_TRIALS, seed=4))
-            return first, later, len(built), threading.current_thread()
+            return first, later, len(built)
 
-        first, later, after_two_threads, caller = on_fresh_thread(calls)
-        assert (first, later, after_two_threads) == (1, 1, 2)
-        worker = [t for t in used if t is not caller]
+        assert on_fresh_thread(calls) == (1, 1, 2)
+        worker = [t for t in used if t is not caller[0]]
         assert len(worker) == 1
-        assert all(rng is built[0] for rng in used[caller])
+        assert all(rng is built[0] for rng in used[caller[0]])
         assert all(rng is built[1] for rng in used[worker[0]])
         assert built[1] is not built[0]
 
