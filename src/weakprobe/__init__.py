@@ -31,7 +31,6 @@ from .hydrogen import (
     HydrogenScenario,
     build_hydrogen,
     hydrogen_predictions,
-    hydrogen_traces,
 )
 from .operators import (
     DensityOperator,

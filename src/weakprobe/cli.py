@@ -42,7 +42,6 @@ from .hydrogen import (
     HydrogenScenario,
     build_hydrogen,
     hydrogen_predictions,
-    hydrogen_traces,
 )
 from .weakvalues import (
     ProtocolTraces,
@@ -243,7 +242,7 @@ def cmd_discriminate(cfg, args) -> dict:
 
 def cmd_hydrogen(args) -> dict:
     scenario = _scenario(args)
-    t = hydrogen_traces(scenario)
+    t = build_hydrogen(scenario.a, scenario.b, scenario.hbar).traces
     pred = hydrogen_predictions(scenario, args.dtc, args.dtm)
     return {
         "a": _c(scenario.a),

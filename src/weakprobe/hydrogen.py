@@ -13,7 +13,7 @@ couples to ``S_z = (hbar/2) sigma_z``, and postselection is on
 
 Every trace the analytic predictions need has a one-line closed form in
 ``|a|^2``, ``|b|^2`` and ``hbar``; this module builds the generic
-protocol configuration and cross-checks the closed forms against it.
+protocol configuration and gives both predictions from the closed forms.
 
 Predictions (in units of hbar): the instantaneous model always gives
 ``hbar/2`` — both trial orderings yield the eigenvalue of the selected
@@ -33,12 +33,7 @@ import numpy as np
 
 from .errors import OrthogonalPostselection
 from .operators import ZERO_TOL, DensityOperator, Projector, require_positive_finite
-from .weakvalues import (
-    ProtocolConfig,
-    ProtocolTraces,
-    _require_weak_window,
-    protocol_traces,
-)
+from .weakvalues import ProtocolConfig, _require_weak_window
 
 __all__ = [
     "PLUS",
@@ -47,7 +42,6 @@ __all__ = [
     "HydrogenScenario",
     "HydrogenPredictions",
     "build_hydrogen",
-    "hydrogen_traces",
     "hydrogen_predictions",
 ]
 
@@ -113,40 +107,6 @@ def build_hydrogen(
         delta_t_c=delta_t_c,
         hbar=hbar,
     )
-
-
-def hydrogen_traces(scenario: HydrogenScenario) -> ProtocolTraces:
-    """The six protocol traces, computed numerically and cross-checked.
-
-    Closed forms (``p = |a|^2``, ``q = |b|^2``):
-    ``Tr[P S_z rho_in] = hbar p / 2``, ``Tr[P rho_in] = p``,
-    ``Tr[rho_fin S_z P] = hbar q / 2``, ``Tr[rho_fin P] = q``,
-    ``Tr[S_z rho_in] = hbar (2p - 1) / 2``, ``Tr[S_z P] = hbar / 2``.
-    A mismatch beyond 1e-12 (``1e-12 hbar`` for the four traces of
-    ``S_z``) means the scenario wiring is broken, so it raises rather
-    than returning silently wrong numbers.
-    """
-    cfg = build_hydrogen(scenario.a, scenario.b, scenario.hbar)
-    t = protocol_traces(cfg)
-    p = abs(scenario.a) ** 2
-    q = abs(scenario.b) ** 2
-    hbar = scenario.hbar
-    # name: (closed form, its scale)
-    closed = {
-        "proj_obs_in": (hbar * p / 2.0, hbar),
-        "proj_in": (p, 1.0),
-        "fin_obs_proj": (hbar * q / 2.0, hbar),
-        "fin_proj": (q, 1.0),
-        "obs_in": (hbar * (2.0 * p - 1.0) / 2.0, hbar),
-        "obs_proj": (hbar / 2.0, hbar),
-    }
-    for name, (expected, scale) in closed.items():
-        got = getattr(t, name)
-        if abs(got - expected) > 1e-12 * scale:
-            raise ArithmeticError(
-                f"trace {name} = {got} disagrees with closed form {expected}"
-            )
-    return t
 
 
 @dataclass(frozen=True)

@@ -52,9 +52,11 @@ merge in chunk order, so the results do not depend on scheduling.  The
 executor is shut down before the call returns, which waits only for the
 half in flight, and what the worker raises reaches the caller.  Shorter
 vn runs count both halves on the calling thread.  The objective model
-stays on one thread: its mid-collapse sums run over whole chunks, so a
-split chunk would move bits, and a chunk per thread would double the
-memory.
+stays on one thread.  A split chunk need not move bits: the halves'
+mid-collapse draws, joined in trial order, are the chunk's gathered
+array.  But the fastest split measured had a 1.46 MB traced peak against
+the vn run's 1.08 MB, and splits within that peak were no faster than
+one thread on 2 vCPUs.
 """
 
 from __future__ import annotations

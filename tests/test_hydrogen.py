@@ -10,7 +10,6 @@ from weakprobe import (
     averaged_weak_value_vn,
     build_hydrogen,
     hydrogen_predictions,
-    hydrogen_traces,
 )
 
 amplitudes = st.complex_numbers(
@@ -47,9 +46,34 @@ class TestScenario:
         assert np.linalg.norm(sc.psi_in) == pytest.approx(1.0, abs=1e-12)
 
 
+def checked_traces(a, b, hbar=1.0):
+    """The protocol traces of the scenario, checked against their closed forms.
+
+    With ``p = |a|^2`` and ``q = |b|^2``: ``Tr[P S_z rho_in] = hbar p / 2``,
+    ``Tr[P rho_in] = p``, ``Tr[rho_fin S_z P] = hbar q / 2``,
+    ``Tr[rho_fin P] = q``, ``Tr[S_z rho_in] = hbar (2p - 1) / 2`` and
+    ``Tr[S_z P] = hbar / 2``, each to 1e-12 of its scale: ``hbar`` for the
+    four traces of ``S_z``, 1 for the two overlaps.
+    """
+    t = build_hydrogen(a, b, hbar).traces
+    p, q = abs(a) ** 2, abs(b) ** 2
+    # name: (closed form, its scale)
+    closed = {
+        "proj_obs_in": (hbar * p / 2, hbar),
+        "proj_in": (p, 1.0),
+        "fin_obs_proj": (hbar * q / 2, hbar),
+        "fin_proj": (q, 1.0),
+        "obs_in": (hbar * (2 * p - 1) / 2, hbar),
+        "obs_proj": (hbar / 2, hbar),
+    }
+    for name, (expected, scale) in closed.items():
+        assert abs(getattr(t, name) - expected) <= 1e-12 * scale, (name, expected)
+    return t
+
+
 class TestTraces:
     def test_reference_point(self):
-        t = hydrogen_traces(HydrogenScenario(np.sqrt(0.5), np.sqrt(0.5)))
+        t = checked_traces(np.sqrt(0.5), np.sqrt(0.5))
         assert t.proj_obs_in == pytest.approx(0.25)
         assert t.proj_in == pytest.approx(0.5)
         assert t.fin_obs_proj == pytest.approx(0.25)
@@ -59,7 +83,7 @@ class TestTraces:
 
     @given(a=amplitudes, b=amplitudes)
     def test_closed_forms_random(self, a, b):
-        t = hydrogen_traces(HydrogenScenario(a, b))
+        t = checked_traces(a, b)
         p, q = abs(a) ** 2, abs(b) ** 2
         assert t.proj_obs_in == pytest.approx(p / 2, abs=1e-12)
         assert t.proj_in == pytest.approx(p, abs=1e-12)
@@ -69,13 +93,21 @@ class TestTraces:
         assert t.obs_proj == pytest.approx(0.5, abs=1e-15)
 
     def test_hbar_scaling(self):
-        t1 = hydrogen_traces(HydrogenScenario(0.6, 0.7))
-        t7 = hydrogen_traces(HydrogenScenario(0.6, 0.7, hbar=7.0))
+        t1 = checked_traces(0.6, 0.7)
+        t7 = checked_traces(0.6, 0.7, hbar=7.0)
         # observable traces scale, plain overlaps do not
         assert t7.proj_obs_in == pytest.approx(7 * t1.proj_obs_in)
         assert t7.obs_proj == pytest.approx(7 * t1.obs_proj)
         assert t7.proj_in == pytest.approx(t1.proj_in)
         assert t7.fin_proj == pytest.approx(t1.fin_proj)
+
+    @pytest.mark.parametrize("hbar", [1e-20, 1e5, 1e300])
+    @pytest.mark.parametrize(
+        "a, b", [(np.sqrt(0.5), np.sqrt(0.5)), (0.6 + 0.3j, 0.5 - 0.2j)]
+    )
+    def test_closed_forms_at_extreme_hbar(self, a, b, hbar):
+        # the S_z traces scale with hbar, and so does their rounding
+        checked_traces(a, b, hbar)
 
 
 class TestBuild:

@@ -46,7 +46,6 @@ PUBLIC = {
         "HydrogenScenario",
         "build_hydrogen",
         "hydrogen_predictions",
-        "hydrogen_traces",
     ),
     "montecarlo": (
         "CHUNK_TRIALS",
@@ -252,6 +251,7 @@ print("ok")
         "RankDeficient",
         "trial_weak_value_strong_first",
         "trial_weak_value_weak_first",
+        "hydrogen_traces",
     ],
 )
 def test_unknown_attribute_raises(name):

@@ -31,7 +31,8 @@ K = 4.0  # band half-widths in standard deviations: ~6e-5 two-sided
 SIGMA_FLOOR = 1e-9
 
 CONFIGS = [build_hydrogen(0.6, 0.8, 1.0, 1.0)] + [
-    random_config(np.random.default_rng(1200 + i), d=3) for i in range(3)
+    random_config(np.random.default_rng(1200 + i), d)
+    for i, d in enumerate((3, 3, 3, 2, 4))
 ]
 
 
@@ -75,7 +76,7 @@ def test_vn_on_hydrogen_always_reads_vn():
 
 
 def test_vn_rate_on_random_configs():
-    got = [v.model for case in (1, 2, 3) for v in verdicts(case, "vn")]
+    got = [v.model for case in range(1, len(CONFIGS)) for v in verdicts(case, "vn")]
     p = vn_disk_rate(TRIALS)
     assert abs(got.count("vn") / len(got) - p) <= binomial_band(p, len(got))
 
