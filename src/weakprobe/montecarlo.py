@@ -26,37 +26,50 @@ handler) builds its own.  Each call draws into one buffer of its own,
 freed when it returns.  ``Generator.random`` fills the buffer, which is
 scaled in place to its window, ``u * (hi - lo) + lo``: the same two
 roundings as ``Generator.uniform(lo, hi)``, so every draw has the bits
-``uniform`` gives it on a fresh ``Philox(key=[seed, j])``.
+``uniform`` gives it on a fresh ``Philox(key=[seed, j])``.  The spec reads
+the window once, when it is built.
 
 Each chunk reduces to branch counts plus the mean and M2 of
 ``x = t_w/delta_t_c`` over its mid-collapse trials, where the value is
 affine in ``x``; chunks merge in index order by the pairwise update of
-Chan, Golub & LeVeque (1983).  The mid-collapse draws are gathered by
-index (``nonzero`` then ``take``), or by boolean mask when nearly
-every draw of the chunk is mid-collapse; both give the same array, so
-the choice never changes a result.  Memory is O(``CHUNK_TRIALS``)
-whatever the trial count.  This reduction replaced a per-trial value
-array and changed result bits once, in the last places; the draws did
-not change.
+Chan, Golub & LeVeque (1983).  An objective chunk is drawn whole and
+classified in one pass; its mid-collapse draws are then gathered in
+blocks of about ``_BLOCK_TRIALS // 2`` mid-collapse trials, by index
+(``nonzero`` then ``take``), or by boolean mask when nearly every draw of
+the chunk is mid-collapse.  Each block's values ``x`` are written to the
+front of the chunk's own buffer, over draws already classified, so the
+front is the array a gather of the whole chunk gives, in trial order,
+and the gather's temporaries are block-sized whatever the share of
+mid-collapse trials.  Either gather gives the same array, so neither
+choice changes a result.  Memory is O(``CHUNK_TRIALS``) whatever the trial
+count: a chunk of draws, its mask and one block's temporaries, 0.73 MB
+traced at 10^7 trials on the hydrogen scenario.  A checkpoint inside a
+chunk reduces a copy of its prefix's ``x``, in the dead entries behind the
+front once they hold it, or else in a new array.  This reduction replaced
+a per-trial value array and changed result bits once, in the last places;
+the draws did not change.
 
 An instantaneous (vn) chunk reduces to a count of weak-first trials, so
-it is drawn and counted in two halves.  A vn run of ``2 * CHUNK_TRIALS``
+it is drawn and counted in two halves, and each half in blocks of
+``_BLOCK_TRIALS`` trials: the generator is positioned once per half and
+carries on from block to block.  A vn run of ``2 * CHUNK_TRIALS``
 trials or more hands the second halves of the current and the next chunk
 to a one-worker ``ThreadPoolExecutor``, which has a ``Philox`` of its
 own, while the calling thread counts the first halves.  The caller takes
 each second half the worker has finished; one the worker has not started
 is cancelled, and one it is running is left to finish, and the caller
 counts either itself, so a worker starved of CPU never stalls the run.
-Each thread has a half-chunk buffer: one chunk of draws in all.  Counts
-merge in chunk order, so the results do not depend on scheduling.  The
-executor is shut down before the call returns, which waits only for the
-half in flight, and what the worker raises reaches the caller.  Shorter
-vn runs count both halves on the calling thread.  The objective model
-stays on one thread.  A split chunk need not move bits: the halves'
-mid-collapse draws, joined in trial order, are the chunk's gathered
-array.  But the fastest split measured had a 1.46 MB traced peak against
-the vn run's 1.08 MB, and splits within that peak were no faster than
-one thread on 2 vCPUs.
+Each thread has a buffer of one block, 256 KB, so a two-thread vn run
+peaks at 0.57 MB traced.  Counts merge in chunk order, so the results do
+not depend on scheduling.  The executor is shut down before the call
+returns, which waits only for the half in flight, and what the worker
+raises reaches the caller.  Shorter vn runs count both halves on the
+calling thread.  The objective model stays on one thread.  A split chunk
+need not move bits: the halves' mid-collapse draws, joined in trial
+order, are the chunk's gathered array.  But on 2 vCPUs a two-thread
+half-chunk objective was 1.07x as fast as one thread (median of 15
+interleaved rounds, where vn's two threads were 1.72x) at a traced peak
+of 1.13-1.39 MB.
 """
 
 from __future__ import annotations
@@ -112,6 +125,14 @@ class SimulationSpec:
             raise ValueError("trials must be a positive integer")
         if not (type(self.seed) is int and 0 <= self.seed < 2**64):
             raise ValueError("seed must be an unsigned 64-bit integer")
+        # The draws' window as (lo, width), read once: a draw u in [0, 1) is
+        # scaled to u * width + lo.
+        if self.model == "vn":
+            window = (0.0, self.cfg.delta_t_m)
+        else:
+            w = self.cfg.weak_window
+            window = (w.lo, w.hi - w.lo)
+        object.__setattr__(self, "_window", window)
 
 
 @dataclass(frozen=True)
@@ -176,18 +197,19 @@ def _ends(checkpoints: list[int], j: int, n: int) -> list[int]:
 def _chunk_draws(spec: SimulationSpec, j: int, n: int, out: np.ndarray, rng, first=0):
     """Draws of trials ``first .. first + n - 1`` of chunk ``j``, made with
     ``rng`` into the front of ``out``: ``t_s, t_w`` interleaved under the
-    instantaneous model, ``t_w`` under the objective model."""
+    instantaneous model, ``t_w`` under the objective model.  With ``first``
+    None, ``rng`` goes on from its last draw: Philox carries on across
+    calls, as each double takes one 64-bit output."""
     per_trial = 2 if spec.model == "vn" else 1
     size = per_trial * n
     draws = out[:size] if size < out.size else out  # no view object on a full buffer
-    _position(rng, spec.seed, j, per_trial * first)
+    if first is not None:
+        _position(rng, spec.seed, j, per_trial * first)
     rng.random(out=draws)
-    if spec.model == "vn":
-        draws *= spec.cfg.delta_t_m
-    else:
-        w = spec.cfg.weak_window
-        draws *= w.hi - w.lo
-        draws += w.lo
+    lo, width = spec._window
+    draws *= width
+    if lo:  # adding 0.0 to u * width >= 0 leaves its bits
+        draws += lo
     return draws
 
 
@@ -200,6 +222,13 @@ def _chunk_draws(spec: SimulationSpec, j: int, n: int, out: np.ndarray, rng, fir
 # 30% faster at a share of 0.5 and 4-8% at 0.86-0.88, the two are within 2%
 # from 0.9 to 0.94, and the mask is 2-15% faster from 0.95 to 1.
 _MASK_GATHER_SHARE = 0.9
+
+# Trials a vn half draws and counts at a time, which sizes each thread's vn
+# buffer (two draws a trial).  An objective gather block holds about half as
+# many mid-collapse trials: its temporaries, the index array and the
+# gathered draws (16 bytes a mid trial), sit beside a chunk of draws and its
+# mask, and fewer, larger blocks cost fewer numpy calls where few trials are mid.
+_BLOCK_TRIALS = 1 << 14
 
 # A group of trials: (count, mean, M2 of the real part, M2 of the imaginary part).
 _EMPTY = (0, 0j, 0.0, 0.0)
@@ -222,55 +251,90 @@ def _group(branch, n: int, weak_first: int, mid=_EMPTY):
     return _merge(_merge((weak_first, branch[0], 0.0, 0.0), mid), strong_first)
 
 
-def _objective_group(spec: SimulationSpec, branch, draws: np.ndarray, n: int):
-    """The group of the first ``n`` objective trials of a chunk, from its draws."""
+def _objective_groups(spec: SimulationSpec, branch, draws: np.ndarray, ends: list[int]):
+    """The group of the first ``e`` objective trials of a chunk for each
+    chunk-relative ``e`` in ``ends``, from the chunk's draws, which it
+    overwrites.
+
+    The draws are classified in one pass, then gathered in blocks: each
+    block's mid-collapse draws, over ``delta_t_c``, are written to the
+    front of ``draws``.  The first ``k`` entries are then the values ``x``
+    of the mid-collapse trials so far, in trial order, the array a gather
+    of the whole prefix gives, and the entries behind them up to the
+    block's end are dead.  The last end reduces its ``x`` in place.  An
+    inner end waits until the dead entries hold a copy of its ``x``, or
+    the chunk's end, where it copies them to a new array.
+    """
     _, _, obs_in, slope = branch
-    mid = _EMPTY
-    t_w, dtc = draws[:n], spec.cfg.delta_t_c
-    mask = t_w >= 0.0
-    weak_first = n - int(np.count_nonzero(mask))
-    mask &= t_w <= dtc
-    k = int(np.count_nonzero(mask))
-    if k:
-        if k > _MASK_GATHER_SHARE * n:
-            x = t_w[mask]
-        else:
-            idx = mask.nonzero()[0]  # what np.flatnonzero does, without its wrapper
-            del mask  # the peak holds the draws, idx and x, not the mask too
-            x = t_w.take(idx)
-        x /= dtc  # mid draws only: x <= 1, while t_w/dtc can overflow elsewhere
-        mean_x = float(x.sum()) / k  # what x.mean() does, without its wrapper
-        x -= mean_x
-        m2_x = float(np.square(x, out=x).sum())
-        re, im = m2_x * slope.real**2, m2_x * slope.imag**2
-        mid = (k, obs_in + mean_x * slope, re, im)
-    return _group(branch, n, weak_first, mid)
+    dtc, half = spec.cfg.delta_t_c, _BLOCK_TRIALS // 2
+    mask = draws >= 0.0
+    weak_first = [e - int(np.count_nonzero(mask[:e])) for e in ends]
+    mask &= draws <= dtc
+    n, mids = ends[-1], int(np.count_nonzero(mask))
+    by_mask, step = mids > _MASK_GATHER_SHARE * n, -(-n * half // mids) if mids else n
+    marks, groups, k, start = [], [], 0, 0  # a mark: (end, weak_first, k)
+
+    def reduce(at):
+        """Append the group of the first end not yet reduced, from the
+        first ``m`` values of the front: reduced in place if ``at`` is 0,
+        else in a copy at ``draws[at:]``, or in a new array if ``at`` is None."""
+        e, w, m = marks[len(groups)]
+        mid = _EMPTY
+        if m:
+            x = draws[:m].copy() if at is None else draws[at : at + m]
+            if at:
+                x[...] = draws[:m]
+            mean_x = float(x.sum()) / m  # what x.mean() does, without its wrapper
+            x -= mean_x
+            m2_x = float(np.square(x, out=x).sum())
+            mid = (m, obs_in + mean_x * slope, m2_x * slope.real**2, m2_x * slope.imag**2)
+        groups.append(_group(branch, e, w, mid))
+
+    for e, w in zip(ends, weak_first):
+        for s in range(start, e, step):
+            t = min(s + step, e)
+            block = mask[s:t]
+            # nonzero()[0] is what np.flatnonzero does, without its wrapper
+            gathered = draws[s:t][block] if by_mask else draws[s:t].take(block.nonzero()[0])
+            # mid draws only: x <= 1, while t_w/dtc can overflow elsewhere
+            np.divide(gathered, dtc, out=draws[k : k + gathered.size])
+            k += gathered.size
+            del gathered  # else the next block's gather would hold it too
+            while len(groups) < len(marks) and marks[len(groups)][2] <= t - k:
+                reduce(k)
+        marks.append((e, w, k))
+        start = e
+    while len(groups) < len(marks) - 1:
+        reduce(None)
+    reduce(0)
+    return groups
 
 
-# vn trials compared at a time, which bounds the comparison's boolean temporary.
-_COMPARE_TRIALS = 1 << 13
-
-
-def _weak_first(draws: np.ndarray, n: int) -> int:
-    """How many of the first ``n`` vn trials of ``draws`` have ``t_w <= t_s``."""
-    later = 0
-    for i in range(0, 2 * n, 2 * _COMPARE_TRIALS):
-        end = min(i + 2 * _COMPARE_TRIALS, 2 * n)
-        later += int(np.count_nonzero(draws[i + 1 : end : 2] > draws[i:end:2]))
-    return n - later
+def _later(draws: np.ndarray, n: int) -> int:
+    """How many of the first ``n`` vn trials of ``draws`` have ``t_w > t_s``."""
+    return int(np.count_nonzero(draws[1 : 2 * n : 2] > draws[0 : 2 * n : 2]))
 
 
 def _half_counts(spec: SimulationSpec, rng, buf, j: int, h: int, ends: list[int]):
     """Weak-first counts among the trials of half ``h`` of chunk ``j`` that
     come before each chunk-relative trial index in ``ends``; the last end is
-    the chunk's size."""
+    the chunk's size.  The half is drawn and counted in blocks of
+    ``_BLOCK_TRIALS`` trials, with ``rng`` positioned once, for the first;
+    an end inside a block counts that block's prefix."""
     half = CHUNK_TRIALS // 2
     first = h * half
-    n = max(min(half, ends[-1] - first), 0)
-    if n == 0:  # a chunk of half a chunk or less
-        return [0] * len(ends)
-    draws = _chunk_draws(spec, j, n, buf, rng, first)
-    return [_weak_first(draws, min(max(e - first, 0), n)) for e in ends]
+    n = max(min(half, ends[-1] - first), 0)  # 0 in a chunk of half a chunk or less
+    cuts = [min(max(e - first, 0), n) for e in ends]
+    later, counts, i = 0, [], 0
+    for s in range(0, n, _BLOCK_TRIALS):
+        m = min(_BLOCK_TRIALS, n - s)
+        draws = _chunk_draws(spec, j, m, buf, rng, None if s else first)
+        while cuts[i] < s + m:  # the last cut is n, so this stops
+            counts.append(later + (_later(draws, cuts[i] - s) if cuts[i] > s else 0))
+            i += 1
+        later += _later(draws, m)
+    counts += [later] * (len(cuts) - i)
+    return [c - x for c, x in zip(cuts, counts)]
 
 
 def _result(group, seed: int, scale: int = 0) -> AveragedResult:
@@ -299,12 +363,12 @@ def _stream(spec: SimulationSpec, checkpoints: list[int]) -> list[AveragedResult
     if scale:
         branch = [complex(math.ldexp(v.real, -scale), math.ldexp(v.imag, -scale)) for v in branch]
     n_total, vn = checkpoints[-1], spec.model == "vn"
-    buf = np.empty(min((2 if vn else 1) * n_total, CHUNK_TRIALS))
+    buf = np.empty(min(2 * n_total, 2 * _BLOCK_TRIALS) if vn else min(n_total, CHUNK_TRIALS))
     total, out, pool, ahead, in_flight = _EMPTY, [], None, {}, None
     if vn and n_total >= _THREAD_TRIALS:  # second halves ahead, on a helper thread
         from concurrent.futures import ThreadPoolExecutor  # ~5 ms cold: import on use
 
-        pool, own = ThreadPoolExecutor(max_workers=1), (_generator(), np.empty(CHUNK_TRIALS))
+        pool, own = ThreadPoolExecutor(max_workers=1), (_generator(), np.empty(2 * _BLOCK_TRIALS))
     rng, _held.rng = getattr(_held, "rng", None) or _generator(), None
     try:
         for j, lo, hi in _chunks(n_total):
@@ -328,7 +392,7 @@ def _stream(spec: SimulationSpec, checkpoints: list[int]) -> list[AveragedResult
                 groups = [_group(branch, e, x + y) for e, x, y in zip(ends, a, b)]
             else:
                 draws = _chunk_draws(spec, j, hi - lo, buf, rng)
-                groups = [_objective_group(spec, branch, draws, e) for e in ends]
+                groups = _objective_groups(spec, branch, draws, ends)
             reported = bisect_right(checkpoints, hi) - bisect_right(checkpoints, lo)
             out += [_result(_merge(total, g), spec.seed, scale) for g in groups[:reported]]
             total = _merge(total, groups[-1])

@@ -1,5 +1,8 @@
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 import warnings
@@ -420,6 +423,12 @@ def ratio_spec(model, ratio, trials, seed):
 RATIOS = [0.05, 0.5, 0.9, 0.95, 1.0, 2.0]
 GATHERS = {"index": 2.0, "mask": -1.0}  # _MASK_GATHER_SHARE forcing each gather
 
+# One trial either side of the kernel's block edges: a vn block, an objective
+# gather block of _BLOCK_TRIALS // 2 mid-collapse trials at a share near 1,
+# the helper's half chunk, and a vn block into that half.
+_B, _H = montecarlo._BLOCK_TRIALS, CHUNK_TRIALS // 2
+BLOCK_EDGES = sorted({m + d for m in (_B // 2, _B, _H, _H + _B) for d in (-1, 0, 1)})
+
 
 class TestKernelOracle:
     """Results equal, bit for bit, those of the kernel that drew each chunk
@@ -450,6 +459,41 @@ class TestKernelOracle:
         monkeypatch.setattr(montecarlo, "_MASK_GATHER_SHARE", GATHERS[gather])
         checkpoints = [1, 777, CHUNK_TRIALS, 2 * CHUNK_TRIALS + 3]
         spec = ratio_spec("objective", ratio, checkpoints[-1], seed=9)
+        assert convergence_report(spec, checkpoints) == oracle_stream(spec, checkpoints)
+
+    @pytest.mark.parametrize("gather", sorted(GATHERS))
+    @pytest.mark.parametrize("model", ["vn", "objective"])
+    @pytest.mark.parametrize("trials", BLOCK_EDGES)
+    def test_run_at_block_edges(self, model, gather, trials, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_MASK_GATHER_SHARE", GATHERS[gather])
+        spec = ratio_spec(model, 1.0, trials, seed=trials % 3)
+        assert run_simulation(spec) == oracle_stream(spec, [trials])[0]
+
+    @pytest.mark.parametrize("gather", sorted(GATHERS))
+    @pytest.mark.parametrize("model", ["vn", "objective"])
+    def test_tiny_blocks_match_oracle(self, model, gather, monkeypatch):
+        # Blocks of a few trials put block edges, checkpoints and the end of
+        # the dead entries behind the gathered front next to each other in
+        # every arrangement.
+        monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 8)
+        monkeypatch.setattr(montecarlo, "_MASK_GATHER_SHARE", GATHERS[gather])
+        rng = np.random.default_rng(2020)
+        for seed in range(200):
+            n = int(rng.integers(1, 80))
+            checkpoints = sorted({n, *rng.integers(1, n + 1, size=rng.integers(0, 6)).tolist()})
+            spec = ratio_spec(model, float(rng.choice(RATIOS)), n, seed)
+            assert convergence_report(spec, checkpoints) == oracle_stream(spec, checkpoints)
+
+    @pytest.mark.parametrize("gather", sorted(GATHERS))
+    @pytest.mark.parametrize("model", ["vn", "objective"])
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_report_at_block_edges(self, model, gather, ratio, monkeypatch):
+        # block edges in the first chunk and in the second; at low shares an
+        # inner checkpoint's prefix fits behind the gathered front, at high
+        # ones it takes a new array
+        monkeypatch.setattr(montecarlo, "_MASK_GATHER_SHARE", GATHERS[gather])
+        checkpoints = BLOCK_EDGES + [CHUNK_TRIALS + e for e in BLOCK_EDGES]
+        spec = ratio_spec(model, ratio, checkpoints[-1], seed=10)
         assert convergence_report(spec, checkpoints) == oracle_stream(spec, checkpoints)
 
 
@@ -517,10 +561,42 @@ class TestMemoryGuard:
         run_simulation(spec)
         assert self.peak(spec) <= 17 * CHUNK_TRIALS
 
-    def test_objective_peak_within_vn_peak(self):
-        vn = self.peak(generic_spec("vn", 4 * CHUNK_TRIALS, seed=1))
-        objective = self.peak(generic_spec("objective", 4 * CHUNK_TRIALS, seed=1))
-        assert objective <= vn
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_objective_peak_bounded(self, ratio):
+        # a chunk of draws (8 bytes a trial), its mask (1 byte a trial) and
+        # one gather block's index array and gathered draws, whatever the
+        # share of mid-collapse trials
+        spec = ratio_spec("objective", ratio, 4 * CHUNK_TRIALS, seed=1)
+        assert self.peak(spec) <= 12 * CHUNK_TRIALS
+
+    def test_vn_peak_bounded(self):
+        # both threads' one-block buffers (2 * 16 bytes a block trial) and a
+        # block's comparison; the first two-thread run imports the executor
+        spec = generic_spec("vn", 4 * CHUNK_TRIALS, seed=1)
+        run_simulation(spec)
+        assert self.peak(spec) <= 10 * CHUNK_TRIALS
+
+    def test_cold_objective_run_takes_few_page_faults(self):
+        # Arrays that grow with the mid-collapse share come from fresh pages
+        # in a new process: the whole-chunk index gather took ~4,000 minor
+        # faults here, the block gather takes ~140.
+        pytest.importorskip("resource")
+        code = """
+            import resource
+            from weakprobe import SimulationSpec, build_hydrogen, run_simulation
+            cfg = build_hydrogen(0.6, 0.8, 1.0, 1.0, 0.9)  # mid-collapse share 0.9
+            spec = SimulationSpec(cfg, "objective", 3_000_000, 5)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            run_simulation(spec)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) <= 1000
 
 
 # -- Positioned Philox streams and the two-thread vn run -----------------------------
