@@ -323,7 +323,9 @@ def _half_counts(spec: SimulationSpec, rng, buf, j: int, h: int, ends: list[int]
     an end inside a block counts that block's prefix."""
     half = CHUNK_TRIALS // 2
     first = h * half
-    n = max(min(half, ends[-1] - first), 0)  # 0 in a chunk of half a chunk or less
+    n = max(min(half, ends[-1] - first), 0)
+    if n == 0:  # a chunk of half a chunk or less
+        return [0] * len(ends)
     cuts = [min(max(e - first, 0), n) for e in ends]
     later, counts, i = 0, [], 0
     for s in range(0, n, _BLOCK_TRIALS):
