@@ -579,7 +579,7 @@ class TestMemoryGuard:
     def test_cold_objective_run_takes_few_page_faults(self):
         # Arrays that grow with the mid-collapse share come from fresh pages
         # in a new process: the whole-chunk index gather took ~4,000 minor
-        # faults here, the block gather takes ~140.
+        # faults in this run, the block gather takes ~140.
         pytest.importorskip("resource")
         code = """
             import resource
