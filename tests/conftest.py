@@ -94,3 +94,26 @@ def spin_config(a=np.sqrt(0.5), b=np.sqrt(0.5), dtm=1.0, dtc=0.5, hbar=1.0):
         delta_t_c=dtc,
         hbar=hbar,
     )
+
+
+def line_end_overflow(name: str) -> dict:
+    """``ProtocolConfig`` arguments whose six traces are finite but whose
+    ``name`` prediction, ``"vn"`` or ``"saturated"``, is not."""
+    from weakprobe import DensityOperator as _D
+
+    rho_in, rho_fin, proj, obs = {
+        # W1 = -1.05e309 and W3 = +1.05e309 overflow with opposite signs
+        "vn": ([-0.6, 0.8], [-0.8, 0.6], [1.0, 1.0], [[1.5e308, 0.0], [0.0, -1.5e308]]),
+        # Tr[O rho_in] + Tr[O P] is about 2.7e308
+        "saturated": (
+            [0.995, 0.1], [1.0, 1.0], [1.0, 0.0], [[1.5e308, -1.5e308], [-1.5e308, 1.7e308]]
+        ),
+    }[name]
+    return dict(
+        rho_in=_D.pure(np.array(rho_in)),
+        rho_fin=_D.pure(np.array(rho_fin)),
+        strong_projector=Projector.onto(np.array(proj)),
+        weak_observable=np.array(obs, dtype=complex),
+        delta_t_m=1.0,
+        delta_t_c=1.0,
+    )

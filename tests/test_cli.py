@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import spin_config
-from weakprobe import config_from_json, config_to_json
+from conftest import line_end_overflow, spin_config
+from weakprobe import config_from_json, config_to_json, operator_to_json
 from weakprobe.cli import main
 from test_golden_cli import INVOCATIONS, invoke
 
@@ -220,6 +220,45 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError):
             _dumps({"x": float("inf")})
 
+
+
+class TestOutOfRangeAnswers:
+    # Inputs whose answer lies past the double range.  The CSV forms used to
+    # print inf or nan and exit 0, the JSON forms to exit 2 with the JSON
+    # encoder's message; both now exit 2 naming the input.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("analytic", "--config", "CFG"), "error: prediction vn = "),
+            (
+                ("discriminate", "--config", "CFG", "--measured", 0.0, "--sigma-meas", 1.0),
+                "error: prediction vn = ",
+            ),
+            (
+                ("discriminate", "--scenario", "hydrogen", "--hbar", 1.7e308,
+                 "--measured=-1.7e308", "--sigma-meas", 1.0),
+                "error: measured value ",
+            ),
+            (
+                ("discriminate", "--scenario", "hydrogen", "--measured", 1.7e308,
+                 "--measured-im", 1.7e308, "--sigma-meas", 1.0),
+                "error: measured value ",
+            ),
+        ],
+    )
+    def test_exit_2_in_both_formats(self, argv, message, tmp_path, capsys):
+        doc = {
+            k: v if isinstance(v, float) else operator_to_json(getattr(v, "mat", v))
+            for k, v in line_end_overflow("vn").items()
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**doc, "hbar": 1.0}))
+        argv = [str(path) if a == "CFG" else str(a) for a in argv]
+        for fmt in ("json", "csv"):
+            assert main([*argv, "--format", fmt]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(message) and len(err.splitlines()) == 1
 
 class TestSimulate:
     def test_symmetric_vn_exact(self):

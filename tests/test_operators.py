@@ -6,6 +6,7 @@ import math
 import operator
 import pkgutil
 import sys
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -358,6 +359,7 @@ P_UP = Projector.onto([1.0, 0.0])
 PSI1 = np.array([0.6, 0.8])
 PSI2 = np.array([0.8, 0.6])
 CFG = build_hydrogen(0.6, 0.8, delta_t_m=1.0, delta_t_c=0.5)
+HUGE_CFG = build_hydrogen(0.6, 0.8, hbar=1e308, delta_t_m=1.0, delta_t_c=0.5)
 GRID = np.geomspace(1e-3, 1e-2, 5)
 SCENARIO = HydrogenScenario(0.6, 0.8)
 
@@ -572,13 +574,28 @@ class TestBoundaryPolicy:
         f = min(cfg.delta_t_c / cfg.delta_t_m, 1.0)
         assert abs(objective - ((1 - f) * vn + f * sat)) <= 1e-12
 
-    @given(measured=extreme_floats(), sigma_meas=extreme_floats())
-    def test_discriminate(self, measured, sigma_meas):
+    @given(
+        cfg=st.sampled_from([CFG, HUGE_CFG]),
+        measured=extreme_floats() | st.builds(complex, extreme_floats(), extreme_floats()),
+        sigma_meas=extreme_floats(),
+    )
+    # |measured - v_vn| overflows; these used to raise OverflowError and to
+    # report an infinite residual
+    @example(cfg=CFG, measured=1.7e308 + 1.7e308j, sigma_meas=1.0)
+    @example(cfg=HUGE_CFG, measured=-1.7e308, sigma_meas=1.0)
+    def test_discriminate(self, cfg, measured, sigma_meas):
         try:
-            verdict = discriminate(measured, CFG, sigma_meas)
-        except ValueError:
-            ok = math.isfinite(measured) and math.isfinite(sigma_meas) and sigma_meas > 0
-            assert not ok
+            verdict = discriminate(measured, cfg, sigma_meas)
+        except ValueError as exc:
+            m = complex(measured)
+            ok = cmath.isfinite(m) and math.isfinite(sigma_meas) and sigma_meas > 0
+            if ok:
+                # the one other refusal: a measurement a double range away
+                # from the line, whose distance overflows
+                assert "measured value" in str(exc)
+                v = cfg.traces.vn
+                exact = (F(m.real) - F(v.real)) ** 2 + (F(m.imag) - F(v.imag)) ** 2
+                assert exact > (F(sys.float_info.max) * (1 - F(2) ** -50)) ** 2
             return
         assert math.isfinite(verdict.residual)
         estimate = verdict.delta_t_c_estimate

@@ -5,7 +5,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import random_config, random_hermitian, random_ket, spin_config
+from conftest import (
+    line_end_overflow,
+    random_config,
+    random_hermitian,
+    random_ket,
+    spin_config,
+)
 from weakprobe import (
     DegenerateScenario,
     DensityOperator,
@@ -131,6 +137,13 @@ class TestProtocolConfig:
                 delta_t_c=1.0,
             )
 
+    @pytest.mark.parametrize("name", ["vn", "saturated"])
+    def test_overflowing_line_end(self, name):
+        # finite traces, a prediction past the double range; this used to
+        # predict inf or NaN, and discriminate to answer on it
+        with pytest.raises(ValueError, match=f"prediction {name} = .* not finite"):
+            ProtocolConfig(**line_end_overflow(name))
+
     def test_orthogonal_preselection(self):
         with pytest.raises(OrthogonalPostselection):
             ProtocolConfig(
@@ -217,6 +230,12 @@ class TestTraceKernel:
         assert t.strong_first == t.fin_obs_proj / t.fin_proj
         assert t.saturated == (t.obs_in + t.obs_proj) / 2.0
 
+
+    def test_line_ends(self):
+        cfg = random_config(np.random.default_rng(6), 3)
+        t = cfg.traces
+        assert t.vn == (t.weak_first + t.strong_first) / 2.0
+        assert averaged_weak_value_vn(cfg) == t.vn
 
 class TestWeakValue:
     def test_pure_state_formula_oracle(self):
@@ -499,6 +518,67 @@ class TestDiscriminate:
         assert (v.model, v.branch) == (model, branch)
         if branch == "jitter":
             assert v.delta_t_c_estimate == pytest.approx(0.8)
+
+    def test_distance_past_the_double_range_refused(self):
+        # |measured - v_vn| overflows here; this used to raise OverflowError
+        with pytest.raises(ValueError, match="measured value"):
+            discriminate(1.7e308 + 1.7e308j, build_hydrogen(0.6, 0.8), 1.0)
+        # and here it used to come out as an infinite residual
+        cfg = build_hydrogen(0.6, 0.8, hbar=1.7e308)
+        with pytest.raises(ValueError, match="measured value"):
+            discriminate(-1.7e308, cfg, 1.0)
+
+    # The rule's equality edges.  This config's line runs from v_vn = 1 to
+    # v_sat = 0.5 on the real axis and sigma is a power of two, so every
+    # distance and coordinate below is exact.
+    SIGMA = 2.0**-6
+
+    @staticmethod
+    def exact_line():
+        cfg = ProtocolConfig(
+            rho_in=DensityOperator.maximally_mixed(2),
+            rho_fin=DensityOperator.maximally_mixed(2),
+            strong_projector=Projector.onto(KET_PLUS),
+            weak_observable=SIGMA_Z,
+            delta_t_m=1.0,
+            delta_t_c=0.5,
+        )
+        assert (averaged_weak_value_vn(cfg), cfg.traces.saturated) == (1.0, 0.5)
+        return cfg
+
+    @pytest.mark.parametrize("measured", [1.0 - 2 * SIGMA, 1.0 + 2 * SIGMA, complex(1.0, 2 * SIGMA)])
+    def test_two_sigma_from_vn_reads_vn(self, measured):
+        v = discriminate(measured, self.exact_line(), self.SIGMA)
+        assert v == DiscriminationVerdict("vn", None, None, 2 * self.SIGMA)
+
+    def test_two_sigma_off_the_linear_branch_reads_jitter(self):
+        cfg = self.exact_line()
+        v = discriminate(complex(0.75, 2 * self.SIGMA), cfg, self.SIGMA)
+        assert v == DiscriminationVerdict("objective", 0.5, "jitter", 2 * self.SIGMA)
+        wider = math.nextafter(2 * self.SIGMA, 1.0)
+        v = discriminate(complex(0.75, wider), cfg, self.SIGMA)
+        assert v == DiscriminationVerdict("inconclusive", None, None, wider)
+
+    @pytest.mark.parametrize("measured", [complex(0.5, 2 * SIGMA), 0.5 - 2 * SIGMA])
+    def test_two_sigma_off_the_plateau_reads_saturated(self, measured):
+        v = discriminate(measured, self.exact_line(), self.SIGMA)
+        assert v == DiscriminationVerdict("objective", None, "saturated", 2 * self.SIGMA)
+
+    def test_coordinate_one_reads_saturated(self):
+        from weakprobe.weakvalues import _line_coordinate
+
+        assert _line_coordinate(0.5 - 1.0 + 0j, 0.5 - 1.0 + 0j) == 1.0
+        v = discriminate(0.5, self.exact_line(), self.SIGMA)
+        assert v == DiscriminationVerdict("objective", None, "saturated", 0.0)
+
+    def test_coordinate_zero_reads_inconclusive(self):
+        # beside v_vn, where the curve ends: the residual is the distance to v_vn
+        from weakprobe.weakvalues import _line_coordinate
+
+        measured = complex(1.0, 4 * self.SIGMA)
+        assert _line_coordinate(measured - 1.0, 0.5 - 1.0 + 0j) == 0.0
+        v = discriminate(measured, self.exact_line(), self.SIGMA)
+        assert v == DiscriminationVerdict("inconclusive", None, None, 4 * self.SIGMA)
 
     def test_line_coordinate_keeps_the_plain_formula_bits(self):
         from weakprobe.weakvalues import _line_coordinate
