@@ -116,6 +116,11 @@ class ProtocolTraces:
         return self.fin_obs_proj / self.fin_proj
 
     @property
+    def vn(self) -> complex:
+        """``(W1 + W3) / 2``: the instantaneous-collapse average."""
+        return (self.weak_first + self.strong_first) / 2.0
+
+    @property
     def saturated(self) -> complex:
         """``(Tr[O rho_in] + Tr[O P]) / 2``: the objective plateau."""
         return (self.obs_in + self.obs_proj) / 2.0
@@ -188,6 +193,9 @@ class ProtocolConfig:
         if not all(map(cmath.isfinite, values)):  # finite entries can still overflow
             name = next(f.name for f in fields(t) if not cmath.isfinite(getattr(t, f.name)))
             raise ValueError(f"trace {name} = {getattr(t, name)} is not finite")
+        for name in ("vn", "saturated"):  # finite traces can still overflow here
+            if not cmath.isfinite(getattr(t, name)):
+                raise ValueError(f"prediction {name} = {getattr(t, name)} is not finite")
 
     @property
     def dim(self) -> int:
@@ -235,9 +243,9 @@ def averaged_weak_value_vn(cfg: ProtocolConfig) -> complex:
 
     With the weak-coupling and collapse times drawn independently and
     uniformly from the same window, the two orderings are equally
-    likely, so the average is ``(W1 + W3) / 2``.
+    likely, so the average is ``cfg.traces.vn``.
     """
-    return (cfg.traces.weak_first + cfg.traces.strong_first) / 2.0
+    return cfg.traces.vn
 
 
 def objective_weak_value_at(t_w: float, cfg: ProtocolConfig) -> complex:
@@ -380,6 +388,27 @@ class DiscriminationVerdict:
     residual: float
 
 
+def _fit(t: ProtocolTraces, measured: complex) -> tuple[float, float, float]:
+    """``(x, off_vn, residual)``: the coordinate of ``measured`` on the line from
+    ``t.vn`` (0) to ``t.saturated`` (1), its distance from ``t.vn``, and its
+    distance from the objective curve, the line at ``x`` clipped to ``[0, 1]``."""
+    v_vn, v_sat = t.vn, t.saturated
+    if abs(v_vn - v_sat) <= ZERO_TOL * max(1.0, abs(v_vn), abs(v_sat)):
+        raise DegenerateScenario(
+            "instantaneous and objective predictions coincide for this configuration; "
+            "the averaged weak value carries no discriminating power"
+        )
+    x = _line_coordinate(measured - v_vn, v_sat - v_vn)
+    on_curve = v_sat if x >= 1.0 else (1.0 - x) * v_vn + x * v_sat if x > 0.0 else v_vn
+    try:
+        off_vn, residual = abs(measured - v_vn), abs(measured - on_curve)
+    except OverflowError:  # finite parts, a modulus past the double range
+        off_vn = residual = math.inf
+    if math.inf in (off_vn, residual):
+        raise ValueError(f"measured value {measured}: its distance from {v_vn} overflows")
+    return x, off_vn, residual
+
+
 def discriminate(
     measured: complex,
     cfg: ProtocolConfig,
@@ -387,47 +416,26 @@ def discriminate(
 ) -> DiscriminationVerdict:
     """Turn a measured time-averaged weak value into a model verdict.
 
-    Policy: if the measurement sits within ``2 sigma_meas`` of the
-    instantaneous-model prediction, report ``"vn"`` (a vanishing
-    collapse duration can never be excluded).  Otherwise inversion of
-    the objective prediction — linear in ``delta_t_c`` up to the
-    saturation at ``delta_t_c = delta_t_m`` — either yields a duration
-    estimate, matches the saturated plateau, or fails, in which case
-    the verdict is ``"inconclusive"``.
+    Policy: ``"vn"`` within ``2 sigma_meas`` of the instantaneous prediction
+    (a vanishing collapse duration can never be excluded), else
+    ``"inconclusive"`` beyond ``2 sigma_meas`` of the objective curve (linear
+    in ``delta_t_c`` up to its plateau at ``delta_t_c = delta_t_m``), else
+    ``"objective"``: ``"saturated"`` on the plateau, ``"jitter"`` before it.
 
     Raises :class:`DegenerateScenario` when both models predict the
     same value, since then the measurement cannot separate them, and
-    ``ValueError`` for a non-finite measurement or uncertainty.
+    ``ValueError`` for a non-finite measurement or uncertainty, or for
+    a measurement whose distance from the predictions overflows.
     """
     require_positive_finite(sigma_meas, "sigma_meas")
     measured = complex(measured)
     if not cmath.isfinite(measured):
         raise ValueError(f"measured value {measured} is not finite")
-    v_vn = averaged_weak_value_vn(cfg)
-    v_sat = cfg.traces.saturated
-    scale = max(1.0, abs(v_vn), abs(v_sat))
-    if abs(v_vn - v_sat) <= ZERO_TOL * scale:
-        raise DegenerateScenario(
-            "instantaneous and objective predictions coincide for this "
-            "configuration; the averaged weak value carries no discriminating "
-            "power"
-        )
-    if abs(measured - v_vn) <= 2.0 * sigma_meas:
-        return DiscriminationVerdict("vn", None, None, abs(measured - v_vn))
-    # Objective prediction: (1 - x) v_vn + x v_sat with x = dtc/dtm in (0, 1],
-    # constant at v_sat beyond x = 1.  Project the measurement onto the line.
-    x = _line_coordinate(measured - v_vn, v_sat - v_vn)
+    x, off_vn, residual = _fit(cfg.traces, measured)
+    if off_vn <= 2.0 * sigma_meas:
+        return DiscriminationVerdict("vn", None, None, off_vn)
+    if not residual <= 2.0 * sigma_meas:
+        return DiscriminationVerdict("inconclusive", None, None, residual)
     if x >= 1.0:
-        residual = abs(measured - v_sat)
-        if residual <= 2.0 * sigma_meas:
-            return DiscriminationVerdict("objective", None, "saturated", residual)
-        return DiscriminationVerdict("inconclusive", None, None, residual)
-    if x > 0.0:
-        predicted = (1.0 - x) * v_vn + x * v_sat
-        residual = abs(measured - predicted)
-        if residual <= 2.0 * sigma_meas:
-            return DiscriminationVerdict(
-                "objective", x * cfg.delta_t_m, "jitter", residual
-            )
-        return DiscriminationVerdict("inconclusive", None, None, residual)
-    return DiscriminationVerdict("inconclusive", None, None, abs(measured - v_vn))
+        return DiscriminationVerdict("objective", None, "saturated", residual)
+    return DiscriminationVerdict("objective", x * cfg.delta_t_m, "jitter", residual)

@@ -1,8 +1,8 @@
 """Every name a module imports is used by that module.
 
 A stand-in for a linter's unused-import check, built on ``ast`` alone, over
-the package and the scripts.  The package ``__init__`` is left out: its
-imports are its public names.
+the package, the scripts and the tests.  The package ``__init__`` is left
+out: its imports are its public names.
 """
 
 from __future__ import annotations
@@ -16,6 +16,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "weakprobe"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 MODULES += sorted((ROOT / "scripts").glob("*.py"))
+MODULES += [
+    pytest.param(p, marks=pytest.mark.skip(reason="pinned unedited; its json import is FOUND (i)"))
+    if p.name == "test_acceptance.py"
+    else p
+    for p in sorted((ROOT / "tests").glob("*.py"))
+]
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
