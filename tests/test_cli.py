@@ -221,7 +221,6 @@ class TestNonFiniteInput:
             _dumps({"x": float("inf")})
 
 
-
 class TestOutOfRangeAnswers:
     # Inputs whose answer lies past the double range.  The CSV forms used to
     # print inf or nan and exit 0, the JSON forms to exit 2 with the JSON
@@ -259,6 +258,7 @@ class TestOutOfRangeAnswers:
             out, err = capsys.readouterr()
             assert out == ""
             assert err.startswith(message) and len(err.splitlines()) == 1
+
 
 class TestSimulate:
     def test_symmetric_vn_exact(self):

@@ -579,10 +579,11 @@ class TestBoundaryPolicy:
         measured=extreme_floats() | st.builds(complex, extreme_floats(), extreme_floats()),
         sigma_meas=extreme_floats(),
     )
-    # |measured - v_vn| overflows; these used to raise OverflowError and to
-    # report an infinite residual
+    # |measured - v_vn| overflows; these used to raise OverflowError, to
+    # report an infinite residual, and to read "vn" with one
     @example(cfg=CFG, measured=1.7e308 + 1.7e308j, sigma_meas=1.0)
     @example(cfg=HUGE_CFG, measured=-1.7e308, sigma_meas=1.0)
+    @example(cfg=HUGE_CFG, measured=-1.5e308, sigma_meas=1e308)
     def test_discriminate(self, cfg, measured, sigma_meas):
         try:
             verdict = discriminate(measured, cfg, sigma_meas)

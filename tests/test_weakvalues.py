@@ -230,12 +230,12 @@ class TestTraceKernel:
         assert t.strong_first == t.fin_obs_proj / t.fin_proj
         assert t.saturated == (t.obs_in + t.obs_proj) / 2.0
 
-
     def test_line_ends(self):
         cfg = random_config(np.random.default_rng(6), 3)
         t = cfg.traces
         assert t.vn == (t.weak_first + t.strong_first) / 2.0
         assert averaged_weak_value_vn(cfg) == t.vn
+
 
 class TestWeakValue:
     def test_pure_state_formula_oracle(self):
@@ -527,6 +527,12 @@ class TestDiscriminate:
         cfg = build_hydrogen(0.6, 0.8, hbar=1.7e308)
         with pytest.raises(ValueError, match="measured value"):
             discriminate(-1.7e308, cfg, 1.0)
+        # and here only |measured - v_vn| overflows, not the distance to
+        # v_sat; at sigma_meas = 1e308 this used to read "vn" with residual inf
+        cfg = build_hydrogen(0.6, 0.8, hbar=1e308)
+        for sigma_meas in (1.0, 1e308):
+            with pytest.raises(ValueError, match="measured value"):
+                discriminate(-1.5e308, cfg, sigma_meas)
 
     # The rule's equality edges.  This config's line runs from v_vn = 1 to
     # v_sat = 0.5 on the real axis and sigma is a power of two, so every
@@ -565,19 +571,20 @@ class TestDiscriminate:
         assert v == DiscriminationVerdict("objective", None, "saturated", 2 * self.SIGMA)
 
     def test_coordinate_one_reads_saturated(self):
-        from weakprobe.weakvalues import _line_coordinate
+        from weakprobe.weakvalues import _fit
 
-        assert _line_coordinate(0.5 - 1.0 + 0j, 0.5 - 1.0 + 0j) == 1.0
-        v = discriminate(0.5, self.exact_line(), self.SIGMA)
+        cfg = self.exact_line()
+        assert _fit(cfg.traces, 0.5 + 0j) == (1.0, 0.5, 0.0)
+        v = discriminate(0.5, cfg, self.SIGMA)
         assert v == DiscriminationVerdict("objective", None, "saturated", 0.0)
 
     def test_coordinate_zero_reads_inconclusive(self):
         # beside v_vn, where the curve ends: the residual is the distance to v_vn
-        from weakprobe.weakvalues import _line_coordinate
+        from weakprobe.weakvalues import _fit
 
-        measured = complex(1.0, 4 * self.SIGMA)
-        assert _line_coordinate(measured - 1.0, 0.5 - 1.0 + 0j) == 0.0
-        v = discriminate(measured, self.exact_line(), self.SIGMA)
+        cfg, measured = self.exact_line(), complex(1.0, 4 * self.SIGMA)
+        assert _fit(cfg.traces, measured) == (0.0, 4 * self.SIGMA, 4 * self.SIGMA)
+        v = discriminate(measured, cfg, self.SIGMA)
         assert v == DiscriminationVerdict("inconclusive", None, None, 4 * self.SIGMA)
 
     def test_line_coordinate_keeps_the_plain_formula_bits(self):
