@@ -59,8 +59,10 @@ INVOCATIONS = {
         "simulate", "--config", "{B}", "--model", "vn", "--trials", "5000", "--seed",
         "2", "--format", "csv",
     ],
-    # Multi-chunk runs (trials > CHUNK_TRIALS): the objective gather on both
-    # sides of a half-mid and a nearly-all-mid chunk, and vn across chunks.
+    # Multi-chunk runs (trials > CHUNK_TRIALS): the objective gather at a
+    # half-mid and a nearly-all-mid chunk, the objective run whose weak window
+    # lies inside the collapse (B: delta_t_c = 4 delta_t_m), so that every
+    # trial is mid-collapse, and vn across chunks.
     "simulate-A-objective-multichunk": [
         "simulate", "--config", "{A}", "--model", "objective", "--trials", "200000",
         "--seed", "4", "--dtc", "0.5",
@@ -68,6 +70,10 @@ INVOCATIONS = {
     "simulate-A-objective-dense-multichunk-csv": [
         "simulate", "--config", "{A}", "--model", "objective", "--trials", "200000",
         "--seed", "5", "--dtc", "0.95", "--format", "csv",
+    ],
+    "simulate-B-objective-multichunk": [
+        "simulate", "--config", "{B}", "--model", "objective", "--trials", "200000",
+        "--seed", "7",
     ],
     "simulate-B-vn-multichunk": [
         "simulate", "--config", "{B}", "--model", "vn", "--trials", "200000",
