@@ -452,6 +452,17 @@ class TestDiscriminate:
         )
         assert "error" in proc.stderr
 
+    def test_si_scale_hbar(self):
+        # the degeneracy test had an absolute floor; this used to exit 4 with
+        # "instantaneous and objective predictions coincide"
+        proc = run_cli(
+            "discriminate", "--scenario", "hydrogen", "--a-re", 0.6, "--b-re", 0.8,
+            "--hbar", 1e-13, "--measured", 3e-14, "--sigma-meas", 1e-16, check_exit=0,
+        )
+        report = json.loads(proc.stdout)
+        assert (report["model"], report["branch"]) == ("objective", "jitter")
+        assert report["delta_t_c_estimate"] == pytest.approx(0.625, rel=1e-12)
+
     def test_huge_predictions(self):
         # |span|^2 overflows here; this used to exit 2 with
         # "error: (34, 'Numerical result out of range')"

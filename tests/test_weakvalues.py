@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     line_end_overflow,
@@ -620,6 +621,32 @@ class TestDiscriminate:
             scaled += 1
         assert kept > 500 and scaled > 500
 
+    @pytest.mark.parametrize("hbar", [1e-13, 1.054571817e-34, 1e-300])
+    def test_small_hbar_reads_like_unit_hbar(self, hbar):
+        # The degeneracy test compared |v_vn - v_sat| with an absolute floor
+        # of 1e-12, so hydrogen at SI-scale hbar read as degenerate (exit 4);
+        # at 1e-300 the coordinate then divided by zero.
+        want = discriminate(0.3, build_hydrogen(0.6, 0.8), 1e-3)
+        got = discriminate(0.3 * hbar, build_hydrogen(0.6, 0.8, hbar=hbar), 1e-3 * hbar)
+        assert (got.model, got.branch) == (want.model, want.branch) == ("objective", "jitter")
+        assert got.delta_t_c_estimate == pytest.approx(want.delta_t_c_estimate, rel=1e-14)
+        assert got.residual / hbar == pytest.approx(want.residual, abs=1e-15)
+        # equal predictions stay degenerate at any scale
+        with pytest.raises(DegenerateScenario):
+            discriminate(0.4 * hbar, build_hydrogen(1.0, 0.8, hbar=hbar), 1e-3 * hbar)
+
+    @pytest.mark.parametrize("span", [0.3 - 0.2j, 0.3 + 0j, 0.2j])
+    @pytest.mark.parametrize("k", [-520, -600, -900, -1000])
+    def test_line_coordinate_below_the_normal_range(self, span, k):
+        # |span|^2 underflowed to 0 here, which raised ZeroDivisionError; and
+        # a part of 0 gave the power-of-two path the exponent 0
+        from weakprobe.weakvalues import _line_coordinate
+
+        offset = 0.1 + 0.05j
+        want = _line_coordinate(offset, span)
+        got = _line_coordinate(offset * 2.0**k, span * 2.0**k)
+        assert got == pytest.approx(want, rel=4e-16)
+
     def test_round_trip_random_durations(self):
         # predict with some true dtc < dtm, then invert
         rng = np.random.default_rng(41)
@@ -642,3 +669,36 @@ class TestDiscriminate:
             assert v.model == "objective"
             assert v.branch == "jitter"
             assert v.delta_t_c_estimate == pytest.approx(true_dtc, rel=1e-6)
+
+
+class TestScaleInvariance:
+    """``discriminate`` reads a measurement the same way in any unit: scaling
+    the observable, the measurement and its uncertainty by ``2**k`` scales
+    every trace exactly, so the verdict must not move."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 4),
+        k=st.integers(-1000, 1000),
+        x=st.floats(-0.5, 1.5),
+        across=st.floats(-3.0, 3.0),
+        log_sigma=st.floats(-5.0, 0.0),
+    )
+    def test_verdict_is_scale_invariant(self, seed, d, k, x, across, log_sigma):
+        cfg = random_config(np.random.default_rng(seed), d)
+        t, sigma = cfg.traces, 10.0**log_sigma
+        span = t.saturated - t.vn
+        measured = t.vn + x * span + across * sigma * 1j * span / abs(span)
+        want = discriminate(measured, cfg, sigma)
+
+        unit = 2.0**k
+        scaled = replace(cfg, weak_observable=cfg.weak_observable * unit)
+        m = complex(math.ldexp(measured.real, k), math.ldexp(measured.imag, k))
+        got = discriminate(m, scaled, sigma * unit)
+        assert (got.model, got.branch) == (want.model, want.branch)
+        if want.delta_t_c_estimate is None:
+            assert got.delta_t_c_estimate is None
+        else:
+            est = want.delta_t_c_estimate
+            assert abs(got.delta_t_c_estimate - est) <= 4 * math.ulp(est)
+        assert math.ldexp(got.residual, -k) == pytest.approx(want.residual, rel=1e-14, abs=0.0)
