@@ -349,17 +349,20 @@ def averaged_weak_value_objective(cfg: ProtocolConfig) -> complex:
 
 def _line_coordinate(offset: complex, span: complex) -> float:
     """``Re[offset conj(span)] / |span|^2``, the coordinate of ``offset``
-    along ``span``.  Where that formula overflows, both numbers are first
-    scaled by powers of two, which is exact, and a coordinate beyond the
-    double range comes out as an infinity of its sign."""
+    along ``span``.  Where that formula overflows, or ``|span| < 2**-480``,
+    where ``|span|^2``, or the numerator of a coordinate above ``2**-62``,
+    would lose bits below the normal range, both numbers are first scaled by
+    powers of two, which is exact, and a coordinate beyond the double range
+    comes out as an infinity of its sign."""
     try:
-        x = (offset * span.conjugate()).real / abs(span) ** 2
+        r = abs(span)
+        x = (offset * span.conjugate()).real / r**2 if r >= 2.0**-480 else math.nan
     except OverflowError:  # |span| or its square
         x = math.nan
     if math.isfinite(x):
         return x
-    k_off = max(math.frexp(offset.real)[1], math.frexp(offset.imag)[1])
-    k_span = max(math.frexp(span.real)[1], math.frexp(span.imag)[1])
+    k_off = math.frexp(max(abs(offset.real), abs(offset.imag)))[1]
+    k_span = math.frexp(max(abs(span.real), abs(span.imag)))[1]
     o = complex(math.ldexp(offset.real, -k_off), math.ldexp(offset.imag, -k_off))
     s = complex(math.ldexp(span.real, -k_span), math.ldexp(span.imag, -k_span))
     q = (o * s.conjugate()).real / abs(s) ** 2  # parts below 1, |s| at least 1/2
@@ -393,7 +396,7 @@ def _fit(t: ProtocolTraces, measured: complex) -> tuple[float, float, float]:
     ``t.vn`` (0) to ``t.saturated`` (1), its distance from ``t.vn``, and its
     distance from the objective curve, the line at ``x`` clipped to ``[0, 1]``."""
     v_vn, v_sat = t.vn, t.saturated
-    if abs(v_vn - v_sat) <= ZERO_TOL * max(1.0, abs(v_vn), abs(v_sat)):
+    if abs(v_vn - v_sat) <= ZERO_TOL * max(abs(v_vn), abs(v_sat)):
         raise DegenerateScenario(
             "instantaneous and objective predictions coincide for this configuration; "
             "the averaged weak value carries no discriminating power"
