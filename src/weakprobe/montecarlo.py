@@ -32,22 +32,23 @@ the window once, when it is built.
 Each chunk reduces to branch counts plus the mean and M2 of
 ``x = t_w/delta_t_c`` over its mid-collapse trials, where the value is
 affine in ``x``; chunks merge in index order by the pairwise update of
-Chan, Golub & LeVeque (1983).  An objective chunk is drawn whole and
-classified in one pass; its mid-collapse draws are then gathered in
-blocks of about ``_BLOCK_TRIALS // 2`` mid-collapse trials, by index
-(``nonzero`` then ``take``), or by boolean mask when nearly every draw of
-the chunk is mid-collapse.  Each block's values ``x`` are written to the
-front of the chunk's own buffer, over draws already classified, so the
-front is the array a gather of the whole chunk gives, in trial order,
-and the gather's temporaries are block-sized whatever the share of
-mid-collapse trials.  Either gather gives the same array, so neither
-choice changes a result.  Memory is O(``CHUNK_TRIALS``) whatever the trial
-count: a chunk of draws, its mask and one block's temporaries, 0.73 MB
-traced at 10^7 trials on the hydrogen scenario.  A checkpoint inside a
-chunk reduces a copy of its prefix's ``x``, in the dead entries behind the
-front once they hold it, or else in a new array.  This reduction replaced
-a per-trial value array and changed result bits once, in the last places;
-the draws did not change.
+Chan, Golub & LeVeque (1983).  An objective chunk is drawn whole.  If
+the weak window lies inside ``[0, delta_t_c]``, every trial is
+mid-collapse and the chunk over ``delta_t_c``, in place, is ``x``.  Else
+it is classified in one pass and its mid-collapse draws are gathered by
+index (``nonzero`` then ``take``) in blocks of about
+``_BLOCK_TRIALS // 2`` mid-collapse trials.  Each block's values ``x``
+are written to the front of the chunk's own buffer, over draws already
+classified, so the front is the array a gather of the whole chunk gives,
+in trial order, and the gather's temporaries are block-sized whatever the
+share of mid-collapse trials.  Both paths give that array, so the choice,
+made from the window, changes no result.  Memory is O(``CHUNK_TRIALS``)
+whatever the trial count: a chunk of draws, its mask and one block's
+temporaries, 0.73 MB traced at 10^7 trials on the hydrogen scenario.  A
+checkpoint inside a chunk reduces a copy of its prefix's ``x``: in the
+dead entries behind the gathered front once they hold it, or else in a
+new array.  This reduction replaced a per-trial value array and changed
+result bits once, in the last places; the draws did not change.
 
 An instantaneous (vn) chunk reduces to a count of weak-first trials, so
 it is drawn and counted in two halves, and each half in blocks of
@@ -213,16 +214,6 @@ def _chunk_draws(spec: SimulationSpec, j: int, n: int, out: np.ndarray, rng, fir
     return draws
 
 
-# Above this share of mid-collapse draws in a chunk, the objective model
-# gathers them with the boolean mask, at or below it by index.  The mask
-# gather branches on every draw, so it mispredicts unless nearly all of them
-# are mid; the index gather does not branch, but allocates and fills the
-# index array.  Whole 3e6-trial runs after a vn run, on a 2-vCPU Xeon KVM
-# guest (numpy 2.4.6, medians of 9 interleaved pairs): the index gather is
-# 30% faster at a share of 0.5 and 4-8% at 0.86-0.88, the two are within 2%
-# from 0.9 to 0.94, and the mask is 2-15% faster from 0.95 to 1.
-_MASK_GATHER_SHARE = 0.9
-
 # Trials a vn half draws and counts at a time, which sizes each thread's vn
 # buffer (two draws a trial).  An objective gather block holds about half as
 # many mid-collapse trials: its temporaries, the index array and the
@@ -251,27 +242,43 @@ def _group(branch, n: int, weak_first: int, mid=_EMPTY):
     return _merge(_merge((weak_first, branch[0], 0.0, 0.0), mid), strong_first)
 
 
+def _mid(branch, x: np.ndarray):
+    """The group of the mid-collapse trials of values ``x``, which it overwrites."""
+    if not x.size:
+        return _EMPTY
+    mean_x = float(x.sum()) / x.size  # what x.mean() does, without its wrapper
+    x -= mean_x
+    m2_x = float(np.square(x, out=x).sum())
+    slope = branch[3]
+    return x.size, branch[2] + mean_x * slope, m2_x * slope.real**2, m2_x * slope.imag**2
+
+
 def _objective_groups(spec: SimulationSpec, branch, draws: np.ndarray, ends: list[int]):
     """The group of the first ``e`` objective trials of a chunk for each
     chunk-relative ``e`` in ``ends``, from the chunk's draws, which it
     overwrites.
 
-    The draws are classified in one pass, then gathered in blocks: each
-    block's mid-collapse draws, over ``delta_t_c``, are written to the
-    front of ``draws``.  The first ``k`` entries are then the values ``x``
-    of the mid-collapse trials so far, in trial order, the array a gather
-    of the whole prefix gives, and the entries behind them up to the
-    block's end are dead.  The last end reduces its ``x`` in place.  An
-    inner end waits until the dead entries hold a copy of its ``x``, or
-    the chunk's end, where it copies them to a new array.
+    If the draw window lies inside ``[0, delta_t_c]``, the draws over
+    ``delta_t_c`` are the values ``x`` of all trials.  Otherwise they are
+    classified in one pass, then gathered in blocks: each block's
+    mid-collapse draws, over ``delta_t_c``, are written to the front of
+    ``draws``.  The first ``k`` entries are then the values ``x`` of the
+    mid-collapse trials so far, in trial order, the array a gather of the
+    whole prefix gives, and the entries behind them up to the block's end
+    are dead.  On either path the last end reduces its ``x`` in place.  An
+    inner end reduces a copy: a gathered one waits until the dead entries
+    hold it, or the chunk's end, where it takes a new array.
     """
-    _, _, obs_in, slope = branch
-    dtc, half = spec.cfg.delta_t_c, _BLOCK_TRIALS // 2
+    dtc, half, n = spec.cfg.delta_t_c, _BLOCK_TRIALS // 2, ends[-1]
+    lo, width = spec._window
+    if lo >= 0.0 and lo + width <= dtc:  # then so is every fl(fl(u * width) + lo)
+        x = np.divide(draws, dtc, out=draws)  # every trial mid-collapse, in order
+        return [_group(branch, e, 0, _mid(branch, x[:e].copy() if e < n else x)) for e in ends]
     mask = draws >= 0.0
     weak_first = [e - int(np.count_nonzero(mask[:e])) for e in ends]
     mask &= draws <= dtc
-    n, mids = ends[-1], int(np.count_nonzero(mask))
-    by_mask, step = mids > _MASK_GATHER_SHARE * n, -(-n * half // mids) if mids else n
+    mids = int(np.count_nonzero(mask))
+    step = -(-n * half // mids) if mids else n
     marks, groups, k, start = [], [], 0, 0  # a mark: (end, weak_first, k)
 
     def reduce(at):
@@ -279,23 +286,16 @@ def _objective_groups(spec: SimulationSpec, branch, draws: np.ndarray, ends: lis
         first ``m`` values of the front: reduced in place if ``at`` is 0,
         else in a copy at ``draws[at:]``, or in a new array if ``at`` is None."""
         e, w, m = marks[len(groups)]
-        mid = _EMPTY
-        if m:
-            x = draws[:m].copy() if at is None else draws[at : at + m]
-            if at:
-                x[...] = draws[:m]
-            mean_x = float(x.sum()) / m  # what x.mean() does, without its wrapper
-            x -= mean_x
-            m2_x = float(np.square(x, out=x).sum())
-            mid = (m, obs_in + mean_x * slope, m2_x * slope.real**2, m2_x * slope.imag**2)
-        groups.append(_group(branch, e, w, mid))
+        x = draws[:m].copy() if at is None else draws[at : at + m]
+        if at:
+            x[...] = draws[:m]
+        groups.append(_group(branch, e, w, _mid(branch, x)))
 
     for e, w in zip(ends, weak_first):
         for s in range(start, e, step):
             t = min(s + step, e)
-            block = mask[s:t]
             # nonzero()[0] is what np.flatnonzero does, without its wrapper
-            gathered = draws[s:t][block] if by_mask else draws[s:t].take(block.nonzero()[0])
+            gathered = draws[s:t].take(mask[s:t].nonzero()[0])
             # mid draws only: x <= 1, while t_w/dtc can overflow elsewhere
             np.divide(gathered, dtc, out=draws[k : k + gathered.size])
             k += gathered.size

@@ -421,7 +421,11 @@ def ratio_spec(model, ratio, trials, seed):
 
 
 RATIOS = [0.05, 0.5, 0.9, 0.95, 1.0, 2.0]
-GATHERS = {"index": 2.0, "mask": -1.0}  # _MASK_GATHER_SHARE forcing each gather
+# The objective kernel's two paths, chosen by the ratio: at 0.99 the index
+# gather, with nearly every draw mid-collapse; at 1.0 and 2.0 the weak window
+# lies inside the collapse, and every trial is reduced without a gather.
+PATH_RATIOS = [0.99, 1.0, 2.0]
+PATH_CASES = [("vn", 1.0)] + [("objective", r) for r in PATH_RATIOS]
 
 # One trial either side of the kernel's block edges: a vn block, an objective
 # gather block of _BLOCK_TRIALS // 2 mid-collapse trials at a share near 1,
@@ -453,48 +457,100 @@ class TestKernelOracle:
         spec = ratio_spec(model, ratio, checkpoints[-1], seed=8)
         assert convergence_report(spec, checkpoints) == oracle_stream(spec, checkpoints)
 
-    @pytest.mark.parametrize("gather", sorted(GATHERS))
-    @pytest.mark.parametrize("ratio", RATIOS)
-    def test_either_gather_matches_oracle(self, gather, ratio, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_MASK_GATHER_SHARE", GATHERS[gather])
+    @pytest.mark.parametrize("ratio", RATIOS + [0.99])
+    def test_either_path_matches_oracle(self, ratio):
         checkpoints = [1, 777, CHUNK_TRIALS, 2 * CHUNK_TRIALS + 3]
         spec = ratio_spec("objective", ratio, checkpoints[-1], seed=9)
         assert convergence_report(spec, checkpoints) == oracle_stream(spec, checkpoints)
 
-    @pytest.mark.parametrize("gather", sorted(GATHERS))
-    @pytest.mark.parametrize("model", ["vn", "objective"])
+    @pytest.mark.parametrize("model, ratio", PATH_CASES)
     @pytest.mark.parametrize("trials", BLOCK_EDGES)
-    def test_run_at_block_edges(self, model, gather, trials, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_MASK_GATHER_SHARE", GATHERS[gather])
-        spec = ratio_spec(model, 1.0, trials, seed=trials % 3)
+    def test_run_at_block_edges(self, model, ratio, trials):
+        spec = ratio_spec(model, ratio, trials, seed=trials % 3)
         assert run_simulation(spec) == oracle_stream(spec, [trials])[0]
 
-    @pytest.mark.parametrize("gather", sorted(GATHERS))
     @pytest.mark.parametrize("model", ["vn", "objective"])
-    def test_tiny_blocks_match_oracle(self, model, gather, monkeypatch):
+    def test_tiny_blocks_match_oracle(self, model, monkeypatch):
         # Blocks of a few trials put block edges, checkpoints and the end of
         # the dead entries behind the gathered front next to each other in
         # every arrangement.
         monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 8)
-        monkeypatch.setattr(montecarlo, "_MASK_GATHER_SHARE", GATHERS[gather])
         rng = np.random.default_rng(2020)
-        for seed in range(200):
+        for seed in range(400):
             n = int(rng.integers(1, 80))
             checkpoints = sorted({n, *rng.integers(1, n + 1, size=rng.integers(0, 6)).tolist()})
-            spec = ratio_spec(model, float(rng.choice(RATIOS)), n, seed)
+            spec = ratio_spec(model, float(rng.choice(RATIOS + [0.99])), n, seed)
             assert convergence_report(spec, checkpoints) == oracle_stream(spec, checkpoints)
 
-    @pytest.mark.parametrize("gather", sorted(GATHERS))
     @pytest.mark.parametrize("model", ["vn", "objective"])
-    @pytest.mark.parametrize("ratio", RATIOS)
-    def test_report_at_block_edges(self, model, gather, ratio, monkeypatch):
+    @pytest.mark.parametrize("ratio", RATIOS + [0.99])
+    def test_report_at_block_edges(self, model, ratio):
         # block edges in the first chunk and in the second; at low shares an
         # inner checkpoint's prefix fits behind the gathered front, at high
-        # ones it takes a new array
-        monkeypatch.setattr(montecarlo, "_MASK_GATHER_SHARE", GATHERS[gather])
+        # ones it takes a new array, and at a share of 1 each is a copy of a
+        # prefix of the chunk
         checkpoints = BLOCK_EDGES + [CHUNK_TRIALS + e for e in BLOCK_EDGES]
         spec = ratio_spec(model, ratio, checkpoints[-1], seed=10)
         assert convergence_report(spec, checkpoints) == oracle_stream(spec, checkpoints)
+
+
+def per_trial_law(spec, part):
+    """The law of one part (``"real"`` or ``"imag"``) of a trial's value, from
+    the traces alone: point masses ``(weight, value)`` at W1 and W3 and, under
+    the objective model, a uniform segment ``(weight, y0, y1)``: ``obs_in +
+    x slope`` for ``x`` uniform on the mid-collapse share of the weak window."""
+    t, dtm, dtc = spec.cfg.traces, spec.cfg.delta_t_m, spec.cfg.delta_t_c
+    w1, w3 = getattr(t.weak_first, part), getattr(t.strong_first, part)
+    if spec.model == "vn":  # t_w and t_s iid uniform: each order has probability 1/2
+        return [(0.5, w1), (0.5, w3)], None
+    lo, hi = spec.cfg.weak_window.lo, spec.cfg.weak_window.hi
+    before, after = max(0.0, min(hi, 0.0) - lo) / dtm, max(0.0, hi - max(lo, dtc)) / dtm
+    c, s = getattr(t.obs_in, part), getattr(t.obs_proj - t.obs_in, part)
+    x0, x1 = max(lo, 0.0) / dtc, min(hi, dtc) / dtc
+    return [(before, w1), (after, w3)], (1.0 - before - after, c + x0 * s, c + x1 * s)
+
+
+def central_moment(law, k, about):
+    points, segment = law
+    total = sum(w * (v - about) ** k for w, v in points)
+    if segment:
+        w, y0, y1 = segment
+        y0, y1 = y0 - about, y1 - about
+        total += w * ((y1 ** (k + 1) - y0 ** (k + 1)) / ((k + 1) * (y1 - y0)) if y1 != y0 else y0**k)
+    return total
+
+
+class TestStderrOracle:
+    """``stderr * sqrt(N)``, the sample standard deviation of the per-trial
+    values, against the closed-form one of the law they are drawn from."""
+
+    N = 10**6
+
+    @pytest.mark.parametrize(
+        "model, ratio",
+        [("vn", 0.5), ("objective", 0.5), ("objective", 2.0)],
+        ids=["vn", "index-gather", "whole-window"],
+    )
+    def test_stderr_matches_closed_form(self, model, ratio):
+        spec = ratio_spec(model, ratio, self.N, seed=11)
+        res = run_simulation(spec)
+        for part, stderr in (("real", res.stderr), ("imag", res.stderr_im)):
+            law = per_trial_law(spec, part)
+            mean = central_moment(law, 1, 0.0)
+            assert mean == pytest.approx(getattr(analytic_target(spec), part), abs=1e-12)
+            var, mu4 = central_moment(law, 2, mean), central_moment(law, 4, mean)
+            if var == 0.0:
+                assert stderr == 0.0
+                continue
+            # The sample variance s^2 has variance (mu4 - var^2) / N to first
+            # order, so s is off by at most 5 of its standard errors
+            # sqrt(mu4 - var^2) / (2 var sqrt(N)), relative.  That term
+            # vanishes for vn's two equal point masses, where s^2 = var
+            # (1 - (2 p - 1)^2) for the weak-first share p, off by at most 25 / N
+            # when p is within 5 standard errors of 1/2; 25 / N bounds the
+            # second order and ddof = 1 in general.
+            rel = 5 * math.sqrt(max(mu4 - var**2, 0.0)) / (2 * var * math.sqrt(self.N)) + 25 / self.N
+            assert abs(stderr * math.sqrt(self.N) / math.sqrt(var) - 1) <= rel
 
 
 class TestDrawOracle:
