@@ -246,11 +246,11 @@ def _mid(branch, x: np.ndarray):
     """The group of the mid-collapse trials of values ``x``, which it overwrites."""
     if not x.size:
         return _EMPTY
+    _, _, obs_in, slope = branch
     mean_x = float(x.sum()) / x.size  # what x.mean() does, without its wrapper
     x -= mean_x
     m2_x = float(np.square(x, out=x).sum())
-    slope = branch[3]
-    return x.size, branch[2] + mean_x * slope, m2_x * slope.real**2, m2_x * slope.imag**2
+    return x.size, obs_in + mean_x * slope, m2_x * slope.real**2, m2_x * slope.imag**2
 
 
 def _objective_groups(spec: SimulationSpec, branch, draws: np.ndarray, ends: list[int]):
