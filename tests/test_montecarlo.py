@@ -497,8 +497,9 @@ class TestKernelOracle:
 def per_trial_law(spec, part):
     """The law of one part (``"real"`` or ``"imag"``) of a trial's value, from
     the traces alone: point masses ``(weight, value)`` at W1 and W3 and, under
-    the objective model, a uniform segment ``(weight, y0, y1)``: ``obs_in +
-    x slope`` for ``x`` uniform on the mid-collapse share of the weak window."""
+    the objective model, a uniform segment ``(weight, y0, y1)``, the values
+    ``obs_in + x * slope`` for ``x`` uniform on the mid-collapse part of the
+    weak window."""
     t, dtm, dtc = spec.cfg.traces, spec.cfg.delta_t_m, spec.cfg.delta_t_c
     w1, w3 = getattr(t.weak_first, part), getattr(t.strong_first, part)
     if spec.model == "vn":  # t_w and t_s iid uniform: each order has probability 1/2
@@ -511,12 +512,14 @@ def per_trial_law(spec, part):
 
 
 def central_moment(law, k, about):
+    """The ``k``-th moment about ``about`` of a law from ``per_trial_law``."""
     points, segment = law
     total = sum(w * (v - about) ** k for w, v in points)
     if segment:
         w, y0, y1 = segment
         y0, y1 = y0 - about, y1 - about
-        total += w * ((y1 ** (k + 1) - y0 ** (k + 1)) / ((k + 1) * (y1 - y0)) if y1 != y0 else y0**k)
+        mean_power = (y1 ** (k + 1) - y0 ** (k + 1)) / ((k + 1) * (y1 - y0)) if y1 != y0 else y0**k
+        total += w * mean_power
     return total
 
 
@@ -549,7 +552,8 @@ class TestStderrOracle:
             # (1 - (2 p - 1)^2) for the weak-first share p, off by at most 25 / N
             # when p is within 5 standard errors of 1/2; 25 / N bounds the
             # second order and ddof = 1 in general.
-            rel = 5 * math.sqrt(max(mu4 - var**2, 0.0)) / (2 * var * math.sqrt(self.N)) + 25 / self.N
+            first = math.sqrt(max(mu4 - var**2, 0.0)) / (2 * var * math.sqrt(self.N))
+            rel = 5 * first + 25 / self.N
             assert abs(stderr * math.sqrt(self.N) / math.sqrt(var) - 1) <= rel
 
 

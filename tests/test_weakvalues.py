@@ -629,24 +629,24 @@ class TestDiscriminate:
         want = discriminate(0.3, build_hydrogen(0.6, 0.8), 1e-3)
         got = discriminate(0.3 * hbar, build_hydrogen(0.6, 0.8, hbar=hbar), 1e-3 * hbar)
         assert (got.model, got.branch) == (want.model, want.branch) == ("objective", "jitter")
-        assert got.delta_t_c_estimate == pytest.approx(want.delta_t_c_estimate, rel=1e-14)
+        assert got.delta_t_c_estimate == pytest.approx(want.delta_t_c_estimate, rel=1e-14, abs=0.0)
         assert got.residual / hbar == pytest.approx(want.residual, abs=1e-15)
         # equal predictions stay degenerate at any scale
         with pytest.raises(DegenerateScenario):
             discriminate(0.4 * hbar, build_hydrogen(1.0, 0.8, hbar=hbar), 1e-3 * hbar)
 
+    @pytest.mark.parametrize("offset", [0.1 + 0.05j, 1e-3 - 2e-3j])
     @pytest.mark.parametrize("span", [0.3 - 0.2j, 0.3 + 0j, 0.2j])
     @pytest.mark.parametrize("k", [-490, -509, -520, -600, -900, -1000])
-    def test_line_coordinate_below_the_normal_range(self, span, k):
+    def test_line_coordinate_below_the_normal_range(self, offset, span, k):
         # |span|^2 underflowed to 0 here, which raised ZeroDivisionError, or
         # it or the numerator lost bits below the normal range (k = -509, -520);
         # and a part of 0 gave the power-of-two path the exponent 0
         from weakprobe.weakvalues import _line_coordinate
 
-        offset = 0.1 + 0.05j
         want = _line_coordinate(offset, span)
         got = _line_coordinate(offset * 2.0**k, span * 2.0**k)
-        assert got == pytest.approx(want, rel=4e-16)
+        assert got == pytest.approx(want, rel=4e-16, abs=0.0)
 
     def test_round_trip_random_durations(self):
         # predict with some true dtc < dtm, then invert
