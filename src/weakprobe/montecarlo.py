@@ -32,23 +32,24 @@ the window once, when it is built.
 Each chunk reduces to branch counts plus the mean and M2 of
 ``x = t_w/delta_t_c`` over its mid-collapse trials, where the value is
 affine in ``x``; chunks merge in index order by the pairwise update of
-Chan, Golub & LeVeque (1983).  An objective chunk is drawn whole.  If
-the weak window lies inside ``[0, delta_t_c]``, every trial is
-mid-collapse and the chunk over ``delta_t_c``, in place, is ``x``.  Else
-it is classified in one pass and its mid-collapse draws are gathered by
-index (``nonzero`` then ``take``) in blocks of about
-``_BLOCK_TRIALS // 2`` mid-collapse trials.  Each block's values ``x``
-are written to the front of the chunk's own buffer, over draws already
-classified, so the front is the array a gather of the whole chunk gives,
-in trial order, and the gather's temporaries are block-sized whatever the
-share of mid-collapse trials.  Both paths give that array, so the choice,
-made from the window, changes no result.  Memory is O(``CHUNK_TRIALS``)
+Chan, Golub & LeVeque (1983).  An objective chunk is drawn whole, then
+gathered, then reduced.  Gather: if the weak window lies inside
+``[0, delta_t_c]``, every trial is mid-collapse and the chunk over
+``delta_t_c``, in place, is ``x``.  Else one pass classifies it, which
+gives the weak-first and mid-collapse counts of every checkpoint in it,
+and its mid-collapse draws are gathered by index (``nonzero`` then
+``take``) in blocks of about ``_BLOCK_TRIALS // 2`` mid-collapse trials,
+each block's ``x`` written to the front of the chunk's own buffer, over
+draws already classified.  Either way the front is the array a gather of
+the whole chunk gives, in trial order, so the path, chosen from the
+window, changes no result, and the gather's temporaries are block-sized
+whatever the share of mid-collapse trials.  Reduce: one loop over the
+chunk's checkpoints and its end.  The end reduces the front in place; a
+checkpoint inside the chunk reduces a copy of its prefix of the front, in
+the dead entries behind the front if it fits there, else in a new array,
+freed before the next one is made.  Memory is O(``CHUNK_TRIALS``)
 whatever the trial count: a chunk of draws, its mask and one block's
-temporaries, 0.73 MB traced at 10^7 trials on the hydrogen scenario.  A
-checkpoint inside a chunk reduces a copy of its prefix's ``x``: in the
-dead entries behind the gathered front once they hold it, or else in a
-new array.  This reduction replaced a per-trial value array and changed
-result bits once, in the last places; the draws did not change.
+temporaries, 0.73 MB traced at 10^7 trials on the hydrogen scenario.
 
 An instantaneous (vn) chunk reduces to a count of weak-first trials, so
 it is drawn and counted in two halves, and each half in blocks of
@@ -67,10 +68,12 @@ returns, which waits only for the half in flight, and what the worker
 raises reaches the caller.  Shorter vn runs count both halves on the
 calling thread.  The objective model stays on one thread.  A split chunk
 need not move bits: the halves' mid-collapse draws, joined in trial
-order, are the chunk's gathered array.  But on 2 vCPUs a two-thread
-half-chunk objective was 1.07x as fast as one thread (median of 15
-interleaved rounds, where vn's two threads were 1.72x) at a traced peak
-of 1.13-1.39 MB.
+order, are the chunk's gathered array.  A helper thread that draws and
+classifies each chunk's second half in the chunk's own buffer keeps the
+bits and the traced peak (0.735 MB), but on a shared 2-vCPU host it took
+0.87-0.92x the one-thread time only while the host ran slow, and was
+level or slower otherwise; in 4 alternating ``mc-large`` benchmark pairs
+it won 2, at 70-74M trials/s uncorrected against 81-90M on one thread.
 """
 
 from __future__ import annotations
@@ -256,57 +259,41 @@ def _mid(branch, x: np.ndarray):
 def _objective_groups(spec: SimulationSpec, branch, draws: np.ndarray, ends: list[int]):
     """The group of the first ``e`` objective trials of a chunk for each
     chunk-relative ``e`` in ``ends``, from the chunk's draws, which it
-    overwrites.
-
-    If the draw window lies inside ``[0, delta_t_c]``, the draws over
-    ``delta_t_c`` are the values ``x`` of all trials.  Otherwise they are
-    classified in one pass, then gathered in blocks: each block's
-    mid-collapse draws, over ``delta_t_c``, are written to the front of
-    ``draws``.  The first ``k`` entries are then the values ``x`` of the
-    mid-collapse trials so far, in trial order, the array a gather of the
-    whole prefix gives, and the entries behind them up to the block's end
-    are dead.  On either path the last end reduces its ``x`` in place.  An
-    inner end reduces a copy: a gathered one waits until the dead entries
-    hold it, or the chunk's end, where it takes a new array.
+    overwrites: gathered, then reduced, as the module docstring says.  After
+    the gather the first ``k`` entries of ``draws`` are the values ``x`` of
+    the chunk's mid-collapse trials, in trial order, and the ``n - k``
+    behind them are dead.
     """
-    dtc, half, n = spec.cfg.delta_t_c, _BLOCK_TRIALS // 2, ends[-1]
+    dtc, n = spec.cfg.delta_t_c, ends[-1]
     lo, width = spec._window
     if lo >= 0.0 and lo + width <= dtc:  # then so is every fl(fl(u * width) + lo)
-        x = np.divide(draws, dtc, out=draws)  # every trial mid-collapse, in order
-        return [_group(branch, e, 0, _mid(branch, x[:e].copy() if e < n else x)) for e in ends]
-    mask = draws >= 0.0
-    weak_first = [e - int(np.count_nonzero(mask[:e])) for e in ends]
-    mask &= draws <= dtc
-    mids = int(np.count_nonzero(mask))
-    step = -(-n * half // mids) if mids else n
-    marks, groups, k, start = [], [], 0, 0  # a mark: (end, weak_first, k)
-
-    def reduce(at):
-        """Append the group of the first end not yet reduced, from the
-        first ``m`` values of the front: reduced in place if ``at`` is 0,
-        else in a copy at ``draws[at:]``, or in a new array if ``at`` is None."""
-        e, w, m = marks[len(groups)]
-        x = draws[:m].copy() if at is None else draws[at : at + m]
-        if at:
-            x[...] = draws[:m]
-        groups.append(_group(branch, e, w, _mid(branch, x)))
-
-    for e, w in zip(ends, weak_first):
-        for s in range(start, e, step):
-            t = min(s + step, e)
+        np.divide(draws, dtc, out=draws)  # every trial mid-collapse, in order
+        weak_first, mids, k = [0] * len(ends), ends, n
+    else:
+        mask = draws >= 0.0
+        weak_first = [e - int(np.count_nonzero(mask[:e])) for e in ends]
+        mask &= draws <= dtc
+        mids = [int(np.count_nonzero(mask[:e])) for e in ends]
+        k, step = 0, -(-n * (_BLOCK_TRIALS // 2) // mids[-1]) if mids[-1] else n
+        for s in range(0, n, step):
             # nonzero()[0] is what np.flatnonzero does, without its wrapper
-            gathered = draws[s:t].take(mask[s:t].nonzero()[0])
+            gathered = draws[s : s + step].take(mask[s : s + step].nonzero()[0])
             # mid draws only: x <= 1, while t_w/dtc can overflow elsewhere
             np.divide(gathered, dtc, out=draws[k : k + gathered.size])
             k += gathered.size
             del gathered  # else the next block's gather would hold it too
-            while len(groups) < len(marks) and marks[len(groups)][2] <= t - k:
-                reduce(k)
-        marks.append((e, w, k))
-        start = e
-    while len(groups) < len(marks) - 1:
-        reduce(None)
-    reduce(0)
+        del mask  # an inner end's new array need not sit beside it
+    groups = []
+    for e, w, m in zip(ends, weak_first, mids):
+        if e == n:  # the end: in place
+            x = draws[:m]
+        elif m <= n - k:  # an inner end: a copy, behind the front if it fits
+            x = draws[k : k + m]
+            x[...] = draws[:m]
+        else:
+            x = draws[:m].copy()
+        groups.append(_group(branch, e, w, _mid(branch, x)))
+        del x  # else the next end's new array would be made beside it
     return groups
 
 

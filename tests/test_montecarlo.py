@@ -18,6 +18,7 @@ from weakprobe import (
     AveragedResult,
     SimulationSpec,
     analytic_target,
+    build_hydrogen,
     convergence_report,
     montecarlo,
     protocol_traces,
@@ -518,24 +519,43 @@ def central_moment(law, k, about):
     if segment:
         w, y0, y1 = segment
         y0, y1 = y0 - about, y1 - about
-        mean_power = (y1 ** (k + 1) - y0 ** (k + 1)) / ((k + 1) * (y1 - y0)) if y1 != y0 else y0**k
-        total += w * mean_power
+        # (y1^(k+1) - y0^(k+1)) / ((k+1) (y1 - y0)) expanded: no cancellation
+        # where the segment is nearly a point, as in a part it leaves flat
+        total += w * sum(y0**i * y1 ** (k - i) for i in range(k + 1)) / (k + 1)
     return total
+
+
+def spread_spec(config, model, ratio, trials, seed):
+    """A spec on the hydrogen scenario (``a = 0.6``, ``b = 0.8``) or a random
+    d = 3 or d = 4 config, with ``delta_t_c = ratio * delta_t_m``."""
+    if config == "hydrogen":
+        cfg = build_hydrogen(0.6, 0.8)
+    else:
+        d = int(config[-1])
+        cfg = random_config(np.random.default_rng(900 + d), d=d)
+    return SimulationSpec(replace(cfg, delta_t_c=ratio * cfg.delta_t_m), model, trials, seed)
+
+
+SPREAD_CONFIGS = ["hydrogen", "d=3", "d=4"]
+# vn's law does not depend on delta_t_c; the objective one at mid-collapse
+# shares 0.5 and 0.9 (the index gather) and with the weak window inside the
+# collapse (the whole-window path).
+SPREAD_CASES = [(c, "vn", 0.5) for c in SPREAD_CONFIGS] + [
+    (c, "objective", r) for c in SPREAD_CONFIGS for r in (0.5, 0.9, 2.0)
+]
 
 
 class TestStderrOracle:
     """``stderr * sqrt(N)``, the sample standard deviation of the per-trial
-    values, against the closed-form one of the law they are drawn from."""
+    values, against the closed-form one of the law they are drawn from: for
+    vn two point masses of weight 1/2 at W1 and W3, for the objective model
+    the mixture of W1 (weight ``p_wf``), W3 (``p_sf``) and
+    ``obs_in + x * (obs_proj - obs_in)`` for ``x`` uniform on
+    ``[max(lo, 0), min(hi, delta_t_c)] / delta_t_c``."""
 
     N = 10**6
 
-    @pytest.mark.parametrize(
-        "model, ratio",
-        [("vn", 0.5), ("objective", 0.5), ("objective", 2.0)],
-        ids=["vn", "index-gather", "whole-window"],
-    )
-    def test_stderr_matches_closed_form(self, model, ratio):
-        spec = ratio_spec(model, ratio, self.N, seed=11)
+    def check(self, spec):
         res = run_simulation(spec)
         for part, stderr in (("real", res.stderr), ("imag", res.stderr_im)):
             law = per_trial_law(spec, part)
@@ -555,6 +575,28 @@ class TestStderrOracle:
             first = math.sqrt(max(mu4 - var**2, 0.0)) / (2 * var * math.sqrt(self.N))
             rel = 5 * first + 25 / self.N
             assert abs(stderr * math.sqrt(self.N) / math.sqrt(var) - 1) <= rel
+
+    @pytest.mark.parametrize(
+        "model, ratio",
+        [("vn", 0.5), ("objective", 0.5), ("objective", 2.0)],
+        ids=["vn", "index-gather", "whole-window"],
+    )
+    def test_stderr_matches_closed_form(self, model, ratio):
+        self.check(ratio_spec(model, ratio, self.N, seed=11))
+
+    @pytest.mark.parametrize("config, model, ratio", SPREAD_CASES)
+    def test_spread_on_each_config(self, config, model, ratio):
+        spec = spread_spec(config, model, ratio, self.N, seed=23)
+        if model == "vn":  # the two masses' spread, |W1 - W3| / 2 per part
+            t = spec.cfg.traces
+            for part in ("real", "imag"):
+                var = central_moment(per_trial_law(spec, part), 2, getattr(t.vn, part))
+                half_gap = abs(getattr(t.weak_first - t.strong_first, part)) / 2
+                assert math.sqrt(var) == pytest.approx(half_gap, rel=1e-12, abs=0.0)
+        if config == "hydrogen" and model == "vn":  # W1 = W3: no spread at all
+            res = run_simulation(spec)
+            assert res.stderr == res.stderr_im == 0.0
+        self.check(spec)
 
 
 class TestDrawOracle:
@@ -599,10 +641,13 @@ class TestDrawOracle:
 
 class TestMemoryGuard:
     @staticmethod
-    def peak(spec):
+    def peak(spec, checkpoints=None):
         tracemalloc.start()
         try:
-            run_simulation(spec)
+            if checkpoints is None:
+                run_simulation(spec)
+            else:
+                convergence_report(spec, checkpoints)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -628,6 +673,28 @@ class TestMemoryGuard:
         # share of mid-collapse trials
         spec = ratio_spec("objective", ratio, 4 * CHUNK_TRIALS, seed=1)
         assert self.peak(spec) <= 12 * CHUNK_TRIALS
+
+    @pytest.mark.parametrize("ratio", [0.3, 0.5, 0.7, 0.9, 0.99, 1.0])
+    def test_objective_report_peak_bounded(self, ratio):
+        # A chunk of draws (8 bytes a trial) beside the larger of one gather
+        # block's temporaries (16 bytes a mid trial, 2 bytes a chunk trial)
+        # and one copy of an inner checkpoint's values (8 bytes a mid-collapse
+        # trial of its prefix), with 1 byte a trial to spare.  Below share 1
+        # the chunk also has its mask (1 byte a trial); at share 1 it has no
+        # mask and no gather, and a second copy held beside the first would
+        # exceed the bound.
+        checkpoints = [int(c) for c in np.geomspace(1000, 4 * CHUNK_TRIALS, 7)]
+        spec = ratio_spec("objective", ratio, checkpoints[-1], seed=1)
+        copy = 0
+        for c in checkpoints[:-1]:
+            j, e = divmod(c, CHUNK_TRIALS)
+            t_w = uniform_draws(spec, j, e)
+            copy = max(copy, 8 * int(np.count_nonzero((t_w >= 0.0) & (t_w <= spec.cfg.delta_t_c))))
+        if ratio < 1.0:
+            bound = 10 * CHUNK_TRIALS + max(2 * CHUNK_TRIALS, copy)
+        else:
+            bound = 9 * CHUNK_TRIALS + copy
+        assert self.peak(spec, checkpoints) <= bound
 
     def test_vn_peak_bounded(self):
         # both threads' one-block buffers (2 * 16 bytes a block trial) and a
