@@ -18,9 +18,10 @@ are bit-identical for a given spec no matter how the chunks are
 evaluated, and prefixes of a stream are stable.
 
 Each thread keeps one ``Philox`` for its whole life and reuses it across
-calls: before every chunk, or half chunk, it is set through its
-documented ``state`` to the key ``(seed, j)`` and the counter of its next
-draw, so no call sees what an earlier one drew.  A call holds its
+calls: before every block it draws (an objective chunk, or a vn block of
+``_BLOCK_TRIALS`` trials) it is set through its documented
+``state`` to the key ``(seed, j)`` and the counter of the block's first
+draw, so no draw depends on what an earlier call drew.  A call holds its
 thread's generator while it runs, so a call nested in it (from a signal
 handler) builds its own.  Each call draws into one buffer of its own,
 freed when it returns.  ``Generator.random`` fills the buffer, which is
@@ -53,8 +54,9 @@ temporaries, 0.73 MB traced at 10^7 trials on the hydrogen scenario.
 
 An instantaneous (vn) chunk reduces to a count of weak-first trials, so
 it is drawn and counted in two halves, and each half in blocks of
-``_BLOCK_TRIALS`` trials: the generator is positioned once per half and
-carries on from block to block.  A vn run of ``2 * CHUNK_TRIALS``
+``_BLOCK_TRIALS`` trials: the generator is positioned before every block,
+whose ``t_w > t_s`` comparison is made once, and every checkpoint's count
+is read off it.  A vn run of ``2 * CHUNK_TRIALS``
 trials or more hands the second halves of the current and the next chunk
 to a one-worker ``ThreadPoolExecutor``, which has a ``Philox`` of its
 own, while the calling thread counts the first halves.  The caller takes
@@ -200,15 +202,13 @@ def _ends(checkpoints: list[int], j: int, n: int) -> list[int]:
 
 def _chunk_draws(spec: SimulationSpec, j: int, n: int, out: np.ndarray, rng, first=0):
     """Draws of trials ``first .. first + n - 1`` of chunk ``j``, made with
-    ``rng`` into the front of ``out``: ``t_s, t_w`` interleaved under the
-    instantaneous model, ``t_w`` under the objective model.  With ``first``
-    None, ``rng`` goes on from its last draw: Philox carries on across
-    calls, as each double takes one 64-bit output."""
+    ``rng``, positioned at the first of them, into the front of ``out``:
+    ``t_s, t_w`` interleaved under the instantaneous model, ``t_w`` under the
+    objective model."""
     per_trial = 2 if spec.model == "vn" else 1
     size = per_trial * n
     draws = out[:size] if size < out.size else out  # no view object on a full buffer
-    if first is not None:
-        _position(rng, spec.seed, j, per_trial * first)
+    _position(rng, spec.seed, j, per_trial * first)
     rng.random(out=draws)
     lo, width = spec._window
     draws *= width
@@ -218,10 +218,12 @@ def _chunk_draws(spec: SimulationSpec, j: int, n: int, out: np.ndarray, rng, fir
 
 
 # Trials a vn half draws and counts at a time, which sizes each thread's vn
-# buffer (two draws a trial).  An objective gather block holds about half as
-# many mid-collapse trials: its temporaries, the index array and the
-# gathered draws (16 bytes a mid trial), sit beside a chunk of draws and its
-# mask, and fewer, larger blocks cost fewer numpy calls where few trials are mid.
+# buffer (two draws a trial).  It must stay even: a vn block starts at draw
+# ``2 * (first + s)``, which ``_position`` needs to be a multiple of 4.  An
+# objective gather block holds about half as many mid-collapse trials: its
+# temporaries, the index array and the gathered draws (16 bytes a mid trial),
+# sit beside a chunk of draws and its mask, and fewer, larger blocks cost
+# fewer numpy calls where few trials are mid.
 _BLOCK_TRIALS = 1 << 14
 
 # A group of trials: (count, mean, M2 of the real part, M2 of the imaginary part).
@@ -297,33 +299,25 @@ def _objective_groups(spec: SimulationSpec, branch, draws: np.ndarray, ends: lis
     return groups
 
 
-def _later(draws: np.ndarray, n: int) -> int:
-    """How many of the first ``n`` vn trials of ``draws`` have ``t_w > t_s``."""
-    return int(np.count_nonzero(draws[1 : 2 * n : 2] > draws[0 : 2 * n : 2]))
-
-
 def _half_counts(spec: SimulationSpec, rng, buf, j: int, h: int, ends: list[int]):
     """Weak-first counts among the trials of half ``h`` of chunk ``j`` that
     come before each chunk-relative trial index in ``ends``; the last end is
-    the chunk's size.  The half is drawn and counted in blocks of
-    ``_BLOCK_TRIALS`` trials, with ``rng`` positioned once, for the first;
-    an end inside a block counts that block's prefix."""
-    half = CHUNK_TRIALS // 2
-    first = h * half
-    n = max(min(half, ends[-1] - first), 0)
-    if n == 0:  # a chunk of half a chunk or less
-        return [0] * len(ends)
-    cuts = [min(max(e - first, 0), n) for e in ends]
-    later, counts, i = 0, [], 0
+    the chunk's size.  The half is drawn in blocks of ``_BLOCK_TRIALS``
+    trials, ``rng`` positioned before each, and each block is compared
+    once: a cut ``c`` past its start ``s`` loses the ``t_w > t_s`` trials
+    among the block's first ``c - s``."""
+    first = h * (CHUNK_TRIALS // 2)
+    cuts = [min(max(e - first, 0), CHUNK_TRIALS // 2) for e in ends]
+    counts, n = cuts.copy(), cuts[-1]
     for s in range(0, n, _BLOCK_TRIALS):
         m = min(_BLOCK_TRIALS, n - s)
-        draws = _chunk_draws(spec, j, m, buf, rng, None if s else first)
-        while cuts[i] < s + m:  # the last cut is n, so this stops
-            counts.append(later + (_later(draws, cuts[i] - s) if cuts[i] > s else 0))
-            i += 1
-        later += _later(draws, m)
-    counts += [later] * (len(cuts) - i)
-    return [c - x for c, x in zip(cuts, counts)]
+        draws = _chunk_draws(spec, j, m, buf, rng, first + s)
+        later = draws[1 : 2 * m : 2] > draws[0 : 2 * m : 2]
+        for i, c in enumerate(cuts):
+            if c > s:
+                counts[i] -= int(np.count_nonzero(later[: c - s]))
+        del later  # else the next block's comparison would be made beside it
+    return counts
 
 
 def _result(group, seed: int, scale: int = 0) -> AveragedResult:

@@ -483,6 +483,19 @@ class TestKernelOracle:
             spec = ratio_spec(model, float(rng.choice(RATIOS + [0.99])), n, seed)
             assert convergence_report(spec, checkpoints) == oracle_stream(spec, checkpoints)
 
+    @pytest.mark.parametrize("trials", [_H - 1, _H, _H + 1, _H + 9, 2 * CHUNK_TRIALS + _H + 3])
+    def test_tiny_vn_blocks_across_halves(self, trials, monkeypatch):
+        # Blocks of 8 trials on both sides of the half-chunk edge, in a run
+        # and in a report whose checkpoints sit at, next to and between the
+        # block edges there; the longest run counts second halves on the
+        # helper thread.
+        monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 8)
+        spec = ratio_spec("vn", 0.5, trials, seed=trials % 7)
+        assert run_simulation(spec) == oracle_stream(spec, [trials])[0]
+        near = {c for e in (_H - 8, _H, _H + 8) for c in (e - 3, e - 1, e, e + 1, e + 5)}
+        checkpoints = sorted({1, 13, *(c for c in near if c < trials), trials})
+        assert convergence_report(spec, checkpoints) == oracle_stream(spec, checkpoints)
+
     @pytest.mark.parametrize("model", ["vn", "objective"])
     @pytest.mark.parametrize("ratio", RATIOS + [0.99])
     def test_report_at_block_edges(self, model, ratio):

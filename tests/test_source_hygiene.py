@@ -1,4 +1,5 @@
-"""Every name a module imports is used by that module.
+"""Every name a module imports is used by that module, and every private
+helper of the package is used by the package.
 
 A stand-in for a linter's unused-import check, built on ``ast`` alone, over
 the package, the scripts and the tests.  The package ``__init__`` is left
@@ -62,3 +63,33 @@ def test_every_import_is_used(path):
     bound = imported_names(tree)
     unused = [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
     assert unused == []
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """The private names a module defines at its top level (functions,
+    classes and assignments), dunders left out."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_every_private_helper_is_read():
+    # A private name no module of the package reads is dead code; tests may
+    # reach private names, but they do not keep one alive.
+    defined, read = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [f"{path.name}:{name}" for name in private_definitions(tree)]
+        read |= {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+    assert defined, "no private names found: the walk is broken"
+    assert [d for d in defined if d.partition(":")[2] not in read] == []
