@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from conftest import random_density, random_ket, random_rank1_projector
 from weakprobe import (
+    DimensionMismatch,
     InvalidProjector,
     Projector,
     SuperOp,
@@ -188,6 +189,11 @@ class TestEvolutionSuperop:
         with pytest.raises(ValueError, match="anchor"):
             evolution_superop_objective(0.2, 0.6, P_PLUS, 1.0)
 
+    def test_end_anchor_raises(self):
+        # nothing is left of the window to evolve through from its end
+        with pytest.raises(ValueError, match="anchor"):
+            evolution_superop_objective(1.0, 1.0, P_PLUS, 1.0)
+
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             evolution_superop_objective(0.5, 0.5, P_PLUS, 1.0)
@@ -207,6 +213,11 @@ class TestStrongStatistics:
         stats = dict(strong_statistics(rho, obs))
         assert stats[1.0] == pytest.approx(0.75)
         assert stats[-1.0] == pytest.approx(0.25)
+
+    def test_dimension_mismatch(self):
+        obs = spectral_decompose(np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(DimensionMismatch, match="state dim 2 != observable dim 3"):
+            strong_statistics(DensityOperator.pure([1, 0]), obs)
 
     def test_probabilities_clip_to_zero(self):
         obs = spectral_decompose(np.diag([1.0, -1.0]))

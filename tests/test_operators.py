@@ -275,6 +275,21 @@ class TestProjector:
         with pytest.raises(Exception, match="zero projector"):
             Projector.from_matrix(np.zeros((2, 2)))
 
+    def test_constructor_derives_rank(self):
+        assert Projector(np.diag([1.0, 0.0])).rank == 1
+        assert Projector(np.diag([1.0, 0.0, 1.0])).rank == 2
+        with pytest.raises(TypeError):
+            Projector(np.diag([1.0, 0.0]), 2)  # a rank is not taken on trust
+
+    @pytest.mark.parametrize("m", [np.diag([math.inf, 0.0]), np.diag([math.nan, 1.0])])
+    def test_constructor_rejects_non_finite_trace(self, m):
+        with pytest.raises(InvalidProjector, match="not near an integer"):
+            Projector(m)
+
+    def test_constructor_rejects_zero(self):
+        with pytest.raises(InvalidProjector, match="zero projector"):
+            Projector(np.zeros((2, 2)))
+
     def test_frozen_matrices(self):
         p = Projector.onto([1, 0])
         with pytest.raises(ValueError):
@@ -490,6 +505,8 @@ ARRAY_BOUNDARIES = {
     "validate_density inf": lambda: validate_density(INF_OBS / 2),
     "Projector.from_matrix nan": lambda: Projector.from_matrix(NAN_OBS),
     "Projector.from_matrix inf": lambda: Projector.from_matrix(np.diag([math.inf, 0.0])),
+    "Projector nan": lambda: Projector(NAN_OBS),
+    "Projector inf": lambda: Projector(np.diag([math.inf, 0.0])),
     "spectral_decompose nan": lambda: spectral_decompose(NAN_OBS),
     "spectral_decompose inf": lambda: spectral_decompose(INF_OBS),
     "ProtocolConfig weak_observable nan": lambda: config_with(weak_observable=NAN_OBS),

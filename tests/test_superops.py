@@ -215,6 +215,10 @@ EVOLUTION_MAPS = {
     "collapse": lambda: C_TILT,
     "objective:start": lambda: evolution_superop_objective(0.0, 0.3, P_TILT, 1.0),
     "objective:end": lambda: evolution_superop_objective(0.3, 1.0, P_TILT, 1.0),
+    # E(0, t1) is nearly singular here, so a solve for the remainder loses it
+    "objective:end from near it": lambda: evolution_superop_objective(
+        1.0 - 1e-9, 1.0, P_TILT, 1.0
+    ),
     "objective:composed": lambda: compose(
         evolution_superop_objective(0.3, 1.0, P_TILT, 1.0),
         evolution_superop_objective(0.0, 0.3, P_TILT, 1.0),
@@ -326,6 +330,10 @@ class TestSolveCompletion:
         # the minimizer still satisfies the equation
         assert np.max(np.abs(res.solution.matrix @ c.matrix - c.matrix)) <= 1e-12
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="dims differ: 2 vs 3"):
+            solve_completion(SuperOp.identity(2), SuperOp.identity(3))
+
 
 class TestRetrogradeBackward:
     def test_backward_through_identity(self):
@@ -363,6 +371,12 @@ class TestVectorizationConvention:
         x = np.array([[1, 2], [3, 4]], dtype=complex)
         np.testing.assert_array_equal(vectorize(x), [1, 3, 2, 4])
         np.testing.assert_array_equal(unvectorize([1, 3, 2, 4], 2), x)
+
+    def test_unvectorize_wrong_length(self):
+        from weakprobe.superops import unvectorize
+
+        with pytest.raises(DimensionMismatch, match="length 5 is not 2x2"):
+            unvectorize(np.arange(5), 2)
 
     def test_left_right_multiplication_matrix(self):
         # under column stacking, X -> A X B has matrix kron(B^T, A)
