@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .operators import (
     DensityOperator,
     ObservableSpectral,
@@ -31,7 +32,7 @@ from .operators import (
     require_positive_finite,
     require_rank1,
 )
-from .superops import SuperOp, _superop, collapse_superop, solve_completion
+from .superops import SuperOp, _superop, collapse_superop
 
 __all__ = [
     "objective_state_at",
@@ -99,11 +100,11 @@ def evolution_superop_objective(
 
     Anchored at the start of the collapse window the map is the convex
     combination ``(1 - t2/dtc) * Id + (t2/dtc) * C`` with ``C`` the
-    collapse superoperator.  For an interior start time the map is only
-    defined implicitly; for ``t2 == delta_t_c`` it is recovered by
-    solving the completion problem ``K(E(0, t1)) = E(0, dtc)``, whose
-    unique solution is ``C`` itself whenever ``t1 < delta_t_c``.  Other
-    anchors are not supported.
+    collapse superoperator.  From an interior start time ``t1 < dtc`` it is
+    defined only to the window's end, ``t2 == delta_t_c``, as the solution
+    of the completion problem ``K(E(0, t1)) = E(0, dtc)``: ``E(0, t1)`` is
+    invertible there, so that solution is ``C`` itself, returned in closed
+    form.  Other anchors, ``t1 == delta_t_c`` among them, raise.
     """
     _check_window(p, "collapse window delta_t_c", delta_t_c, t1, t2)
     c = collapse_superop(p)
@@ -111,12 +112,11 @@ def evolution_superop_objective(
         x = t2 / delta_t_c
         matrix = (1.0 - x) * np.eye(p.dim**2, dtype=complex) + x * c.matrix
         return _superop(p.dim, matrix)
-    if abs(t2 - delta_t_c) <= 1e-12 * delta_t_c:
-        e_first = evolution_superop_objective(0.0, t1, p, delta_t_c)
-        return solve_completion(e_first, c).solution
+    if t1 < delta_t_c and abs(t2 - delta_t_c) <= 1e-12 * delta_t_c:
+        return c
     raise ValueError(
-        "unsupported anchor: interior start times are only defined for "
-        "t2 = delta_t_c (via the completion problem)"
+        f"unsupported anchor ({t1}, {t2}): a start time after 0 is only "
+        "defined before delta_t_c, to t2 = delta_t_c"
     )
 
 
@@ -129,7 +129,7 @@ def strong_statistics(
     order, probabilities given by ``Tr[P_n rho]``.
     """
     if rho.dim != obs.dim:
-        raise ValueError(f"state dim {rho.dim} != observable dim {obs.dim}")
+        raise DimensionMismatch(f"state dim {rho.dim} != observable dim {obs.dim}")
     out = []
     for a, p in obs.pairs:
         prob = float(np.trace(p.mat @ rho.mat).real)

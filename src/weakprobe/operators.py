@@ -13,7 +13,7 @@ The Hilbert-Schmidt inner product used throughout is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -179,13 +179,15 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """An orthogonal projector ``P = P^dag = P^2`` with its rank."""
+    """An orthogonal projector ``P = P^dag = P^2`` with its rank, which is
+    derived from the trace, never passed in."""
 
     mat: np.ndarray
-    rank: int
+    rank: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mat", _frozen(self.mat))
+        object.__setattr__(self, "rank", _trace_rank(self.mat))
 
     @property
     def dim(self) -> int:
@@ -203,19 +205,24 @@ class Projector:
             raise InvalidProjector(f"not Hermitian (defect {herm:.3e})")
         if not idem <= HERM_TOL:
             raise InvalidProjector(f"not idempotent (defect {idem:.3e})")
-        tr = float(np.trace(p).real)
-        rank = round(tr)
-        if not abs(tr - rank) <= 1e-6:
-            raise InvalidProjector(f"trace {tr} is not near an integer")
-        if rank < 1:
-            raise InvalidProjector("zero projector has no selective outcome")
-        return _trusted(cls, p, rank=rank)
+        return _trusted(cls, p, rank=_trace_rank(p))
 
     @classmethod
     def onto(cls, ket) -> "Projector":
         """Rank-1 projector onto the ray of ``ket``."""
         v = unit_ket(ket, InvalidProjector)
         return _trusted(cls, np.outer(v, v.conj()), rank=1)
+
+
+def _trace_rank(p: np.ndarray) -> int:
+    """The rank of a projector: its trace, which must be near a positive integer."""
+    tr = float(np.trace(p).real)
+    rank = round(tr) if math.isfinite(tr) else 0  # round(inf) would raise OverflowError
+    if not abs(tr - rank) <= 1e-6:  # NaN and inf fail
+        raise InvalidProjector(f"trace {tr} is not near an integer")
+    if rank < 1:
+        raise InvalidProjector("zero projector has no selective outcome")
+    return rank
 
 
 def require_rank1(p: Projector) -> None:

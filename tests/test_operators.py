@@ -505,8 +505,6 @@ ARRAY_BOUNDARIES = {
     "validate_density inf": lambda: validate_density(INF_OBS / 2),
     "Projector.from_matrix nan": lambda: Projector.from_matrix(NAN_OBS),
     "Projector.from_matrix inf": lambda: Projector.from_matrix(np.diag([math.inf, 0.0])),
-    "Projector nan": lambda: Projector(NAN_OBS),
-    "Projector inf": lambda: Projector(np.diag([math.inf, 0.0])),
     "spectral_decompose nan": lambda: spectral_decompose(NAN_OBS),
     "spectral_decompose inf": lambda: spectral_decompose(INF_OBS),
     "ProtocolConfig weak_observable nan": lambda: config_with(weak_observable=NAN_OBS),
