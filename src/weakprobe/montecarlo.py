@@ -19,11 +19,11 @@ evaluated, and prefixes of a stream are stable.
 
 Each thread keeps one ``Philox`` for its whole life and reuses it across
 calls: before every block it draws (an objective chunk, or a vn block of
-``_BLOCK_TRIALS`` trials) it is set through its documented
-``state`` to the key ``(seed, j)`` and the counter of the block's first
-draw, so no draw depends on what an earlier call drew.  A call holds its
-thread's generator while it runs, so a call nested in it (from a signal
-handler) builds its own.  Each call draws into one buffer of its own,
+``_BLOCK_TRIALS`` trials) it is set through its documented ``state`` to
+the key ``(seed, j)`` and the counter of the block's first draw, so no
+draw depends on what an earlier call drew.  A call holds its thread's
+generator while it runs, so a call nested in it (from a signal handler)
+builds its own.  Each call draws into one buffer of its own,
 freed when it returns.  ``Generator.random`` fills the buffer, which is
 scaled in place to its window, ``u * (hi - lo) + lo``: the same two
 roundings as ``Generator.uniform(lo, hi)``, so every draw has the bits
@@ -56,12 +56,12 @@ An instantaneous (vn) chunk reduces to a count of weak-first trials, so
 it is drawn and counted in two halves, and each half in blocks of
 ``_BLOCK_TRIALS`` trials: the generator is positioned before every block,
 whose ``t_w > t_s`` comparison is made once, and every checkpoint's count
-is read off it.  A vn run of ``2 * CHUNK_TRIALS``
-trials or more hands the second halves of the current and the next chunk
-to a one-worker ``ThreadPoolExecutor``, which has a ``Philox`` of its
-own, while the calling thread counts the first halves.  The caller takes
-each second half the worker has finished; one the worker has not started
-is cancelled, and one it is running is left to finish, and the caller
+is read off it.  A vn run of ``2 * CHUNK_TRIALS`` trials or more hands
+the second halves of the current and the next chunk to a one-worker
+``ThreadPoolExecutor``, which has a ``Philox`` of its own, while the
+calling thread counts the first halves.  The caller takes each second
+half the worker has finished; one the worker has not started is
+cancelled, and one it is running is left to finish, and the caller
 counts either itself, so a worker starved of CPU never stalls the run.
 Each thread has a buffer of one block, 256 KB, so a two-thread vn run
 peaks at 0.57 MB traced.  Counts merge in chunk order, so the results do
@@ -312,7 +312,7 @@ def _half_counts(spec: SimulationSpec, rng, buf, j: int, h: int, ends: list[int]
     for s in range(0, n, _BLOCK_TRIALS):
         m = min(_BLOCK_TRIALS, n - s)
         draws = _chunk_draws(spec, j, m, buf, rng, first + s)
-        later = draws[1 : 2 * m : 2] > draws[0 : 2 * m : 2]
+        later = draws[1::2] > draws[::2]
         for i, c in enumerate(cuts):
             if c > s:
                 counts[i] -= int(np.count_nonzero(later[: c - s]))
