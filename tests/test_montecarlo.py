@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -51,6 +52,24 @@ class TestSpecValidation:
     def test_bad_seed(self, seed):
         with pytest.raises(ValueError, match="seed"):
             SimulationSpec(spin_config(), "vn", 10, seed)
+
+    # trials, seed and checkpoints follow one rule: any integer type but bool
+    @pytest.mark.parametrize("model", ["vn", "objective"])
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64, np.int32])
+    def test_numpy_integers(self, model, kind):
+        want = SimulationSpec(spin_config(), model, 1000, 7)
+        spec = SimulationSpec(want.cfg, model, kind(1000), kind(7))
+        assert (type(spec.trials), type(spec.seed)) == (int, int)
+        got = run_simulation(spec)
+        assert got == run_simulation(want)
+        text = json.dumps(to_record(spec, got))
+        assert text == json.dumps(to_record(want, run_simulation(want)))
+        checkpoints = [10, 1000]
+        assert convergence_report(spec, checkpoints) == convergence_report(want, checkpoints)
+
+    def test_largest_numpy_seed(self):
+        spec = SimulationSpec(spin_config(), "vn", 10, np.uint64(2**64 - 1))
+        assert spec.seed == 2**64 - 1 and type(spec.seed) is int
 
 
 class TestDeterminism:

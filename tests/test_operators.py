@@ -23,6 +23,7 @@ from weakprobe import (
     HydrogenScenario,
     InvalidProjector,
     NegativeEigenvalue,
+    ObservableSpectral,
     Projector,
     ProtocolConfig,
     TraceViolation,
@@ -296,6 +297,100 @@ class TestProjector:
             p.mat[0, 0] = 5.0
 
 
+def bits(value):
+    """``value`` in a form whose ``==`` compares bits: an array by dtype,
+    shape and bytes, a float by its repr (so -0.0 differs from 0.0)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, tuple):
+        return tuple(map(bits, value))
+    if hasattr(value, "__dict__"):
+        return type(value), {k: bits(v) for k, v in vars(value).items()}
+    return type(value), repr(value)
+
+
+def outcome(build, m):
+    """What ``build(m)`` gives: the bits of its result, or the type and
+    message of what it raises."""
+    try:
+        return bits(build(m))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def operator_matrices(draw):
+    """A d = 1-5 matrix near one of the three kinds: a state (some with an
+    eigenvalue in [-PSD_TOL, 0), which the check clips), a projector or an
+    observable with a near-degenerate level, off its kind by a Hermitian or
+    non-Hermitian perturbation of a size on either side of the tolerances."""
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    kind = draw(st.sampled_from(["state", "near state", "projector", "observable"]))
+    if kind == "projector":
+        w = (rng.random(d) < 0.5).astype(float)
+    elif kind == "observable":
+        w = rng.normal(size=d)
+        w[-1] = w[0] + draw(st.sampled_from([0.0, 1e-12, 1e-3]))
+    else:
+        w = rng.random(d) + 0.01
+        if kind == "near state" and d > 1:
+            w[0] = -rng.uniform(0.0, 0.99 * PSD_TOL) * w[1:].sum()
+        w /= w.sum()
+    m = (u * w) @ u.conj().T
+    size = draw(st.sampled_from([0.0, 1e-13, 1e-9, 0.1]))
+    noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if draw(st.booleans()):
+        noise = noise + noise.conj().T
+    return m + size * noise
+
+
+# Each public constructor next to the checking function it must agree with.
+CONSTRUCTORS = {
+    "DensityOperator": (DensityOperator, validate_density),
+    "Projector": (Projector, Projector.from_matrix),
+    "ObservableSpectral": (ObservableSpectral, spectral_decompose),
+}
+
+
+class TestCheckedConstructors:
+    """A public constructor takes only the matrix and runs its type's check."""
+
+    def test_density_rejects_negative_eigenvalue(self):
+        with pytest.raises(NegativeEigenvalue):
+            DensityOperator(np.array([[2, 0], [0, -1]]))
+
+    def test_density_takes_no_adjustment(self):
+        with pytest.raises(TypeError):
+            DensityOperator(np.eye(2) / 2, psd_adjustment=0.25)
+
+    def test_observable_takes_no_pairs(self):
+        with pytest.raises(TypeError):
+            ObservableSpectral(SIGMA_Z, ((5.0, Projector.onto([1, 0])),))
+
+    def test_projector_rejects_non_idempotent(self):
+        with pytest.raises(InvalidProjector, match="not idempotent"):
+            Projector(np.array([[1, 0.5], [0.5, 0]]))
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_maximally_mixed_rejects_empty(self, d):
+        with pytest.raises(ValueError, match="dimension"):
+            DensityOperator.maximally_mixed(d)
+
+    @given(m=operator_matrices())
+    @example(m=np.array([[2, 0], [0, -1]]))
+    @example(m=np.diag([1.0 + 5e-11, -5e-11]))
+    @example(m=np.array([[1, 0.5], [0.5, 0]]))
+    @example(m=np.diag([1.0, 1.0 + 1e-12, 0.0]))
+    def test_constructor_is_its_check(self, m):
+        m.setflags(write=True)
+        before = m.tobytes()
+        for construct, check in CONSTRUCTORS.values():
+            assert outcome(construct, m) == outcome(check, m)
+            assert m.flags.writeable and m.tobytes() == before  # the input is not taken
+
+
 class TestUnitKet:
     @pytest.mark.parametrize(
         "ket, unit",
@@ -507,6 +602,12 @@ ARRAY_BOUNDARIES = {
     "Projector.from_matrix inf": lambda: Projector.from_matrix(np.diag([math.inf, 0.0])),
     "spectral_decompose nan": lambda: spectral_decompose(NAN_OBS),
     "spectral_decompose inf": lambda: spectral_decompose(INF_OBS),
+    "DensityOperator nan": lambda: DensityOperator(np.full((2, 2), math.nan)),
+    "DensityOperator inf": lambda: DensityOperator(INF_OBS / 2),
+    "Projector nan": lambda: Projector(NAN_OBS),
+    "Projector inf": lambda: Projector(np.diag([math.inf, 0.0])),
+    "ObservableSpectral nan": lambda: ObservableSpectral(NAN_OBS),
+    "ObservableSpectral inf": lambda: ObservableSpectral(INF_OBS),
     "ProtocolConfig weak_observable nan": lambda: config_with(weak_observable=NAN_OBS),
     "ProtocolConfig weak_observable inf": lambda: config_with(weak_observable=INF_OBS),
     "weak_value rho1 nan": lambda: weak_value(NAN_OBS, RHO.mat, SIGMA_Z),

@@ -1,5 +1,6 @@
-"""Every name a module imports is used by that module, and every private
-helper of the package is used by the package.
+"""Every name a module imports is used by that module, every private
+helper of the package is used by the package, and the package never calls
+a checked operator constructor.
 
 A stand-in for a linter's unused-import check, built on ``ast`` alone, over
 the package, the scripts and the tests.  The package ``__init__`` is left
@@ -93,3 +94,32 @@ def test_every_private_helper_is_read():
         }
     assert defined, "no private names found: the walk is broken"
     assert [d for d in defined if d.partition(":")[2] not in read] == []
+
+
+# The operator types whose public constructors run their checks.
+CHECKED_TYPES = {"DensityOperator", "Projector", "ObservableSpectral"}
+
+
+def callee(func: ast.expr) -> str | None:
+    """The name a call reaches, ``f`` in ``f(...)`` and ``m.f(...)``."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def test_package_never_calls_a_checked_constructor():
+    # Outside input goes through validate_density, Projector.from_matrix and
+    # spectral_decompose, and what the library builds through
+    # operators._trusted; a direct call would check it again, unseen, on
+    # whatever path it sits.
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += [
+            f"{path.name}:{node.lineno} {callee(node.func)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and callee(node.func) in CHECKED_TYPES
+        ]
+    assert calls == []
