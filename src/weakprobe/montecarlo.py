@@ -68,14 +68,9 @@ peaks at 0.57 MB traced.  Counts merge in chunk order, so the results do
 not depend on scheduling.  The executor is shut down before the call
 returns, which waits only for the half in flight, and what the worker
 raises reaches the caller.  Shorter vn runs count both halves on the
-calling thread.  The objective model stays on one thread.  A split chunk
-need not move bits: the halves' mid-collapse draws, joined in trial
-order, are the chunk's gathered array.  A helper thread that draws and
-classifies each chunk's second half in the chunk's own buffer keeps the
-bits and the traced peak (0.735 MB), but on a shared 2-vCPU host it took
-0.87-0.92x the one-thread time only while the host ran slow, and was
-level or slower otherwise; in 4 alternating ``mc-large`` benchmark pairs
-it won 2, at 70-74M trials/s uncorrected against 81-90M on one thread.
+calling thread.  The objective model stays on one thread: a helper that
+splits its chunks keeps the bits, but its gain could not be told from a
+shared host's noise (ROADMAP, FOUND (l)).
 """
 
 from __future__ import annotations
@@ -114,6 +109,14 @@ _THREAD_TRIALS = 2 * CHUNK_TRIALS
 MODELS = ("vn", "objective")
 
 
+def _integer(x, lo: int, hi: float, message: str) -> int:
+    """``x`` as an int in ``[lo, hi)``.  Any integer type is taken but bool,
+    an int subclass whose ``True`` as a count or seed is a mistake."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or not lo <= int(x) < hi:
+        raise ValueError(message)
+    return int(x)
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationSpec:
     """What to simulate: configuration, model, trial count, seed."""
@@ -126,11 +129,11 @@ class SimulationSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        # Exactly int: bool is an int subclass, but True trials is a mistake.
-        if not (type(self.trials) is int and self.trials >= 1):
-            raise ValueError("trials must be a positive integer")
-        if not (type(self.seed) is int and 0 <= self.seed < 2**64):
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        # Stored as int, so that a numpy integer serialises like the int.
+        trials = _integer(self.trials, 1, math.inf, "trials must be a positive integer")
+        object.__setattr__(self, "trials", trials)
+        seed = _integer(self.seed, 0, 2**64, "seed must be an unsigned 64-bit integer")
+        object.__setattr__(self, "seed", seed)
         # The draws' window as (lo, width), read once: a draw u in [0, 1) is
         # scaled to u * width + lo.
         if self.model == "vn":
@@ -411,13 +414,10 @@ def convergence_report(
     ``run_simulation`` at ``N`` trials bit for bit, so the entries show
     the ``1/sqrt(N)`` shrink of the standard error on actual data.
     """
-    checkpoints = list(checkpoints)
-    if not checkpoints or any(
-        isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 1
-        for c in checkpoints
-    ):
-        raise ValueError("checkpoints must be positive integers")
-    checkpoints = [int(c) for c in checkpoints]
+    message = "checkpoints must be positive integers"
+    checkpoints = [_integer(c, 1, math.inf, message) for c in checkpoints]
+    if not checkpoints:
+        raise ValueError(message)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
     return _stream(spec, checkpoints)

@@ -1,10 +1,10 @@
 """Finite-dimensional operator algebra on a complex Hilbert space.
 
-Operators are plain complex ndarrays of shape ``(d, d)``.  The validated
-wrapper types (:class:`DensityOperator`, :class:`Projector`,
-:class:`ObservableSpectral`) freeze their matrices after construction so
-instances can safely be shared between threads; all transformations
-return new objects.
+Operators are plain complex ndarrays of shape ``(d, d)``.  The wrapper
+types (:class:`DensityOperator`, :class:`Projector`,
+:class:`ObservableSpectral`) take only a matrix, run their type's check
+on it and keep a frozen copy, so instances can safely be shared between
+threads; all transformations return new objects.
 
 The Hilbert-Schmidt inner product used throughout is
 ``<A, B> = Tr[A^dag B]``, conjugate-linear in the first argument.
@@ -151,17 +151,16 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
 class DensityOperator:
     """A state: Hermitian, positive semi-definite, unit trace.
 
-    Construct through :func:`validate_density` (or the ``pure`` /
-    ``maximally_mixed`` helpers) so the invariants are actually checked.
-    ``psd_adjustment`` records the total eigenvalue mass clipped to zero
-    during validation; it is 0.0 when no repair was needed.
+    ``DensityOperator(m)`` is :func:`validate_density` of ``m``.
+    ``psd_adjustment`` is derived: the total eigenvalue mass that check
+    clipped to zero, 0.0 when no repair was needed.
     """
 
     mat: np.ndarray
-    psd_adjustment: float = 0.0
+    psd_adjustment: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _frozen(self.mat))
+        self.__dict__.update(validate_density(self.mat).__dict__)
 
     @property
     def dim(self) -> int:
@@ -174,20 +173,22 @@ class DensityOperator:
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "DensityOperator":
+        if not d >= 1:
+            raise ValueError(f"dimension must be at least 1, got {d}")
         return _trusted(cls, identity(d) / d, psd_adjustment=0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class Projector:
     """An orthogonal projector ``P = P^dag = P^2`` with its rank, which is
-    derived from the trace, never passed in."""
+    derived from the trace, never passed in.  ``Projector(m)`` is
+    :meth:`from_matrix` of ``m``."""
 
     mat: np.ndarray
     rank: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _frozen(self.mat))
-        object.__setattr__(self, "rank", _trace_rank(self.mat))
+        self.__dict__.update(self.from_matrix(self.mat).__dict__)
 
     @property
     def dim(self) -> int:
@@ -205,24 +206,19 @@ class Projector:
             raise InvalidProjector(f"not Hermitian (defect {herm:.3e})")
         if not idem <= HERM_TOL:
             raise InvalidProjector(f"not idempotent (defect {idem:.3e})")
-        return _trusted(cls, p, rank=_trace_rank(p))
+        tr = float(np.trace(p).real)  # finite, as p passed both checks
+        rank = round(tr)
+        if not abs(tr - rank) <= 1e-6:
+            raise InvalidProjector(f"trace {tr} is not near an integer")
+        if rank < 1:
+            raise InvalidProjector("zero projector has no selective outcome")
+        return _trusted(cls, p, rank=rank)
 
     @classmethod
     def onto(cls, ket) -> "Projector":
         """Rank-1 projector onto the ray of ``ket``."""
         v = unit_ket(ket, InvalidProjector)
         return _trusted(cls, np.outer(v, v.conj()), rank=1)
-
-
-def _trace_rank(p: np.ndarray) -> int:
-    """The rank of a projector: its trace, which must be near a positive integer."""
-    tr = float(np.trace(p).real)
-    rank = round(tr) if math.isfinite(tr) else 0  # round(inf) would raise OverflowError
-    if not abs(tr - rank) <= 1e-6:  # NaN and inf fail
-        raise InvalidProjector(f"trace {tr} is not near an integer")
-    if rank < 1:
-        raise InvalidProjector("zero projector has no selective outcome")
-    return rank
 
 
 def require_rank1(p: Projector) -> None:
@@ -234,17 +230,18 @@ def require_rank1(p: Projector) -> None:
 class ObservableSpectral:
     """A Hermitian observable with its spectral resolution.
 
-    ``pairs`` lists ``(eigenvalue, eigenprojector)`` in ascending
+    ``ObservableSpectral(a)`` is :func:`spectral_decompose` of ``a``.
+    ``pairs`` is derived: ``(eigenvalue, eigenprojector)`` in ascending
     eigenvalue order; nearly degenerate eigenvalues are merged into a
     single projector, so the projectors are mutually orthogonal and
     complete.
     """
 
     observable: np.ndarray
-    pairs: tuple[tuple[float, Projector], ...]
+    pairs: tuple[tuple[float, Projector], ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "observable", _frozen(self.observable))
+        self.__dict__.update(spectral_decompose(self.observable).__dict__)
 
     @property
     def dim(self) -> int:
@@ -267,7 +264,7 @@ def spectral_decompose(a) -> ObservableSpectral:
     eigenvectors are merged into a single projector.  Each reported
     eigenvalue is the mean of its cluster.
     """
-    a = as_operator(a)
+    a = as_operator(a, copy=True)
     adj = a.conj().T
     with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf defect fails
         defect = _max_abs(a - adj)
@@ -293,7 +290,7 @@ def spectral_decompose(a) -> ObservableSpectral:
                 mean = float(np.mean(w[start:i]))
             pairs.append((mean, proj))
             start = i
-    return ObservableSpectral(a, tuple(pairs))
+    return _trusted(ObservableSpectral, a, "observable", pairs=tuple(pairs))
 
 
 def validate_density(m) -> DensityOperator:

@@ -43,6 +43,7 @@ from weakprobe.operators import (
     PSD_TOL,
     TRACE_TOL,
     _check_hermitian,
+    _trusted,
     _validate_states,
     as_operator,
     dagger,
@@ -251,7 +252,10 @@ def parent_config_from_json(obj) -> ProtocolConfig:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ValueError(f"config: {k} must be a number, got {v!r}")
         scalars[k] = float(v)
-    states = [DensityOperator(*parent_validate_density(mats[k])[:2]) for k in OPERATOR_KEYS[:2]]
+    states = [
+        _trusted(DensityOperator, mat, psd_adjustment=adjustment)
+        for mat, adjustment, _ in (parent_validate_density(mats[k]) for k in OPERATOR_KEYS[:2])
+    ]
     return ProtocolConfig(
         *states, Projector.from_matrix(mats["strong_projector"]), mats["weak_observable"], **scalars
     )

@@ -284,7 +284,7 @@ class TestProjector:
 
     @pytest.mark.parametrize("m", [np.diag([math.inf, 0.0]), np.diag([math.nan, 1.0])])
     def test_constructor_rejects_non_finite_trace(self, m):
-        with pytest.raises(InvalidProjector, match="not near an integer"):
+        with pytest.raises(InvalidProjector, match="not Hermitian"):
             Projector(m)
 
     def test_constructor_rejects_zero(self):
@@ -384,7 +384,6 @@ class TestCheckedConstructors:
     @example(m=np.array([[1, 0.5], [0.5, 0]]))
     @example(m=np.diag([1.0, 1.0 + 1e-12, 0.0]))
     def test_constructor_is_its_check(self, m):
-        m.setflags(write=True)
         before = m.tobytes()
         for construct, check in CONSTRUCTORS.values():
             assert outcome(construct, m) == outcome(check, m)
@@ -561,7 +560,6 @@ SCALAR_EXEMPT = {
     ("pointer.SlopeFit", "weak_value_re"),
     ("pointer.SlopeFit", "bound_constant"),
     ("superops.CompletionResult", "residual"),
-    ("operators.DensityOperator", "psd_adjustment"),
     # a predicate: a NaN time is simply not inside the window
     ("weakvalues.UniformTiming.contains", "t"),
 }
