@@ -184,6 +184,10 @@ def test_objective_simulate_loads_neither_collapse_nor_superops():
     assert not loaded & {"pointer", "collapse", "superops"}
 
 
+def test_collapse_loads_no_superops():
+    assert "superops" not in loaded_after("import weakprobe.collapse")
+
+
 def test_pointer_loads_pointer_only():
     loaded = loaded_by_command("pointer", "--g-points", "5")
     assert "pointer" in loaded

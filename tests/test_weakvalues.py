@@ -4,11 +4,12 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import (
     line_end_overflow,
     random_config,
+    random_density,
     random_hermitian,
     random_ket,
     spin_config,
@@ -180,6 +181,20 @@ class TestProtocolConfig:
         with pytest.raises(ValueError, match="zero width"):
             spin_config(dtm=dtm, dtc=dtc)
 
+    def test_weak_window_is_stored(self):
+        cfg = spin_config(dtm=1.0, dtc=0.5)
+        assert cfg.weak_window is cfg.weak_window
+
+    def test_replace_recomputes_weak_window(self):
+        cfg = spin_config(dtm=1.0, dtc=0.5)
+        changed = replace(cfg, delta_t_c=0.125)
+        fresh = spin_config(dtm=1.0, dtc=0.125)
+        assert (changed.weak_window.lo, changed.weak_window.hi) == (
+            fresh.weak_window.lo,
+            fresh.weak_window.hi,
+        )
+        assert changed.weak_window != cfg.weak_window
+
     def test_narrowest_weak_window_accepted(self):
         dtm = 2 * np.spacing(0.5)  # one ulp on each side of the centre 0.5
         assert spin_config(dtm=dtm, dtc=1.0).weak_window.width > 0.0
@@ -285,6 +300,49 @@ class TestWeakValue:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             weak_value(np.eye(2), np.eye(3), SIGMA_Z)
+
+    def test_small_unnormalized_postselection(self):
+        r1 = np.array([[0.36, 0.48], [0.48, 0.64]])  # (0.6, 0.8)
+        r2 = np.array([[0.5, 0.5], [0.5, 0.5]])  # |+>
+        assert weak_value(r1, r2, SIGMA_Z) == pytest.approx(-1 / 7, rel=1e-14)
+        assert weak_value(r1, 1e-12 * r2, SIGMA_Z) == pytest.approx(-1 / 7, rel=1e-14)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 4),
+        k=st.integers(-200, 200),
+        log_overlap=st.none() | st.floats(-9.0, 0.0),
+    )
+    def test_operand_scale_invariant(self, seed, d, k, log_overlap):
+        # Scaling one operand by 2**k scales both traces exactly, so the weak
+        # value keeps its bits and the orthogonality test its answer.  With
+        # ``log_overlap`` the states are pure with |<psi2|psi1>| about
+        # 10**log_overlap, around the tolerance; without, exactly orthogonal.
+        rng = np.random.default_rng(seed)
+        obs = random_hermitian(rng, d)
+        if log_overlap is None:
+            r1, r2 = np.diag(np.eye(d)[0]), random_density(rng, d - 1).mat
+            r2 = np.pad(r2, ((1, 0), (1, 0)))
+        else:
+            psi1, other = random_ket(rng, d), random_ket(rng, d)
+            other -= np.vdot(psi1, other) * psi1
+            psi2 = other / np.linalg.norm(other) + 10.0**log_overlap * psi1
+            r1 = DensityOperator.pure(psi1).mat * float(rng.uniform(0.5, 2.0))
+            r2 = np.outer(psi2, psi2.conj())
+
+        def outcome(a, b):
+            try:
+                return weak_value(a, b, obs)
+            except OrthogonalPostselection:
+                return "orthogonal"
+
+        want = outcome(r1, r2)
+        if log_overlap is None:
+            assert want == "orthogonal"
+        unit = 2.0**k
+        for got in (outcome(r1, unit * r2), outcome(unit * r1, r2)):
+            assert got == want
+            assert repr(got) == repr(want)
 
 
 class TestTrialValues:
@@ -685,6 +743,7 @@ class TestScaleInvariance:
         across=st.floats(-3.0, 3.0),
         log_sigma=st.floats(-5.0, 0.0),
     )
+    @example(seed=1, d=2, k=-975, x=0.75, across=0.0, log_sigma=-1.0)
     def test_verdict_is_scale_invariant(self, seed, d, k, x, across, log_sigma):
         cfg = random_config(np.random.default_rng(seed), d)
         t, sigma = cfg.traces, 10.0**log_sigma
@@ -702,4 +761,7 @@ class TestScaleInvariance:
         else:
             est = want.delta_t_c_estimate
             assert abs(got.delta_t_c_estimate - est) <= 4 * math.ulp(est)
-        assert math.ldexp(got.residual, -k) == pytest.approx(want.residual, rel=1e-14, abs=0.0)
+        # Near the bottom of the double range the scaled residual is subnormal
+        # and holds fewer bits; two of its ulps, scaled back, allow for that.
+        ulps = math.ldexp(2 * math.ulp(got.residual), -k)
+        assert math.ldexp(got.residual, -k) == pytest.approx(want.residual, rel=1e-14, abs=ulps)
