@@ -61,7 +61,6 @@ __version__ = "0.1.0"
 # The public names of the modules that load on first use, by module.
 _DEFERRED = {
     "collapse": (
-        "evolution_superop_objective",
         "objective_state_at",
         "projective_ensemble_state_at",
         "strong_statistics",
@@ -86,7 +85,6 @@ _DEFERRED = {
     "serialization": (
         "config_from_json",
         "config_to_json",
-        "operator_from_json",
         "operator_to_json",
     ),
     "superops": (

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import OrthogonalPostselection
 from .operators import ZERO_TOL, DensityOperator, Projector, require_positive_finite
-from .weakvalues import ProtocolConfig, _require_weak_window
+from .weakvalues import ProtocolConfig, _weak_window
 
 __all__ = [
     "PLUS",
@@ -134,7 +134,7 @@ def hydrogen_predictions(
     """
     require_positive_finite(delta_t_c, "delta_t_c")
     require_positive_finite(delta_t_m, "delta_t_m")
-    _require_weak_window(delta_t_m, delta_t_c)
+    _weak_window(delta_t_m, delta_t_c)
     p = abs(scenario.a) ** 2
     q = abs(scenario.b) ** 2
     if p <= ZERO_TOL or q <= ZERO_TOL:

@@ -35,7 +35,6 @@ __all__ = [
     "Projector",
     "ObservableSpectral",
     "hs_inner",
-    "hermiticity_defect",
     "spectral_decompose",
     "validate_density",
 ]
@@ -98,14 +97,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def _max_abs(a: np.ndarray) -> float:
     """Largest modulus of an entry of ``a``: NaN if one is, 0 if ``a`` is empty."""
     return float(np.abs(a).max()) if a.size else 0.0
-
-
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Max-norm distance between ``a`` and its adjoint; NaN or inf when an
-    entry of ``a`` is, which the ``not defect <= HERM_TOL`` checks reject."""
-    a = np.asarray(a)
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _max_abs(a - a.conj().T)
 
 
 def _check_hermitian(defect: float, what: str) -> None:

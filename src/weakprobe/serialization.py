@@ -16,7 +16,6 @@ from .weakvalues import ProtocolConfig
 
 __all__ = [
     "operator_to_json",
-    "operator_from_json",
     "config_to_json",
     "config_from_json",
 ]
@@ -48,11 +47,6 @@ def _matrix_from_json(obj, what: str) -> np.ndarray:
     if not (np.isfinite(re).all() and np.isfinite(im).all()):  # json reads NaN, Infinity
         raise ValueError(f"{what}: entries must be finite")
     return re + 1j * im
-
-
-def operator_from_json(obj) -> np.ndarray:
-    """Parse the ``{"dim", "re", "im"}`` layout back into a matrix."""
-    return _matrix_from_json(obj, "operator")
 
 
 def config_to_json(cfg: ProtocolConfig) -> dict:

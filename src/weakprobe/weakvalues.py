@@ -126,15 +126,18 @@ class ProtocolTraces:
         return (self.obs_in + self.obs_proj) / 2.0
 
 
-def _require_weak_window(delta_t_m: float, delta_t_c: float) -> None:
-    """Raise ``ValueError`` unless the weak window, ``delta_t_m`` wide and
-    centred on ``delta_t_c / 2``, has a nonzero width in double precision."""
+def _weak_window(delta_t_m: float, delta_t_c: float) -> UniformTiming:
+    """Window of the weak-coupling time relative to the collapse start:
+    ``delta_t_m`` wide and centred on ``delta_t_c / 2``.  Raises
+    ``ValueError`` if it has zero width in double precision."""
     half, center = delta_t_m / 2.0, delta_t_c / 2.0
-    if not (center + half) - (center - half) > 0.0:
+    lo, hi = center - half, center + half
+    if not hi - lo > 0.0:
         raise ValueError(
             f"delta_t_m = {delta_t_m} is below the resolution of delta_t_c = "
             f"{delta_t_c}: the weak window has zero width"
         )
+    return UniformTiming(lo, hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,8 +148,8 @@ class ProtocolConfig:
     relative to the strong measurement; ``delta_t_c`` the putative
     objective-collapse duration.  Both postselection overlaps must be
     nonzero or every conditional average is undefined, and the weak
-    window must have a nonzero width in double precision.  ``traces`` is
-    computed on construction and is not an argument.
+    window must have a nonzero width in double precision.  ``traces`` and
+    ``weak_window`` are computed on construction and are not arguments.
     """
 
     rho_in: DensityOperator
@@ -157,6 +160,7 @@ class ProtocolConfig:
     delta_t_c: float
     hbar: float = 1.0
     traces: ProtocolTraces = field(init=False, repr=False)
+    weak_window: UniformTiming = field(init=False, repr=False)
 
     def __post_init__(self):
         obs = _frozen(self.weak_observable)
@@ -181,7 +185,7 @@ class ProtocolConfig:
         _check_hermitian(obs_defect, "weak_observable")
         for name in ("delta_t_m", "delta_t_c", "hbar"):
             require_positive_finite(getattr(self, name), name)
-        _require_weak_window(self.delta_t_m, self.delta_t_c)
+        object.__setattr__(self, "weak_window", _weak_window(self.delta_t_m, self.delta_t_c))
         t = ProtocolTraces(*values)
         object.__setattr__(self, "traces", t)
         for name, overlap in (("rho_in", t.proj_in.real), ("rho_fin", t.fin_proj.real)):
@@ -201,16 +205,17 @@ class ProtocolConfig:
     def dim(self) -> int:
         return self.rho_in.dim
 
-    @property
-    def weak_window(self) -> UniformTiming:
-        """Window of the weak-coupling time relative to the collapse start."""
-        half, center = self.delta_t_m / 2.0, self.delta_t_c / 2.0
-        return UniformTiming(center - half, center + half)
-
 
 def protocol_traces(cfg: ProtocolConfig) -> ProtocolTraces:
     """The six traces of ``cfg``, computed once when it was built."""
     return cfg.traces
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm of ``a``, taken of ``a`` over its largest entry so that
+    no sum of squares overflows or underflows."""
+    big = _max_abs(a)
+    return big * float(np.linalg.norm(a / big)) if big else 0.0
 
 
 def weak_value(rho1, rho2, obs) -> complex:
@@ -219,7 +224,8 @@ def weak_value(rho1, rho2, obs) -> complex:
     ``rho1``/``rho2`` need not be normalized (or even states); the
     pulled-back postselection typically is not.  Raises
     :class:`OrthogonalPostselection` when the overlap denominator
-    vanishes, and ``ValueError`` when an operand is not finite.
+    vanishes relative to the operands' Frobenius norms, and ``ValueError``
+    when an operand is not finite.
     """
     r1 = as_operator(rho1)
     r2 = as_operator(rho2)
@@ -231,7 +237,9 @@ def weak_value(rho1, rho2, obs) -> complex:
         num = complex(np.trace(r2 @ o @ r1))
     if not (cmath.isfinite(den) and cmath.isfinite(num)):
         raise ValueError(f"non-finite operand: weak value {num} / {den}")
-    if abs(den) <= ZERO_TOL:
+    # Cauchy-Schwarz bounds |Tr[rho2 rho1]| by the product of the norms, so the
+    # test reads an operand scaled by any factor the same way.
+    if abs(den) <= ZERO_TOL * _frobenius(r1) * _frobenius(r2):
         raise OrthogonalPostselection(
             f"overlap Tr[rho2 rho1] = {abs(den):.3e} below tolerance"
         )

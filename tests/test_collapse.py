@@ -11,7 +11,6 @@ from weakprobe import (
     UniformTiming,
     apply_superop,
     collapse_superop,
-    evolution_superop_objective,
     objective_state_at,
     projective_ensemble_state_at,
     strong_statistics,
@@ -152,53 +151,15 @@ class TestEnsembleState:
 
 
 class TestEvolutionSuperop:
-    def test_zero_anchor_interpolates(self):
-        c = collapse_superop(P_PLUS)
-        e = evolution_superop_objective(0.0, 0.5, P_PLUS, 1.0)
-        expected = 0.5 * np.eye(4) + 0.5 * c.matrix
-        assert np.max(np.abs(e.matrix - expected)) <= 1e-12
-
-    def test_full_interval_is_collapse(self):
-        c = collapse_superop(P_PLUS)
-        e = evolution_superop_objective(0.0, 1.0, P_PLUS, 1.0)
-        assert np.max(np.abs(e.matrix - c.matrix)) <= 1e-12
-
-    def test_remainder_by_completion(self):
-        # E(t1 -> end) composed with E(0 -> t1) must land on full collapse
-        c = collapse_superop(P_PLUS)
-        first = evolution_superop_objective(0.0, 0.4, P_PLUS, 1.0)
-        rest = evolution_superop_objective(0.4, 1.0, P_PLUS, 1.0)
-        total = SuperOp(2, rest.matrix @ first.matrix)
-        assert np.max(np.abs(total.matrix - c.matrix)) <= 1e-9
-
-    def test_remainder_acts_like_collapse(self):
-        # with an invertible first segment the only completion IS the collapse
-        rest = evolution_superop_objective(0.3, 1.0, P_PLUS, 1.0)
-        c = collapse_superop(P_PLUS)
-        assert np.max(np.abs(rest.matrix - c.matrix)) <= 1e-9
-
     def test_state_route_agrees(self):
+        # the map (1 - s) Id + s C of acceptance 6 traces out the same line
         rng = np.random.default_rng(17)
         rho = random_density(rng, 2)
-        e = evolution_superop_objective(0.0, 0.7, P_PLUS, 1.0)
+        c = collapse_superop(P_PLUS)
+        e = SuperOp(2, 0.3 * np.eye(4) + 0.7 * c.matrix)
         via_superop = apply_superop(e, rho.mat)
         direct = objective_state_at(rho, P_PLUS, 0.7, 1.0).mat
         np.testing.assert_allclose(via_superop, direct, atol=1e-12)
-
-    def test_unsupported_anchor(self):
-        with pytest.raises(ValueError, match="anchor"):
-            evolution_superop_objective(0.2, 0.6, P_PLUS, 1.0)
-
-    def test_end_anchor_raises(self):
-        # nothing is left of the window to evolve through from its end
-        with pytest.raises(ValueError, match="anchor"):
-            evolution_superop_objective(1.0, 1.0, P_PLUS, 1.0)
-
-    def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            evolution_superop_objective(0.5, 0.5, P_PLUS, 1.0)
-        with pytest.raises(ValueError):
-            evolution_superop_objective(0.0, 1.2, P_PLUS, 1.0)
 
 
 class TestStrongStatistics:

@@ -43,15 +43,23 @@ from weakprobe.operators import (
     PSD_TOL,
     TRACE_TOL,
     _check_hermitian,
+    _max_abs,
     _trusted,
     _validate_states,
     as_operator,
     dagger,
-    hermiticity_defect,
 )
 from weakprobe.serialization import _stack_from_json
 
 DIMS = [2, 3, 4, 5, 8, 16]
+
+
+def hermiticity_defect(a) -> float:
+    """Max-norm distance between ``a`` and its adjoint; NaN or inf for a
+    non-finite entry, which ``_check_hermitian`` rejects."""
+    a = np.asarray(a)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _max_abs(a - a.conj().T)
 
 
 def oracle_traces(cfg: ProtocolConfig) -> tuple[complex, ...]:

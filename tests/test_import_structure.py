@@ -24,7 +24,6 @@ CORE = {"errors", "operators", "weakvalues", "hydrogen"}
 # module that defines it.
 PUBLIC = {
     "collapse": (
-        "evolution_superop_objective",
         "objective_state_at",
         "projective_ensemble_state_at",
         "strong_statistics",
@@ -75,7 +74,6 @@ PUBLIC = {
     "serialization": (
         "config_from_json",
         "config_to_json",
-        "operator_from_json",
         "operator_to_json",
     ),
     "superops": (
@@ -256,6 +254,8 @@ print("ok")
         "trial_weak_value_strong_first",
         "trial_weak_value_weak_first",
         "hydrogen_traces",
+        "evolution_superop_objective",
+        "operator_from_json",
     ],
 )
 def test_unknown_attribute_raises(name):

@@ -35,14 +35,12 @@ from weakprobe import (
     config_from_json,
     config_to_json,
     discriminate,
-    evolution_superop_objective,
     hs_inner,
     hydrogen_predictions,
     objective_state_at,
     objective_weak_value_adjoint,
     objective_weak_value_at,
     objective_weak_value_forward,
-    operator_from_json,
     postselected_pointer_mean,
     postselected_pointer_momentum_mean,
     projective_ensemble_state_at,
@@ -499,15 +497,6 @@ SCALAR_BOUNDARIES = {
     ("collapse.projective_ensemble_state_at", "delta_t_m"): (
         lambda x: projective_ensemble_state_at(RHO, P_UP, 0.0, x)
     ),
-    ("collapse.evolution_superop_objective", "t1"): (
-        lambda x: evolution_superop_objective(x, 1.0, P_UP, 1.0)
-    ),
-    ("collapse.evolution_superop_objective", "t2"): (
-        lambda x: evolution_superop_objective(0.0, x, P_UP, 1.0)
-    ),
-    ("collapse.evolution_superop_objective", "delta_t_c"): (
-        lambda x: evolution_superop_objective(0.0, 0.0, P_UP, x)
-    ),
     ("hydrogen.HydrogenScenario", "hbar"): lambda x: HydrogenScenario(0.6, 0.8, x),
     ("hydrogen.build_hydrogen", "hbar"): lambda x: build_hydrogen(0.6, 0.8, hbar=x),
     ("hydrogen.build_hydrogen", "delta_t_m"): (
@@ -612,10 +601,11 @@ ARRAY_BOUNDARIES = {
     "weak_value rho2 inf": lambda: weak_value(RHO.mat, INF_OBS, SIGMA_Z),
     "weak_value obs nan": lambda: weak_value(RHO.mat, RHO.mat, NAN_OBS),
     "weak_value obs inf": lambda: weak_value(RHO.mat, RHO.mat, INF_OBS),
-    "operator_from_json NaN": lambda: operator_from_json(_doc("NaN")),
-    "operator_from_json Infinity": lambda: operator_from_json(_doc("Infinity")),
     "config_from_json rho_in NaN": lambda: config_from_json(
         {**config_to_json(CFG), "rho_in": _doc("NaN")}
+    ),
+    "config_from_json rho_in Infinity": lambda: config_from_json(
+        {**config_to_json(CFG), "rho_in": _doc("Infinity")}
     ),
     "discriminate measured nan": lambda: discriminate(complex(0.4, math.nan), CFG, 0.1),
 }

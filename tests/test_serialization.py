@@ -10,9 +10,13 @@ from weakprobe import (
     OrthogonalPostselection,
     config_from_json,
     config_to_json,
-    operator_from_json,
     operator_to_json,
 )
+
+
+def with_rho_in(op) -> dict:
+    """A valid config document with ``op`` under ``rho_in``, the CLI's route."""
+    return {**config_to_json(spin_config()), "rho_in": op}
 
 
 class TestOperatorFormat:
@@ -32,31 +36,32 @@ class TestOperatorFormat:
         rng = np.random.default_rng(2)
         for d in (2, 3, 5):
             m = random_hermitian(rng, d)
-            back = operator_from_json(json.loads(json.dumps(operator_to_json(m))))
-            assert np.array_equal(back, m)  # shortest-repr floats are lossless
+            doc = {**config_to_json(random_config(rng, d)), "weak_observable": operator_to_json(m)}
+            back = config_from_json(json.loads(json.dumps(doc)))
+            assert np.array_equal(back.weak_observable, m)  # shortest-repr floats are lossless
 
     def test_missing_keys(self):
-        with pytest.raises(ValueError, match="missing"):
-            operator_from_json({"dim": 2, "re": [[1, 0], [0, 1]]})
+        with pytest.raises(ValueError, match="rho_in: missing"):
+            config_from_json(with_rho_in({"dim": 2, "re": [[1, 0], [0, 1]]}))
 
     def test_bad_dim(self):
-        with pytest.raises(ValueError, match="dim"):
-            operator_from_json({"dim": 0, "re": [], "im": []})
-        with pytest.raises(ValueError, match="dim"):
-            operator_from_json({"dim": "2", "re": [[1]], "im": [[0]]})
+        with pytest.raises(ValueError, match="rho_in: dim"):
+            config_from_json(with_rho_in({"dim": 0, "re": [], "im": []}))
+        with pytest.raises(ValueError, match="rho_in: dim"):
+            config_from_json(with_rho_in({"dim": "2", "re": [[1]], "im": [[0]]}))
 
     def test_bool_dim_rejected(self):
         # JSON true used to pass as dim 1
         with pytest.raises(ValueError, match="dim must be a positive integer, got True"):
-            operator_from_json({"dim": True, "re": [[1.0]], "im": [[0.0]]})
+            config_from_json(with_rho_in({"dim": True, "re": [[1.0]], "im": [[0.0]]}))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            operator_from_json({"dim": 2, "re": [[1, 0]], "im": [[0, 0]]})
+        with pytest.raises(ValueError, match="rho_in: re/im shape"):
+            config_from_json(with_rho_in({"dim": 2, "re": [[1, 0]], "im": [[0, 0]]}))
 
     def test_not_an_object(self):
-        with pytest.raises(ValueError, match="object"):
-            operator_from_json([[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match="rho_in: expected an object"):
+            config_from_json(with_rho_in([[1, 0], [0, 1]]))
 
 
 class TestConfigFormat:
