@@ -212,10 +212,13 @@ def protocol_traces(cfg: ProtocolConfig) -> ProtocolTraces:
 
 
 def _frobenius(a: np.ndarray) -> float:
-    """Frobenius norm of ``a``, taken of ``a`` over its largest entry so that
-    no sum of squares overflows or underflows."""
+    """Frobenius norm of ``a``.  Where the sum of squares leaves the normal
+    range, it is taken of ``a`` over its largest entry and scaled back."""
+    squares = np.vdot(a, a).real
+    if 1e-300 < squares < 1e300:
+        return math.sqrt(squares)
     big = _max_abs(a)
-    return big * float(np.linalg.norm(a / big)) if big else 0.0
+    return big * math.sqrt(np.vdot(a / big, a / big).real) if big else 0.0
 
 
 def weak_value(rho1, rho2, obs) -> complex:

@@ -306,6 +306,8 @@ class TestWeakValue:
         r2 = np.array([[0.5, 0.5], [0.5, 0.5]])  # |+>
         assert weak_value(r1, r2, SIGMA_Z) == pytest.approx(-1 / 7, rel=1e-14)
         assert weak_value(r1, 1e-12 * r2, SIGMA_Z) == pytest.approx(-1 / 7, rel=1e-14)
+        # a plain sum of squares of 1e200 * r1 overflows
+        assert weak_value(1e200 * r1, 1e-200 * r2, SIGMA_Z) == pytest.approx(-1 / 7, rel=1e-14)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
