@@ -10,6 +10,7 @@ from weakprobe import (
     Projector,
     ProtocolConfig,
     SuperOp,
+    collapse_superop,
     validate_density,
 )
 
@@ -55,6 +56,13 @@ def random_superop(rng: np.random.Generator, d: int) -> SuperOp:
     n = d * d
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return SuperOp(d, m)
+
+
+def objective_map(p: Projector, s: float) -> SuperOp:
+    """Ensemble map of the objective model over the first fraction ``s`` of
+    its window, ``(1 - s) Id + s C``, built inline as acceptance 6 builds it."""
+    n = p.dim**2
+    return SuperOp(p.dim, (1.0 - s) * np.eye(n) + s * collapse_superop(p).matrix)
 
 
 def random_config(rng: np.random.Generator, d: int = 2) -> ProtocolConfig:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_density, random_ket, random_rank1_projector
+from conftest import objective_map, random_density, random_ket, random_rank1_projector
 from weakprobe import (
     DimensionMismatch,
     InvalidProjector,
@@ -11,8 +11,10 @@ from weakprobe import (
     UniformTiming,
     apply_superop,
     collapse_superop,
+    compose,
     objective_state_at,
     projective_ensemble_state_at,
+    solve_completion,
     strong_statistics,
     spectral_decompose,
     validate_density,
@@ -160,6 +162,37 @@ class TestEvolutionSuperop:
         via_superop = apply_superop(e, rho.mat)
         direct = objective_state_at(rho, P_PLUS, 0.7, 1.0).mat
         np.testing.assert_allclose(via_superop, direct, atol=1e-12)
+
+    def test_projective_route_agrees(self):
+        # equal windows: the jitter average follows the objective map too
+        rng = np.random.default_rng(18)
+        rho, p = random_density(rng, 3), random_rank1_projector(rng, 3)
+        via_superop = apply_superop(objective_map(p, 0.4), rho.mat)
+        direct = projective_ensemble_state_at(rho, p, 0.8, 2.0).mat
+        np.testing.assert_allclose(via_superop, direct, atol=1e-12)
+
+    def test_full_interval_is_collapse(self):
+        rng = np.random.default_rng(19)
+        rho = random_density(rng, 2)
+        via_superop = apply_superop(collapse_superop(P_PLUS), rho.mat)
+        direct = objective_state_at(rho, P_PLUS, 1.0, 1.0).mat
+        np.testing.assert_allclose(via_superop, direct, atol=1e-12)
+
+    def test_remainder_by_completion(self):
+        # the rest of the window, solved for, composes back to full collapse
+        first = objective_map(P_PLUS, 0.4)
+        rest = solve_completion(first, collapse_superop(P_PLUS)).solution
+        total = compose(rest, first)
+        assert np.max(np.abs(total.matrix - collapse_superop(P_PLUS).matrix)) <= 1e-9
+
+    def test_remainder_acts_like_collapse(self):
+        # from a mid-window ensemble the remainder lands on the window's end
+        rng = np.random.default_rng(20)
+        rho = random_density(rng, 2)
+        rest = solve_completion(objective_map(P_PLUS, 0.3), collapse_superop(P_PLUS)).solution
+        mid = objective_state_at(rho, P_PLUS, 0.3, 1.0)
+        end = objective_state_at(rho, P_PLUS, 1.0, 1.0).mat
+        np.testing.assert_allclose(apply_superop(rest, mid.mat), end, atol=1e-12)
 
 
 class TestStrongStatistics:

@@ -178,6 +178,15 @@ class TestPredictions:
         with pytest.raises(ValueError, match="zero width"):
             hydrogen_predictions(HydrogenScenario(0.6, 0.8), 1.0, 1e-20)
 
+    @pytest.mark.parametrize("dtm, dtc", [(1e-20, 1.0), (1.0, 1e300)])
+    def test_zero_width_message_matches_protocol_config(self, dtm, dtc):
+        # one window builder: both routes refuse with the same words
+        with pytest.raises(ValueError, match="zero width") as analytic:
+            hydrogen_predictions(HydrogenScenario(0.6, 0.8), dtc, dtm)
+        with pytest.raises(ValueError, match="zero width") as simulated:
+            build_hydrogen(0.6, 0.8, delta_t_m=dtm, delta_t_c=dtc)
+        assert str(analytic.value) == str(simulated.value)
+
     def test_returns_dataclass(self):
         pred = hydrogen_predictions(HydrogenScenario(0.5, 0.5), 1.0, 1.0)
         assert isinstance(pred, HydrogenPredictions)

@@ -607,6 +607,24 @@ ARRAY_BOUNDARIES = {
     "config_from_json rho_in Infinity": lambda: config_from_json(
         {**config_to_json(CFG), "rho_in": _doc("Infinity")}
     ),
+    "config_from_json rho_fin NaN": lambda: config_from_json(
+        {**config_to_json(CFG), "rho_fin": _doc("NaN")}
+    ),
+    "config_from_json rho_fin Infinity": lambda: config_from_json(
+        {**config_to_json(CFG), "rho_fin": _doc("Infinity")}
+    ),
+    "config_from_json strong_projector NaN": lambda: config_from_json(
+        {**config_to_json(CFG), "strong_projector": _doc("NaN")}
+    ),
+    "config_from_json strong_projector Infinity": lambda: config_from_json(
+        {**config_to_json(CFG), "strong_projector": _doc("Infinity")}
+    ),
+    "config_from_json weak_observable NaN": lambda: config_from_json(
+        {**config_to_json(CFG), "weak_observable": _doc("NaN")}
+    ),
+    "config_from_json weak_observable Infinity": lambda: config_from_json(
+        {**config_to_json(CFG), "weak_observable": _doc("Infinity")}
+    ),
     "discriminate measured nan": lambda: discriminate(complex(0.4, math.nan), CFG, 0.1),
 }
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    objective_map,
     random_density,
     random_hermitian,
     random_rank1_projector,
@@ -186,7 +187,9 @@ class TestCollapseSuperop:
 
 P_TILT = Projector.onto([0.8, 0.6j])
 C_TILT = collapse_superop(P_TILT)
-C_AT_HALF = SuperOp(2, 0.5 * np.eye(4) + 0.5 * C_TILT.matrix)  # as acceptance 6 builds it
+C_AT_HALF = objective_map(P_TILT, 0.5)
+# The objective model's map over the rest of the window, by completion.
+C_REST = solve_completion(objective_map(P_TILT, 0.3), C_TILT).solution
 
 # Every route that builds a map itself, with the maps it was built from.
 LIBRARY_MAPS = {
@@ -195,13 +198,24 @@ LIBRARY_MAPS = {
     "compose": lambda: (compose(C_AT_HALF, C_TILT), [C_AT_HALF, C_TILT]),
     "superop_adjoint": lambda: (superop_adjoint(C_AT_HALF), [C_AT_HALF]),
     "solve_completion": lambda: (solve_completion(C_AT_HALF, C_TILT).solution, [C_AT_HALF, C_TILT]),
+    "solve_completion:non-unique": lambda: (solve_completion(C_TILT, C_TILT).solution, [C_TILT]),
+    "SuperOp:objective start": lambda: (objective_map(P_TILT, 0.3), []),
 }
 
+
+P_QUTRIT = random_rank1_projector(np.random.default_rng(90), 3)
 
 # Ensemble evolution maps of the collapse models; each must be a channel.
 EVOLUTION_MAPS = {
     "identity": lambda: SuperOp.identity(2),
     "collapse": lambda: C_TILT,
+    "objective:start": lambda: objective_map(P_TILT, 0.3),
+    "objective:end": lambda: C_REST,
+    "objective:composed": lambda: compose(C_REST, objective_map(P_TILT, 0.3)),
+    "objective:qutrit": lambda: objective_map(P_QUTRIT, 0.3),
+    "objective:qutrit end": lambda: solve_completion(
+        objective_map(P_QUTRIT, 0.3), collapse_superop(P_QUTRIT)
+    ).solution,
 }
 
 
