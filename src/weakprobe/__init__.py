@@ -8,62 +8,38 @@ computes the predictions of both pictures, samples them, models the
 Gaussian-pointer readout, and inverts a measured average into a model
 verdict.
 
-``import weakprobe`` loads the analytic core that every command uses:
-``errors``, ``operators``, ``weakvalues`` and ``hydrogen``.  The other
-modules load on first use, when one of their names is read from the
-package (PEP 562), so a cold command compiles only the modules it runs.
+Every module of the package loads on first use, when one of its names
+is read from the package (PEP 562): ``import weakprobe`` loads no
+submodule and no numpy, and a cold command compiles only the modules it
+runs.
 """
-
-from .errors import (
-    DegenerateScenario,
-    DensityValidationError,
-    DimensionMismatch,
-    HermiticityViolation,
-    InvalidProjector,
-    NegativeEigenvalue,
-    NoExactSolution,
-    OrthogonalPostselection,
-    TraceViolation,
-    VanishingPostselection,
-)
-from .hydrogen import (
-    HydrogenPredictions,
-    HydrogenScenario,
-    build_hydrogen,
-    hydrogen_predictions,
-)
-from .operators import (
-    DensityOperator,
-    ObservableSpectral,
-    Projector,
-    hs_inner,
-    spectral_decompose,
-    validate_density,
-)
-from .weakvalues import (
-    DiscriminationVerdict,
-    ProtocolConfig,
-    ProtocolTraces,
-    UniformTiming,
-    apparent_resolution,
-    averaged_weak_value_objective,
-    averaged_weak_value_vn,
-    discriminate,
-    objective_weak_value_adjoint,
-    objective_weak_value_at,
-    objective_weak_value_forward,
-    protocol_traces,
-    weak_value,
-)
 
 __version__ = "0.1.0"
 
-# The public names of the modules that load on first use, by module.
+# The public names of the package, by the module that defines them.
 _DEFERRED = {
     "collapse": (
         "objective_state_at",
         "projective_ensemble_state_at",
         "strong_statistics",
+    ),
+    "errors": (
+        "DegenerateScenario",
+        "DensityValidationError",
+        "DimensionMismatch",
+        "HermiticityViolation",
+        "InvalidProjector",
+        "NegativeEigenvalue",
+        "NoExactSolution",
+        "OrthogonalPostselection",
+        "TraceViolation",
+        "VanishingPostselection",
+    ),
+    "hydrogen": (
+        "HydrogenPredictions",
+        "HydrogenScenario",
+        "build_hydrogen",
+        "hydrogen_predictions",
     ),
     "montecarlo": (
         "CHUNK_TRIALS",
@@ -74,6 +50,14 @@ _DEFERRED = {
         "convergence_report",
         "run_simulation",
         "to_record",
+    ),
+    "operators": (
+        "DensityOperator",
+        "ObservableSpectral",
+        "Projector",
+        "hs_inner",
+        "spectral_decompose",
+        "validate_density",
     ),
     "pointer": (
         "GaussianPointer",
@@ -97,11 +81,26 @@ _DEFERRED = {
         "solve_completion",
         "superop_adjoint",
     ),
+    "weakvalues": (
+        "DiscriminationVerdict",
+        "ProtocolConfig",
+        "ProtocolTraces",
+        "UniformTiming",
+        "apparent_resolution",
+        "averaged_weak_value_objective",
+        "averaged_weak_value_vn",
+        "discriminate",
+        "objective_weak_value_adjoint",
+        "objective_weak_value_at",
+        "objective_weak_value_forward",
+        "protocol_traces",
+        "weak_value",
+    ),
 }
 # Name -> module; a module's own name maps to itself.
 _LAZY = {name: module for module, names in _DEFERRED.items() for name in (module, *names)}
 
-__all__ = sorted({name for name in (*globals(), *_LAZY) if not name.startswith("_")})
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):

@@ -20,8 +20,11 @@ Each command returns one report, the JSON document it prints.  With
 ``--format csv`` it prints a table read off that report instead, so
 every CSV value is a value of the JSON report.
 
-A command imports the Monte Carlo, pointer and JSON modules only when it
-runs them, so a cold call does not compile what it never uses.
+At module level this file imports only the standard library and
+:mod:`weakprobe.errors`.  A command imports numpy and the modules it
+computes with when it runs them, after the CLI's own checks and after a
+``--config`` file is read and parsed, so ``--help``, a usage error or a
+missing or malformed config file answers without loading numpy.
 """
 
 from __future__ import annotations
@@ -29,30 +32,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import DegenerateScenario, OrthogonalPostselection
-from .hydrogen import (
-    PLUS,
-    SIGMA_Z,
-    HydrogenScenario,
-    build_hydrogen,
-    hydrogen_predictions,
-)
-from .weakvalues import (
-    ProtocolTraces,
-    apparent_resolution,
-    averaged_weak_value_objective,
-    averaged_weak_value_vn,
-    discriminate,
-)
 
 if TYPE_CHECKING:
+    from .hydrogen import HydrogenScenario
     from .montecarlo import AveragedResult
+    from .weakvalues import ProtocolTraces
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,13 +51,16 @@ MAX_G_POINTS = 10_000
 
 _INV_SQRT2 = 2.0**-0.5
 
+# The hydrogen scenario flags by destination, with their defaults.
+_AMPLITUDES = {"a_re": _INV_SQRT2, "a_im": 0.0, "b_re": _INV_SQRT2, "b_im": 0.0, "hbar": 1.0}
 
-def _add_amplitudes(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a-re", type=float, default=_INV_SQRT2, help="Re(a) (hydrogen)")
-    p.add_argument("--a-im", type=float, default=0.0, help="Im(a) (hydrogen)")
-    p.add_argument("--b-re", type=float, default=_INV_SQRT2, help="Re(b) (hydrogen)")
-    p.add_argument("--b-im", type=float, default=0.0, help="Im(b) (hydrogen)")
-    p.add_argument("--hbar", type=float, default=1.0, help="hbar (hydrogen)")
+
+def _add_amplitudes(p: argparse.ArgumentParser, defaults: dict = _AMPLITUDES) -> None:
+    p.add_argument("--a-re", type=float, default=defaults["a_re"], help="Re(a) (hydrogen)")
+    p.add_argument("--a-im", type=float, default=defaults["a_im"], help="Im(a) (hydrogen)")
+    p.add_argument("--b-re", type=float, default=defaults["b_re"], help="Re(b) (hydrogen)")
+    p.add_argument("--b-im", type=float, default=defaults["b_im"], help="Im(b) (hydrogen)")
+    p.add_argument("--hbar", type=float, default=defaults["hbar"], help="hbar (hydrogen)")
 
 
 def _add_windows(p: argparse.ArgumentParser, default: float | None) -> None:
@@ -82,7 +73,8 @@ def _add_config_source(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--scenario", choices=["hydrogen"], help="built-in scenario instead of --config"
     )
-    _add_amplitudes(p)
+    # No defaults here, so that a scenario flag given beside --config is seen.
+    _add_amplitudes(p, dict.fromkeys(_AMPLITUDES))
     _add_windows(p, None)
     p.add_argument("--emit-config", metavar="FILE", help="also write the resolved config")
 
@@ -95,30 +87,39 @@ def _add_output(p: argparse.ArgumentParser) -> None:
 def _resolve_config(args):
     if (args.config is None) == (args.scenario is None):
         raise ValueError("exactly one of --config or --scenario is required")
+    given = [dest for dest in _AMPLITUDES if getattr(args, dest) is not None]
     if args.config is not None:
+        if given:
+            flag = "--" + given[0].replace("_", "-")
+            raise ValueError(f"{flag} sets the hydrogen scenario; it cannot go with --config")
+        doc = json.loads(Path(args.config).read_text())
         from .serialization import config_from_json
 
-        doc = json.loads(Path(args.config).read_text())
         cfg = config_from_json(doc)
         if args.dtc is not None or args.dtm is not None:
+            from dataclasses import replace
+
             cfg = replace(
                 cfg,
                 delta_t_c=args.dtc if args.dtc is not None else cfg.delta_t_c,
                 delta_t_m=args.dtm if args.dtm is not None else cfg.delta_t_m,
             )
         return cfg
-    a = complex(args.a_re, args.a_im)
-    b = complex(args.b_re, args.b_im)
+    from .hydrogen import build_hydrogen
+
+    amp = {**_AMPLITUDES, **{dest: getattr(args, dest) for dest in given}}
     return build_hydrogen(
-        a,
-        b,
-        hbar=args.hbar,
+        complex(amp["a_re"], amp["a_im"]),
+        complex(amp["b_re"], amp["b_im"]),
+        hbar=amp["hbar"],
         delta_t_m=args.dtm if args.dtm is not None else 1.0,
         delta_t_c=args.dtc if args.dtc is not None else 1.0,
     )
 
 
 def _scenario(args) -> HydrogenScenario:
+    from .hydrogen import HydrogenScenario
+
     return HydrogenScenario(
         complex(args.a_re, args.a_im), complex(args.b_re, args.b_im), args.hbar
     )
@@ -129,6 +130,8 @@ def _c(z: complex) -> dict:
 
 
 def _traces(t: ProtocolTraces) -> dict:
+    from dataclasses import fields
+
     return {f.name: _c(getattr(t, f.name)) for f in fields(t)}
 
 
@@ -195,6 +198,12 @@ def _write_report(args) -> int:
 
 
 def cmd_analytic(cfg, args) -> dict:
+    from .weakvalues import (
+        apparent_resolution,
+        averaged_weak_value_objective,
+        averaged_weak_value_vn,
+    )
+
     t = cfg.traces
     return {
         "delta_t_m": cfg.delta_t_m,
@@ -226,6 +235,8 @@ def cmd_simulate(cfg, args) -> dict:
 
 
 def cmd_discriminate(cfg, args) -> dict:
+    from .weakvalues import averaged_weak_value_vn, discriminate
+
     measured = complex(args.measured, args.measured_im)
     verdict = discriminate(measured, cfg, args.sigma_meas)
     return {
@@ -241,6 +252,8 @@ def cmd_discriminate(cfg, args) -> dict:
 
 
 def cmd_hydrogen(args) -> dict:
+    from .hydrogen import build_hydrogen, hydrogen_predictions
+
     scenario = _scenario(args)
     t = build_hydrogen(scenario.a, scenario.b, scenario.hbar).traces
     pred = hydrogen_predictions(scenario, args.dtc, args.dtm)
@@ -259,6 +272,11 @@ def cmd_hydrogen(args) -> dict:
 
 
 def cmd_pointer(args) -> dict:
+    if args.g_points > MAX_G_POINTS:
+        raise ValueError(f"--g-points {args.g_points} exceeds {MAX_G_POINTS}")
+    import numpy as np
+
+    from .hydrogen import PLUS, SIGMA_Z
     from .pointer import weak_limit_slope
 
     scenario = _scenario(args)
@@ -267,8 +285,6 @@ def cmd_pointer(args) -> dict:
         psi1, psi2 = PLUS, scenario.psi_fin
     else:
         psi1, psi2 = scenario.psi_in, PLUS
-    if args.g_points > MAX_G_POINTS:
-        raise ValueError(f"--g-points {args.g_points} exceeds {MAX_G_POINTS}")
     g_grid = np.geomspace(args.g_min, args.g_max, args.g_points)
     fit = weak_limit_slope(psi1, psi2, scenario.hbar / 2.0 * SIGMA_Z, args.sigma, g_grid)
     return {

@@ -146,6 +146,25 @@ class TestConfigSourceErrors:
         assert proc.stdout == ""
         assert "rho_in: dim must be a positive integer, got True" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analytic",),
+            ("simulate", "--model", "vn", "--trials", "10"),
+            ("discriminate", "--measured", "0.4", "--sigma-meas", "0.01"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("flag", ["--a-re", "--a-im", "--b-re", "--b-im", "--hbar"])
+    def test_scenario_flag_with_config(self, argv, flag, tmp_path, capsys):
+        # Each used to exit 0 with the config's numbers, the flag dropped.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_to_json(spin_config())))
+        assert main([*argv, "--config", str(path), flag, "0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {flag} ") and len(err.splitlines()) == 1
+
     def test_orthogonal_postselection_exit_code(self):
         proc = run_cli(
             "analytic", "--scenario", "hydrogen", "--b-re", 0.0, check_exit=3

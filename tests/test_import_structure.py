@@ -1,8 +1,10 @@
 """What a cold ``import weakprobe`` and each cold command load.
 
-The package imports its analytic core eagerly and the other modules on
-first use.  pytest has long since imported every module, so each check
-runs in a fresh interpreter.
+Every module of the package loads on first use: ``import weakprobe``
+loads none of them and no numpy, and ``weakprobe.cli`` imports numpy and
+the modules a command computes with only when the command runs them,
+after its own checks.  pytest has long since imported every module, so
+each check runs in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# What every command on the hydrogen scenario loads besides the CLI.
 CORE = {"errors", "operators", "weakvalues", "hydrogen"}
 
 # Every public name of the package before its modules were deferred, by the
@@ -104,8 +107,8 @@ PUBLIC = {
 }
 
 
-def run_fresh(code: str) -> str:
-    """Run ``code`` in a fresh interpreter; return the last line it prints."""
+def run_fresh(code: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter; check that it exits 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
@@ -113,15 +116,21 @@ def run_fresh(code: str) -> str:
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+    return proc
+
+
+def last_line(code: str) -> str:
+    """The last line ``code`` prints in a fresh interpreter."""
+    return run_fresh(code).stdout.splitlines()[-1]
 
 
 def loaded_after(code: str) -> set[str]:
     """The weakprobe submodules a fresh interpreter holds after ``code``, and
     ``concurrent.futures`` if it holds that: the vn executor's ~5 ms import."""
-    last = run_fresh(
+    last = last_line(
         code
         + "\nimport sys\n"
         + "print(' '.join(m for m in sys.modules"
@@ -141,8 +150,65 @@ with contextlib.redirect_stdout(io.StringIO()):
     )
 
 
-def test_import_loads_the_core_only():
-    assert loaded_after("import weakprobe") == CORE
+def test_import_loads_no_module():
+    assert loaded_after("import weakprobe") == set()
+    assert last_line("import sys, weakprobe\nprint('numpy' in sys.modules)") == "False"
+
+
+def cold_command(cwd: Path, *argv: str) -> tuple[int, str, bool]:
+    """``python -m weakprobe *argv`` in a fresh interpreter: its exit code,
+    its stderr, and whether it loaded numpy."""
+    proc = run_fresh(
+        f"""
+import runpy, sys
+sys.argv = ["weakprobe", *{list(argv)!r}]
+try:
+    runpy.run_module("weakprobe", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, "numpy" in sys.modules)
+""",
+        cwd=cwd,
+    )
+    code, numpy = proc.stdout.splitlines()[-1].split()
+    return int(code), proc.stderr, numpy == "True"
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        (("--help",), 0, ""),
+        (("analytic", "--help"), 0, ""),
+        (
+            ("simulate", "--scenario", "hydrogen"),
+            2,
+            "weakprobe simulate: error: the following arguments are required: --model\n",
+        ),
+        (
+            ("analytic", "--config", "missing.json"),
+            2,
+            "error: [Errno 2] No such file or directory: 'missing.json'\n",
+        ),
+        (
+            ("analytic", "--config", "malformed.json"),
+            2,
+            "error: Expecting property name enclosed in double quotes:"
+            " line 1 column 17 (char 16)\n",
+        ),
+        (("analytic",), 2, "error: exactly one of --config or --scenario is required\n"),
+        (("pointer", "--g-points", "20000"), 2, "error: --g-points 20000 exceeds 10000\n"),
+    ],
+    ids=["help", "analytic-help", "usage", "missing", "malformed", "no-source", "g-points"],
+)
+def test_answers_that_compute_nothing_load_no_numpy(argv, code, stderr, tmp_path):
+    (tmp_path / "malformed.json").write_text('{"delta_t_m": 1,')
+    got_code, got_stderr, numpy = cold_command(tmp_path, *argv)
+    assert got_code == code
+    # argparse's usage lines come first; the error line is the last
+    if got_stderr.startswith("usage: "):
+        got_stderr = got_stderr.splitlines(keepends=True)[-1]
+    assert got_stderr == stderr
+    assert not numpy
 
 
 @pytest.mark.parametrize(
@@ -198,13 +264,13 @@ def test_config_file_loads_serialization(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config_to_json(build_hydrogen(0.6, 0.8, 1.0, 1.0, 0.5))))
     loaded = loaded_by_command("analytic", "--config", str(path))
-    assert loaded == CORE | {"cli", "serialization"}
+    assert loaded == {"cli", "errors", "operators", "weakvalues", "serialization"}
 
 
 def test_public_names_unchanged():
     # getattr on the package, then on the module, so each name resolves lazily
     # before its module is read directly.
-    last = run_fresh(
+    last = last_line(
         f"""
 import importlib, weakprobe
 public = {PUBLIC!r}
@@ -225,7 +291,7 @@ print("ok")
 
 
 def test_star_import_binds_every_public_name():
-    last = run_fresh(
+    last = last_line(
         f"""
 namespace = {{}}
 exec("from weakprobe import *", namespace)
@@ -261,7 +327,7 @@ print("ok")
 def test_unknown_attribute_raises(name):
     # vectorize is public in superops, but never was in the package; the
     # others were public once and were removed
-    last = run_fresh(
+    last = last_line(
         f"""
 import weakprobe
 try:

@@ -1,22 +1,23 @@
 """Every name a module imports is used by that module, every private
-helper of the package is used by the package, and the package never calls
-a checked operator constructor.
+helper of the package is used by the package, the package never calls
+a checked operator constructor, and loading the package or its CLI
+loads no module that computes.
 
 A stand-in for a linter's unused-import check, built on ``ast`` alone, over
-the package, the scripts and the tests.  The package ``__init__`` is left
-out: its imports are its public names.
+the package, the scripts and the tests.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "weakprobe"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES += sorted((ROOT / "scripts").glob("*.py"))
 MODULES += [
     pytest.param(p, marks=pytest.mark.skip(reason="pinned unedited; its json import is FOUND (i)"))
@@ -123,3 +124,50 @@ def test_package_never_calls_a_checked_constructor():
             if isinstance(node, ast.Call) and callee(node.func) in CHECKED_TYPES
         ]
     assert calls == []
+
+
+def module_level_imports(tree: ast.Module) -> list[tuple[str, int, bool]]:
+    """What a module imports when it loads, as ``pkg`` or ``.module``, with
+    the line and whether ``if TYPE_CHECKING:`` guards it.  Imports inside
+    functions are left out."""
+    out = []
+    stack = [(node, False) for node in tree.body]
+    while stack:
+        node, typing_only = stack.pop()
+        if isinstance(node, ast.Import):
+            out += [(a.name.partition(".")[0], node.lineno, typing_only) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            if not node.level:
+                source = source.partition(".")[0]
+            out.append((source, node.lineno, typing_only))
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            stack += [(child, True) for child in node.body]
+            stack += [(child, typing_only) for child in node.orelse]
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack += [(child, typing_only) for child in ast.iter_child_nodes(node)]
+    return out
+
+
+def test_package_loads_no_module_of_its_own():
+    # Every module loads on first use, when the package's __getattr__ reads it.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    own = [
+        f"__init__.py:{line} {source}"
+        for source, line, _ in module_level_imports(tree)
+        if source.startswith(".") or source == "weakprobe"
+    ]
+    assert own == []
+
+
+def test_cli_loads_only_the_standard_library_and_errors():
+    # numpy and the modules a command computes with load inside the command,
+    # so --help, usage errors and an unreadable --config answer without them.
+    imports = module_level_imports(ast.parse((PACKAGE / "cli.py").read_text()))
+    assert imports, "no imports found: the walk is broken"
+    other = [
+        f"cli.py:{line} {source}"
+        for source, line, typing_only in imports
+        if not typing_only and source not in sys.stdlib_module_names and source != ".errors"
+    ]
+    assert other == []
