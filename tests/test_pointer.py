@@ -237,11 +237,30 @@ class TestStrongCouplingOverflow:
                 PLUS_X, PLUS_X, 2.0 * np.eye(2), GaussianPointer(1.0, 1e308)
             )
 
-    def test_overflowing_momentum_mean_rejected(self):
-        # hbar g overflows in the momentum weights, so the mean would be NaN
+    def test_overflowing_momentum_weight_against_underflowed_kernel(self):
+        # hbar g overflows in the weight i hbar g Δa / (4 sigma^2), but every
+        # term it weights has Δa = 0 or a kernel underflowed to 0: the mean is 0
+        got = postselected_pointer_momentum_mean(
+            PLUS_X, self.PSI2, SIGMA_Z, GaussianPointer(1.0, 1e10), hbar=1e300
+        )
+        assert got == 0.0
+
+    def test_overflowing_momentum_weight_finite_mean(self):
+        # the weight overflows, but the cross kernel, exp(-450) of its branch
+        # weights, brings the mean back in range: it is hbar times the mean at
+        # hbar = 1, whose weight is finite
+        ptr = GaussianPointer(1e-5, 3e-4)
+        unit = postselected_pointer_momentum_mean(PLUS_X, self.PSI2, SIGMA_Z, ptr)
+        got = postselected_pointer_momentum_mean(PLUS_X, self.PSI2, SIGMA_Z, ptr, hbar=1e308)
+        assert 0.0 < got < math.inf
+        assert got == pytest.approx(1e308 * unit, rel=1e-13)
+
+    def test_momentum_mean_past_the_double_range_rejected(self):
+        # g = sigma: the weight 1e308 g / (4 sigma^2) = 2.5e317, and the mean
+        # is a fraction of it of order 1, past the double range
         with pytest.raises(ValueError, match="pointer mean .* not finite"):
             postselected_pointer_momentum_mean(
-                PLUS_X, self.PSI2, SIGMA_Z, GaussianPointer(1.0, 1e10), hbar=1e300
+                PLUS_X, self.PSI2, SIGMA_Z, GaussianPointer(1e-10, 1e-10), hbar=1e308
             )
 
 
