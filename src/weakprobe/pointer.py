@@ -132,15 +132,28 @@ def postselected_pointer_momentum_mean(
 
     Secondary readout: in the weak limit the shift is
     ``hbar g / (2 sigma^2) * Im(O_w)``, so the momentum channel exposes
-    the imaginary part of the weak value.  A non-finite mean raises ``ValueError``.
+    the imaginary part of the weak value.  A mean past the double range
+    raises ``ValueError``.
     """
     require_positive_finite(hbar, "hbar")
     a, c = _branches(psi1, psi2, obs)
     kernel, den = _kernel(a, c, ptr.sigma, np.array([ptr.g]))
     diffs = a[:, None] - a[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):  # hbar g = inf: _mean raises
+    with np.errstate(over="ignore", invalid="ignore"):  # hbar g = inf: handled below
         moment = 1j * hbar * ptr.g * diffs / (4.0 * ptr.sigma**2)
-    return float(_mean(kernel, den, moment)[0])
+    if np.isfinite(moment).all():
+        return float(_mean(kernel, den, moment)[0])
+    # The weight hbar g / (4 sigma^2) overflowed.  Sum the kernel against
+    # i Δa alone, so that a kernel underflowed to 0 gives 0, and apply the
+    # weight as mantissas and a power of two.
+    frac = float(_mean(kernel, den, 1j * diffs)[0])
+    (m, e), (mh, eh), (mg, eg), (ms, es) = map(
+        math.frexp, (frac, hbar, ptr.g, 4.0 * ptr.sigma**2)
+    )
+    try:
+        return math.ldexp(m * mh * mg / ms, e + eh + eg - es)
+    except OverflowError:
+        raise ValueError(f"pointer mean {frac} * hbar g / (4 sigma^2) is not finite") from None
 
 
 @dataclass(frozen=True)
