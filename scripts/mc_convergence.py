@@ -21,25 +21,13 @@ import sys
 
 import numpy as np
 
-from weakprobe import (
-    SimulationSpec,
-    analytic_target,
-    build_hydrogen,
-    convergence_report,
-    to_record,
-)
-from weakprobe.cli import run, z_score
+from weakprobe import SimulationSpec, analytic_target, convergence_report, to_record
+from weakprobe.cli import add_hydrogen_flags, hydrogen_config, run, z_score
 
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--a-re", type=float, default=2**-0.5)
-    p.add_argument("--a-im", type=float, default=0.0)
-    p.add_argument("--b-re", type=float, default=2**-0.5)
-    p.add_argument("--b-im", type=float, default=0.0)
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--dtm", type=float, default=1.0)
-    p.add_argument("--dtc", type=float, default=1.0)
+    add_hydrogen_flags(p)  # the defaults of weakprobe hydrogen
     p.add_argument("--model", choices=["vn", "objective"], default="objective")
     p.add_argument("--trials", type=int, default=1_000_000, help="largest checkpoint")
     p.add_argument("--per-decade", type=int, default=2, help="checkpoints per decade")
@@ -55,14 +43,7 @@ def checkpoints(n_max: int, per_decade: int) -> list[int]:
 
 
 def report(args) -> int:
-    cfg = build_hydrogen(
-        complex(args.a_re, args.a_im),
-        complex(args.b_re, args.b_im),
-        hbar=args.hbar,
-        delta_t_m=args.dtm,
-        delta_t_c=args.dtc,
-    )
-    spec = SimulationSpec(cfg, args.model, args.trials, args.seed)
+    spec = SimulationSpec(hydrogen_config(args), args.model, args.trials, args.seed)
     target = analytic_target(spec)
     rows = [
         {**to_record(spec, res), "target_re": target.real, "z": z_score(res, target)}

@@ -9,8 +9,15 @@ Subcommands::
     pointer       Gaussian-pointer shift curve and weak-limit slope fit
 
 A configuration comes either from ``--config FILE`` (JSON, see
-:mod:`weakprobe.serialization`) or from ``--scenario hydrogen`` with
-amplitude flags; exactly one source must be given.  Exit codes: 0 on
+:mod:`weakprobe.serialization`) or from ``--scenario hydrogen``; exactly
+one source must be given.  One flag set describes the hydrogen scenario:
+the amplitude flags ``--a-re --a-im --b-re --b-im --hbar`` (default
+``a = b = 1/sqrt(2)``, ``hbar = 1``) and the window flags ``--dtm --dtc``
+(default 1.0).  ``analytic``, ``simulate``, ``discriminate`` and
+``hydrogen`` take all seven; ``pointer`` takes the amplitude flags and no
+window flags.  Every flag is unset until one resolver fills in its
+default, so beside ``--config`` an amplitude flag exits 2 and a window
+flag overrides the file's window.  Exit codes: 0 on
 success, 2 for configuration or usage problems, 3 when pre/post
 selection is orthogonal, 4 when the scenario cannot discriminate the
 models.  Output is deterministic: rerunning a command with the same
@@ -40,7 +47,7 @@ from .errors import DegenerateScenario, OrthogonalPostselection
 if TYPE_CHECKING:
     from .hydrogen import HydrogenScenario
     from .montecarlo import AveragedResult
-    from .weakvalues import ProtocolTraces
+    from .weakvalues import ProtocolConfig, ProtocolTraces
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,21 +58,27 @@ MAX_G_POINTS = 10_000
 
 _INV_SQRT2 = 2.0**-0.5
 
-# The hydrogen scenario flags by destination, with their defaults.
+# The hydrogen scenario's amplitude flags by destination, with their defaults.
 _AMPLITUDES = {"a_re": _INV_SQRT2, "a_im": 0.0, "b_re": _INV_SQRT2, "b_im": 0.0, "hbar": 1.0}
 
 
-def _add_amplitudes(p: argparse.ArgumentParser, defaults: dict = _AMPLITUDES) -> None:
-    p.add_argument("--a-re", type=float, default=defaults["a_re"], help="Re(a) (hydrogen)")
-    p.add_argument("--a-im", type=float, default=defaults["a_im"], help="Im(a) (hydrogen)")
-    p.add_argument("--b-re", type=float, default=defaults["b_re"], help="Re(b) (hydrogen)")
-    p.add_argument("--b-im", type=float, default=defaults["b_im"], help="Im(b) (hydrogen)")
-    p.add_argument("--hbar", type=float, default=defaults["hbar"], help="hbar (hydrogen)")
+def _add_amplitudes(p: argparse.ArgumentParser) -> None:
+    # No defaults here, so that a scenario flag given beside --config is seen;
+    # _scenario fills them in.
+    p.add_argument("--a-re", type=float, help="Re(a) (hydrogen)")
+    p.add_argument("--a-im", type=float, help="Im(a) (hydrogen)")
+    p.add_argument("--b-re", type=float, help="Re(b) (hydrogen)")
+    p.add_argument("--b-im", type=float, help="Im(b) (hydrogen)")
+    p.add_argument("--hbar", type=float, help="hbar (hydrogen)")
 
 
-def _add_windows(p: argparse.ArgumentParser, default: float | None) -> None:
-    p.add_argument("--dtc", type=float, default=default, help="collapse duration")
-    p.add_argument("--dtm", type=float, default=default, help="timing-jitter window")
+def add_hydrogen_flags(p: argparse.ArgumentParser) -> None:
+    """Add the hydrogen scenario's amplitude and window flags, all unset by
+    default.  :func:`hydrogen_config` fills in an unset flag's default;
+    beside ``--config`` an unset window keeps the file's value."""
+    _add_amplitudes(p)
+    p.add_argument("--dtc", type=float, help="collapse duration")
+    p.add_argument("--dtm", type=float, help="timing-jitter window")
 
 
 def _add_config_source(p: argparse.ArgumentParser) -> None:
@@ -73,9 +86,7 @@ def _add_config_source(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--scenario", choices=["hydrogen"], help="built-in scenario instead of --config"
     )
-    # No defaults here, so that a scenario flag given beside --config is seen.
-    _add_amplitudes(p, dict.fromkeys(_AMPLITUDES))
-    _add_windows(p, None)
+    add_hydrogen_flags(p)
     p.add_argument("--emit-config", metavar="FILE", help="also write the resolved config")
 
 
@@ -84,11 +95,39 @@ def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
 
 
-def _resolve_config(args):
+def _scenario(args) -> HydrogenScenario:
+    """The hydrogen scenario of the amplitude flags, each unset one at its default."""
+    from .hydrogen import HydrogenScenario
+
+    a_re, a_im, b_re, b_im, hbar = (
+        default if getattr(args, dest) is None else getattr(args, dest)
+        for dest, default in _AMPLITUDES.items()
+    )
+    return HydrogenScenario(complex(a_re, a_im), complex(b_re, b_im), hbar)
+
+
+def _windows(args) -> tuple[float, float]:
+    """``(delta_t_m, delta_t_c)`` of the window flags, 1.0 where unset."""
+    return tuple(1.0 if w is None else w for w in (args.dtm, args.dtc))
+
+
+def hydrogen_config(args) -> ProtocolConfig:
+    """The hydrogen scenario's configuration, read off :func:`add_hydrogen_flags`' flags."""
+    from .hydrogen import build_hydrogen
+
+    sc = _scenario(args)
+    return build_hydrogen(sc.a, sc.b, sc.hbar, *_windows(args))
+
+
+def _resolve_config(args) -> ProtocolConfig:
+    """The configuration of ``--config`` or ``--scenario hydrogen``, written to
+    ``--emit-config`` first when that is given."""
     if (args.config is None) == (args.scenario is None):
         raise ValueError("exactly one of --config or --scenario is required")
-    given = [dest for dest in _AMPLITUDES if getattr(args, dest) is not None]
-    if args.config is not None:
+    if args.scenario is not None:
+        cfg = hydrogen_config(args)
+    else:
+        given = [dest for dest in _AMPLITUDES if getattr(args, dest) is not None]
         if given:
             flag = "--" + given[0].replace("_", "-")
             raise ValueError(f"{flag} sets the hydrogen scenario; it cannot go with --config")
@@ -104,25 +143,11 @@ def _resolve_config(args):
                 delta_t_c=args.dtc if args.dtc is not None else cfg.delta_t_c,
                 delta_t_m=args.dtm if args.dtm is not None else cfg.delta_t_m,
             )
-        return cfg
-    from .hydrogen import build_hydrogen
+    if args.emit_config:
+        from .serialization import config_to_json
 
-    amp = {**_AMPLITUDES, **{dest: getattr(args, dest) for dest in given}}
-    return build_hydrogen(
-        complex(amp["a_re"], amp["a_im"]),
-        complex(amp["b_re"], amp["b_im"]),
-        hbar=amp["hbar"],
-        delta_t_m=args.dtm if args.dtm is not None else 1.0,
-        delta_t_c=args.dtc if args.dtc is not None else 1.0,
-    )
-
-
-def _scenario(args) -> HydrogenScenario:
-    from .hydrogen import HydrogenScenario
-
-    return HydrogenScenario(
-        complex(args.a_re, args.a_im), complex(args.b_re, args.b_im), args.hbar
-    )
+        Path(args.emit_config).write_text(_dumps(config_to_json(cfg)))
+    return cfg
 
 
 def _c(z: complex) -> dict:
@@ -175,20 +200,8 @@ def _csv(rows: list[list]) -> str:
 
 
 def _write_report(args) -> int:
-    """Run ``args.func`` and write its report as JSON or as its CSV table.
-
-    A command with a config source gets the resolved config, written to
-    ``--emit-config`` first when that is given.
-    """
-    if "config" in args:
-        cfg = _resolve_config(args)
-        if args.emit_config:
-            from .serialization import config_to_json
-
-            Path(args.emit_config).write_text(_dumps(config_to_json(cfg)))
-        report = args.func(cfg, args)
-    else:
-        report = args.func(args)
+    """Run ``args.func`` and write its report as JSON or as its CSV table."""
+    report = args.func(args)
     text = _csv(_table(args.command, report)) if args.format == "csv" else _dumps(report)
     if args.out:
         Path(args.out).write_text(text)
@@ -197,7 +210,8 @@ def _write_report(args) -> int:
     return EXIT_OK
 
 
-def cmd_analytic(cfg, args) -> dict:
+def cmd_analytic(args) -> dict:
+    cfg = _resolve_config(args)
     from .weakvalues import (
         apparent_resolution,
         averaged_weak_value_objective,
@@ -225,7 +239,8 @@ def z_score(result: AveragedResult, target: complex) -> float | None:
     return 0.0 if abs(result.mean - target) <= 1e-12 else None
 
 
-def cmd_simulate(cfg, args) -> dict:
+def cmd_simulate(args) -> dict:
+    cfg = _resolve_config(args)
     from .montecarlo import SimulationSpec, analytic_target, run_simulation, to_record
 
     spec = SimulationSpec(cfg, args.model, args.trials, args.seed)
@@ -234,7 +249,8 @@ def cmd_simulate(cfg, args) -> dict:
     return {**to_record(spec, result), "analytic": _c(target), "z": z_score(result, target)}
 
 
-def cmd_discriminate(cfg, args) -> dict:
+def cmd_discriminate(args) -> dict:
+    cfg = _resolve_config(args)
     from .weakvalues import averaged_weak_value_vn, discriminate
 
     measured = complex(args.measured, args.measured_im)
@@ -255,14 +271,17 @@ def cmd_hydrogen(args) -> dict:
     from .hydrogen import build_hydrogen, hydrogen_predictions
 
     scenario = _scenario(args)
+    dtm, dtc = _windows(args)
+    # The traces do not depend on the windows, so they are built at
+    # build_hydrogen's, and hydrogen_predictions checks these, delta_t_c first.
     t = build_hydrogen(scenario.a, scenario.b, scenario.hbar).traces
-    pred = hydrogen_predictions(scenario, args.dtc, args.dtm)
+    pred = hydrogen_predictions(scenario, dtc, dtm)
     return {
         "a": _c(scenario.a),
         "b": _c(scenario.b),
         "hbar": scenario.hbar,
-        "delta_t_m": args.dtm,
-        "delta_t_c": args.dtc,
+        "delta_t_m": dtm,
+        "delta_t_c": dtc,
         "flags": scenario.flags(),
         "prediction_vn": _c(pred.vn),
         "prediction_objective": _c(pred.objective),
@@ -326,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_discriminate)
 
     p = sub.add_parser("hydrogen", help="built-in qubit scenario in detail")
-    _add_amplitudes(p)
-    _add_windows(p, 1.0)
+    add_hydrogen_flags(p)
     _add_output(p)
     p.set_defaults(func=cmd_hydrogen)
 
