@@ -10,18 +10,19 @@ Subcommands::
 
 A configuration comes either from ``--config FILE`` (JSON, see
 :mod:`weakprobe.serialization`) or from ``--scenario hydrogen``; exactly
-one source must be given.  One flag set describes the hydrogen scenario:
-the amplitude flags ``--a-re --a-im --b-re --b-im --hbar`` (default
-``a = b = 1/sqrt(2)``, ``hbar = 1``) and the window flags ``--dtm --dtc``
-(default 1.0).  ``analytic``, ``simulate``, ``discriminate`` and
-``hydrogen`` take all seven; ``pointer`` takes the amplitude flags and no
-window flags.  Every flag is unset until one resolver fills in its
-default, so beside ``--config`` an amplitude flag exits 2 and a window
-flag overrides the file's window.  Exit codes: 0 on
-success, 2 for configuration or usage problems, 3 when pre/post
-selection is orthogonal, 4 when the scenario cannot discriminate the
-models.  Output is deterministic: rerunning a command with the same
-arguments (and seed) produces byte-identical bytes.
+one source must be given.  Exit codes: 0 on success, 2 for configuration
+or usage problems, 3 when pre/post selection is orthogonal, 4 when the
+scenario cannot discriminate the models.  Output is deterministic:
+rerunning a command with the same arguments (and seed) produces
+byte-identical bytes.
+
+One flag set describes the hydrogen scenario: the amplitude flags
+``--a-re --a-im --b-re --b-im --hbar`` (default ``a = b = 1/sqrt(2)``,
+``hbar = 1``) and the window flags ``--dtm --dtc`` (default 1.0).
+``pointer`` takes the amplitude flags and no window flags; every other
+command takes all seven.  A flag is unset until one resolver fills in
+its default, so beside ``--config`` an amplitude flag exits 2 and a
+window flag overrides the file's window.
 
 Each command returns one report, the JSON document it prints.  With
 ``--format csv`` it prints a table read off that report instead, so
@@ -56,10 +57,8 @@ EXIT_DEGENERATE = 4
 
 MAX_G_POINTS = 10_000
 
-_INV_SQRT2 = 2.0**-0.5
-
 # The hydrogen scenario's amplitude flags by destination, with their defaults.
-_AMPLITUDES = {"a_re": _INV_SQRT2, "a_im": 0.0, "b_re": _INV_SQRT2, "b_im": 0.0, "hbar": 1.0}
+_AMPLITUDES = {"a_re": 2.0**-0.5, "a_im": 0.0, "b_re": 2.0**-0.5, "b_im": 0.0, "hbar": 1.0}
 
 
 def _add_amplitudes(p: argparse.ArgumentParser) -> None:
