@@ -271,8 +271,8 @@ def cmd_hydrogen(args) -> dict:
 
     scenario = _scenario(args)
     dtm, dtc = _windows(args)
-    # The traces do not depend on the windows, so they are built at
-    # build_hydrogen's, and hydrogen_predictions checks these, delta_t_c first.
+    # The traces do not depend on the windows: built at build_hydrogen's own,
+    # so that hydrogen_predictions checks the flags' windows, delta_t_c first.
     t = build_hydrogen(scenario.a, scenario.b, scenario.hbar).traces
     pred = hydrogen_predictions(scenario, dtc, dtm)
     return {
