@@ -17,10 +17,11 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
-from weakprobe import HydrogenScenario, hydrogen_predictions
+from weakprobe import averaged_weak_value_objective, averaged_weak_value_vn, build_hydrogen
 from weakprobe.cli import run
 
 MAX_POINTS = 10_000
@@ -42,29 +43,26 @@ def parse_args(argv=None):
 def sweep(args) -> int:
     if not 1 <= args.points <= MAX_POINTS:
         raise ValueError(f"--points must be in [1, {MAX_POINTS}], got {args.points}")
-    scenario = HydrogenScenario(args.a, args.b, args.hbar)
     ratios = np.linspace(args.ratio_min, args.ratio_max, args.points)
     rows = []
     for ratio in ratios:
         dtc = float(ratio) * args.dtm
-        pred = hydrogen_predictions(scenario, dtc, args.dtm)
+        cfg = build_hydrogen(args.a, args.b, args.hbar, args.dtm, dtc)
+        vn = averaged_weak_value_vn(cfg).real
+        objective = averaged_weak_value_objective(cfg).real
         rows.append(
             {
                 "dtc_over_dtm": float(ratio),
                 "delta_t_c": dtc,
-                "prediction_vn": pred.vn.real,
-                "prediction_objective": pred.objective.real,
-                "gap": pred.vn.real - pred.objective.real,
+                "prediction_vn": vn,
+                "prediction_objective": objective,
+                "gap": vn - objective,
             }
         )
-    stream = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as stream:
         writer = csv.DictWriter(stream, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if args.out:
-            stream.close()
     return 0
 
 

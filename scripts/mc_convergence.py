@@ -18,11 +18,14 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
 from weakprobe import SimulationSpec, analytic_target, convergence_report, to_record
 from weakprobe.cli import add_hydrogen_flags, hydrogen_config, run, z_score
+
+MAX_CHECKPOINTS = 10_000
 
 
 def parse_args(argv=None):
@@ -37,7 +40,10 @@ def parse_args(argv=None):
 
 
 def checkpoints(n_max: int, per_decade: int) -> list[int]:
-    grid = np.geomspace(100, n_max, max(2, int(np.log10(n_max / 100) * per_decade) + 1))
+    size = max(2, int(np.log10(n_max / 100) * per_decade) + 1)
+    if size > MAX_CHECKPOINTS:
+        raise ValueError(f"{size} checkpoints exceed {MAX_CHECKPOINTS}: lower --per-decade")
+    grid = np.geomspace(100, n_max, size)
     out = sorted({int(round(c)) for c in grid} | {n_max})
     return [c for c in out if c <= n_max]
 
@@ -49,14 +55,10 @@ def report(args) -> int:
         {**to_record(spec, res), "target_re": target.real, "z": z_score(res, target)}
         for res in convergence_report(spec, checkpoints(args.trials, args.per_decade))
     ]
-    stream = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as stream:
         writer = csv.DictWriter(stream, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if args.out:
-            stream.close()
     return 0
 
 

@@ -105,17 +105,14 @@ def _scenario(args) -> HydrogenScenario:
     return HydrogenScenario(complex(a_re, a_im), complex(b_re, b_im), hbar)
 
 
-def _windows(args) -> tuple[float, float]:
-    """``(delta_t_m, delta_t_c)`` of the window flags, 1.0 where unset."""
-    return tuple(1.0 if w is None else w for w in (args.dtm, args.dtc))
-
-
 def hydrogen_config(args) -> ProtocolConfig:
-    """The hydrogen scenario's configuration, read off :func:`add_hydrogen_flags`' flags."""
+    """The hydrogen scenario's configuration, read off :func:`add_hydrogen_flags`'
+    flags, a window flag at 1.0 where unset."""
     from .hydrogen import build_hydrogen
 
     sc = _scenario(args)
-    return build_hydrogen(sc.a, sc.b, sc.hbar, *_windows(args))
+    windows = (1.0 if w is None else w for w in (args.dtm, args.dtc))
+    return build_hydrogen(sc.a, sc.b, sc.hbar, *windows)
 
 
 def _resolve_config(args) -> ProtocolConfig:
@@ -267,25 +264,21 @@ def cmd_discriminate(args) -> dict:
 
 
 def cmd_hydrogen(args) -> dict:
-    from .hydrogen import build_hydrogen, hydrogen_predictions
-
     scenario = _scenario(args)
-    dtm, dtc = _windows(args)
-    # The traces do not depend on the windows: built at build_hydrogen's own,
-    # so that hydrogen_predictions checks the flags' windows, delta_t_c first.
-    t = build_hydrogen(scenario.a, scenario.b, scenario.hbar).traces
-    pred = hydrogen_predictions(scenario, dtc, dtm)
+    cfg = hydrogen_config(args)
+    from .weakvalues import averaged_weak_value_objective, averaged_weak_value_vn
+
     return {
         "a": _c(scenario.a),
         "b": _c(scenario.b),
         "hbar": scenario.hbar,
-        "delta_t_m": dtm,
-        "delta_t_c": dtc,
+        "delta_t_m": cfg.delta_t_m,
+        "delta_t_c": cfg.delta_t_c,
         "flags": scenario.flags(),
-        "prediction_vn": _c(pred.vn),
-        "prediction_objective": _c(pred.objective),
-        "degenerate": pred.degenerate,
-        "traces": _traces(t),
+        "prediction_vn": _c(averaged_weak_value_vn(cfg)),
+        "prediction_objective": _c(averaged_weak_value_objective(cfg)),
+        "degenerate": scenario.degenerate,
+        "traces": _traces(cfg.traces),
     }
 
 

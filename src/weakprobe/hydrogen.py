@@ -76,9 +76,14 @@ class HydrogenScenario:
             out.append("a = 0: preparation orthogonal to the selected branch")
         if abs(self.b) <= _NORM_SLACK:
             out.append("b = 0: postselection orthogonal to the selected branch")
-        if abs(abs(self.a) - 1.0) <= _NORM_SLACK:
+        if self.degenerate:
             out.append("|a| = 1: model predictions coincide (degenerate scenario)")
         return out
+
+    @property
+    def degenerate(self) -> bool:
+        """``|a| = 1``: the two models predict the same value."""
+        return abs(abs(self.a) - 1.0) <= _NORM_SLACK
 
     @property
     def psi_in(self) -> np.ndarray:
@@ -125,7 +130,8 @@ class HydrogenPredictions:
 def hydrogen_predictions(
     scenario: HydrogenScenario, delta_t_c: float, delta_t_m: float
 ) -> HydrogenPredictions:
-    """Both model predictions from the closed forms.
+    """Both model predictions from the closed forms: the tests' and the
+    benchmark's oracle for ``averaged_weak_value_*`` of :func:`build_hydrogen`.
 
     Instantaneous: ``hbar/2`` regardless of ``a`` and ``b`` (as long as
     neither vanishes).  Objective: ``hbar |a|^2 / 2`` for
@@ -150,5 +156,5 @@ def hydrogen_predictions(
     return HydrogenPredictions(
         vn=complex(vn),
         objective=complex(objective),
-        degenerate=abs(abs(scenario.a) - 1.0) <= _NORM_SLACK,
+        degenerate=scenario.degenerate,
     )

@@ -171,10 +171,20 @@ def test_cli_output_is_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
-    # Recapture every case from the current code; the configs are kept.
+    # Recapture every case from the current code; the configs are kept.  Each
+    # case that is new or removed, or whose exit code or text changed, is named.
     cases = {}
     for name, argv in INVOCATIONS.items():
         with tempfile.TemporaryDirectory() as tmp:
             cases[name] = {"argv": argv, **invoke(argv, Path(tmp))}
+        old = _DATA["cases"].get(name)
+        if old is None:
+            print(f"{name}: new")
+            continue
+        changed = [k for k in ("exit", "stdout", "stderr", "emitted") if old[k] != cases[name][k]]
+        if changed:
+            print(f"{name}: {', '.join(changed)} changed")
+    for name in sorted(set(_DATA["cases"]) - set(cases)):
+        print(f"{name}: removed")
     _DATA["cases"] = cases
     GOLDEN.write_text(json.dumps(_DATA, indent=1) + "\n")

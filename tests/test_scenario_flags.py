@@ -85,11 +85,12 @@ def test_every_command_resolves_one_scenario(seed, monkeypatch, capsys, tmp_path
         got = resolved(main, flags, command, *source, *REQUIRED[command])
         assert got == ({scenario}, [windows]), command
     capsys.readouterr()
-    # hydrogen builds its traces at build_hydrogen's windows and reports its own
-    assert resolved(main, flags, "hydrogen")[0] == {scenario}
+    # hydrogen prints what analytic prints for the same flags, bit for bit
+    assert resolved(main, flags, "hydrogen") == ({scenario}, [windows])
     report = json.loads(capsys.readouterr().out)
     assert (report["delta_t_m"], report["delta_t_c"]) == windows
-    assert json.dumps(report["traces"]) == json.dumps(analytic["traces"])
+    for key in ("prediction_vn", "prediction_objective", "traces"):
+        assert json.dumps(report[key]) == json.dumps(analytic[key]), key
     # pointer takes no window flags
     amplitude_flags = {f: x for f, x in flags.items() if f in AMPLITUDES}
     assert resolved(main, amplitude_flags, "pointer") == ({scenario}, [])

@@ -35,6 +35,8 @@ def run(name, argv, capsys):
         ("mc_convergence", ["--trials", "0"], 2),
         ("mc_convergence", ["--dtc", "inf"], 2),
         ("mc_convergence", ["--a-re", "0"], 3),
+        ("mc_convergence", ["--trials", "1000", "--per-decade", "10000"], 2),
+        ("mc_convergence", ["--per-decade", "1000000000"], 2),
     ],
 )
 def test_bad_input_exit_codes(name, argv, code, capsys):
@@ -75,6 +77,15 @@ def test_mc_convergence(capsys, tmp_path):
     assert load("mc_convergence").main([*argv, "--out", str(out)]) == 0
     with out.open(newline="") as fh:
         assert list(csv.DictReader(fh)) == rows
+
+
+def test_mc_convergence_checkpoint_bound(capsys):
+    # one decade at 9999 per decade is a grid of MAX_CHECKPOINTS points; 10000
+    # per decade is one more and is refused above
+    script = load("mc_convergence")
+    assert script.MAX_CHECKPOINTS == 10_000
+    rows = run("mc_convergence", ["--trials", "1000", "--per-decade", "9999"], capsys)
+    assert [int(r["N"]) for r in rows] == list(range(100, 1001))
 
 
 def test_mc_convergence_z_matches_simulate(capsys):

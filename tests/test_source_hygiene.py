@@ -1,7 +1,8 @@
 """Every name a module imports is used by that module, every private
 helper of the package is used by the package, the package never calls
-a checked operator constructor, and loading the package or its CLI
-loads no module that computes.
+a checked operator constructor, neither the rest of the package nor the
+scripts calls the closed-form hydrogen oracle, and loading the package or
+its CLI loads no module that computes.
 
 A stand-in for a linter's unused-import check, built on ``ast`` alone, over
 the package, the scripts and the tests.
@@ -122,6 +123,21 @@ def test_package_never_calls_a_checked_constructor():
             f"{path.name}:{node.lineno} {callee(node.func)}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Call) and callee(node.func) in CHECKED_TYPES
+        ]
+    assert calls == []
+
+
+def test_no_route_calls_hydrogen_predictions():
+    # The CLI and the scripts print averaged_weak_value_* of a ProtocolConfig;
+    # the closed form is the oracle they are checked against, not a route.
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "hydrogen.py"]
+    calls = []
+    for path in paths + sorted((ROOT / "scripts").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and callee(node.func) == "hydrogen_predictions"
         ]
     assert calls == []
 
