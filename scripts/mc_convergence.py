@@ -40,6 +40,8 @@ def parse_args(argv=None):
 
 
 def checkpoints(n_max: int, per_decade: int) -> list[int]:
+    if not 1 <= per_decade <= MAX_CHECKPOINTS:
+        raise ValueError(f"--per-decade must be in [1, {MAX_CHECKPOINTS}], got {per_decade}")
     size = max(2, int(np.log10(n_max / 100) * per_decade) + 1)
     if size > MAX_CHECKPOINTS:
         raise ValueError(f"{size} checkpoints exceed {MAX_CHECKPOINTS}: lower --per-decade")

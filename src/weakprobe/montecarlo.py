@@ -53,24 +53,26 @@ whatever the trial count: a chunk of draws, its mask and one block's
 temporaries, 0.73 MB traced at 10^7 trials on the hydrogen scenario.
 
 An instantaneous (vn) chunk reduces to a count of weak-first trials, so
-it is drawn and counted in two halves, and each half in blocks of
-``_BLOCK_TRIALS`` trials: the generator is positioned before every block,
-whose ``t_w > t_s`` comparison is made once, and every checkpoint's count
-is read off it.  A vn run of ``2 * CHUNK_TRIALS`` trials or more hands
-the second halves of the current and the next chunk to a one-worker
-``ThreadPoolExecutor``, which has a ``Philox`` of its own, while the
-calling thread counts the first halves.  The caller takes each second
-half the worker has finished; one the worker has not started is
-cancelled, and one it is running is left to finish, and the caller
-counts either itself, so a worker starved of CPU never stalls the run.
-Each thread has a buffer of one block, 256 KB, so a two-thread vn run
-peaks at 0.57 MB traced.  Counts merge in chunk order, so the results do
-not depend on scheduling.  The executor is shut down before the call
-returns, which waits only for the half in flight, and what the worker
-raises reaches the caller.  Shorter vn runs count both halves on the
-calling thread.  The objective model stays on one thread: a helper that
-splits its chunks keeps the bits, but its gain could not be told from a
-shared host's noise (ROADMAP, FOUND (l)).
+it is drawn and counted in blocks of ``_BLOCK_TRIALS`` trials: the
+generator is positioned before every block, whose ``t_w > t_s``
+comparison is made once, and every checkpoint's count is read off it.  A
+vn run of ``2 * CHUNK_TRIALS`` trials or more shares its chunks with one
+helper thread, the worker of a one-worker ``ThreadPoolExecutor``, which
+has a ``Philox`` of its own: each thread takes the lowest chunk left
+from one lock-guarded queue, and the caller merges the chunks in index
+order, so the results do not depend on scheduling.  The caller waits on
+the helper only when no chunk is left to take and the next one to merge
+is the helper's, so a helper starved of CPU holds the run up by at most
+one chunk; the caller's chunks past it wait, a few tuples each, to be
+merged.  A failure on either thread stops the queue, so the other
+takes no chunk beyond the one in hand, and what the helper raises
+reaches the caller.  The executor is shut down before the call returns,
+which waits only for the helper's chunk in hand.  Each thread has a
+buffer of one block, 256 KB, so a two-thread vn run peaks at 0.57 MB
+traced.  Shorter vn runs take every chunk on the calling thread, and so
+do objective runs: a helper that splits their chunks keeps the bits, but
+its gain could not be told from a shared host's noise (ROADMAP, FOUND
+(l)).
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ __all__ = [
 
 CHUNK_TRIALS = 1 << 16
 
-# A vn run of at least this many trials counts second halves on a helper thread.
+# A vn run of at least this many trials shares its chunks with a helper thread.
 _THREAD_TRIALS = 2 * CHUNK_TRIALS
 
 MODELS = ("vn", "objective")
@@ -220,10 +222,10 @@ def _chunk_draws(spec: SimulationSpec, j: int, n: int, out: np.ndarray, rng, fir
     return draws
 
 
-# Trials a vn half draws and counts at a time, which sizes each thread's vn
-# buffer (two draws a trial).  It must stay even: a vn block starts at draw
-# ``2 * (first + s)``, which ``_position`` needs to be a multiple of 4.  An
-# objective gather block holds about half as many mid-collapse trials: its
+# Trials a vn chunk draws and counts at a time, which sizes each thread's vn
+# buffer (two draws a trial).  It must stay even: the block from trial ``s``
+# starts at draw ``2 * s``, which ``_position`` needs to be a multiple of 4.
+# An objective gather block holds about half as many mid-collapse trials: its
 # temporaries, the index array and the gathered draws (16 bytes a mid trial),
 # sit beside a chunk of draws and its mask, and fewer, larger blocks cost
 # fewer numpy calls where few trials are mid.
@@ -302,23 +304,20 @@ def _objective_groups(spec: SimulationSpec, branch, draws: np.ndarray, ends: lis
     return groups
 
 
-def _half_counts(spec: SimulationSpec, rng, buf, j: int, h: int, ends: list[int]):
-    """Weak-first counts among the trials of half ``h`` of chunk ``j`` that
-    come before each chunk-relative trial index in ``ends``; the last end is
-    the chunk's size.  The half is drawn in blocks of ``_BLOCK_TRIALS``
-    trials, ``rng`` positioned before each, and each block is compared
-    once: a cut ``c`` past its start ``s`` loses the ``t_w > t_s`` trials
-    among the block's first ``c - s``."""
-    first = h * (CHUNK_TRIALS // 2)
-    cuts = [min(max(e - first, 0), CHUNK_TRIALS // 2) for e in ends]
-    counts, n = cuts.copy(), cuts[-1]
+def _vn_counts(spec: SimulationSpec, rng, buf, j: int, ends: list[int]):
+    """Weak-first counts among the trials of chunk ``j`` that come before
+    each chunk-relative trial index in ``ends``; the last end is the chunk's
+    size.  The chunk is drawn in blocks of ``_BLOCK_TRIALS`` trials, ``rng``
+    positioned before each, and each block is compared once: an end ``e``
+    past its start ``s`` loses the ``t_w > t_s`` trials among the block's
+    first ``e - s``."""
+    counts, n = ends.copy(), ends[-1]
     for s in range(0, n, _BLOCK_TRIALS):
-        m = min(_BLOCK_TRIALS, n - s)
-        draws = _chunk_draws(spec, j, m, buf, rng, first + s)
+        draws = _chunk_draws(spec, j, min(_BLOCK_TRIALS, n - s), buf, rng, s)
         later = draws[1::2] > draws[::2]
-        for i, c in enumerate(cuts):
-            if c > s:
-                counts[i] -= int(np.count_nonzero(later[: c - s]))
+        for i, e in enumerate(ends):
+            if e > s:
+                counts[i] -= int(np.count_nonzero(later[: e - s]))
         del later  # else the next block's comparison would be made beside it
     return counts
 
@@ -350,44 +349,50 @@ def _stream(spec: SimulationSpec, checkpoints: list[int]) -> list[AveragedResult
         branch = [complex(math.ldexp(v.real, -scale), math.ldexp(v.imag, -scale)) for v in branch]
     n_total, vn = checkpoints[-1], spec.model == "vn"
     buf = np.empty(min(2 * n_total, 2 * _BLOCK_TRIALS) if vn else min(n_total, CHUNK_TRIALS))
-    total, out, pool, ahead, in_flight = _EMPTY, [], None, {}, None
-    if vn and n_total >= _THREAD_TRIALS:  # second halves ahead, on a helper thread
+    left = iter(range(-(-n_total // CHUNK_TRIALS)))  # the queue of chunks, lowest first
+    lock, stopped, done = threading.Lock(), [], {}  # an entry in stopped empties the queue
+
+    def take():
+        """The lowest chunk left, or None once none is or the run has stopped."""
+        with lock:
+            return None if stopped else next(left, None)
+
+    def groups(rng, buf, j):
+        """The group of chunk ``j``'s first ``e`` trials for each of its ends ``e``."""
+        ends = _ends(checkpoints, j, n_total)
+        if vn:
+            counts = _vn_counts(spec, rng, buf, j, ends)
+            return [_group(branch, e, w) for e, w in zip(ends, counts)]
+        return _objective_groups(spec, branch, _chunk_draws(spec, j, ends[-1], buf, rng), ends)
+
+    def work(rng, buf, j=None):
+        """Take the lowest chunk left and count it into ``done``, until chunk
+        ``j`` is there or none is left (the helper, given no ``j``: until none is)."""
+        while j not in done and (k := take()) is not None:
+            done[k] = groups(rng, buf, k)
+
+    total, out, pool = _EMPTY, [], None
+    if vn and n_total >= _THREAD_TRIALS:  # chunks shared with a helper thread
         from concurrent.futures import ThreadPoolExecutor  # ~5 ms cold: import on use
 
-        pool, own = ThreadPoolExecutor(max_workers=1), (_generator(), np.empty(2 * _BLOCK_TRIALS))
+        pool = ThreadPoolExecutor(max_workers=1)
+        helped = pool.submit(work, _generator(), np.empty(2 * _BLOCK_TRIALS))
+        helped.add_done_callback(lambda _: stopped.append(None))  # its failure stops the caller
     rng, _held.rng = getattr(_held, "rng", None) or _generator(), None
     try:
         for j, lo, hi in _chunks(n_total):
-            ends = _ends(checkpoints, j, n_total)
-            if vn:
-                for k in (j, j + 1) if pool else ():
-                    if k * CHUNK_TRIALS < n_total and k not in ahead:
-                        ahead[k] = pool.submit(
-                            _half_counts, spec, *own, k, 1, _ends(checkpoints, k, n_total)
-                        )
-                a, b = _half_counts(spec, rng, buf, j, 0, ends), None
-                helped = ahead.pop(j, None)
-                if helped and helped.done():
-                    b = helped.result()
-                elif helped and not helped.cancel():  # running: the one half in flight
-                    if in_flight:  # done, as the helper runs in order: raise what it raised
-                        in_flight.result()
-                    in_flight = helped
-                if b is None:
-                    b = _half_counts(spec, rng, buf, j, 1, ends)
-                groups = [_group(branch, e, x + y) for e, x, y in zip(ends, a, b)]
-            else:
-                draws = _chunk_draws(spec, j, hi - lo, buf, rng)
-                groups = _objective_groups(spec, branch, draws, ends)
+            work(rng, buf, j)
+            if j not in done:  # the helper holds it: wait for it, or raise what it raised
+                helped.result()
+            got = done.pop(j)
             reported = bisect_right(checkpoints, hi) - bisect_right(checkpoints, lo)
-            out += [_result(_merge(total, g), spec.seed, scale) for g in groups[:reported]]
-            total = _merge(total, groups[-1])
+            out += [_result(_merge(total, g), spec.seed, scale) for g in got[:reported]]
+            total = _merge(total, got[-1])
     finally:
         _held.rng = rng
         if pool:
-            pool.shutdown(cancel_futures=True)
-    if in_flight:
-        in_flight.result()
+            stopped.append(None)
+            pool.shutdown()
     return out
 
 

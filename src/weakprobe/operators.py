@@ -79,7 +79,10 @@ def _trusted(cls, mat: np.ndarray, field: str = "mat", **fields):
 
 
 def as_operator(m, copy: bool | None = None) -> np.ndarray:
-    """Coerce ``m`` to a square complex matrix, a copy if ``copy`` is true."""
+    """Coerce ``m`` to a square complex matrix, a copy if ``copy`` is true; a
+    :class:`DensityOperator` or :class:`Projector` gives its ``mat``."""
+    if isinstance(m, (DensityOperator, Projector)):
+        m = m.mat
     a = np.array(m, dtype=complex, copy=copy)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")

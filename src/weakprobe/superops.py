@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NoExactSolution
-from .operators import DensityOperator, Projector, _trusted, as_operator, identity
+from .operators import Projector, _trusted, as_operator, identity
 
 __all__ = [
     "SuperOp",
@@ -79,15 +79,9 @@ def _superop(d: int, matrix: np.ndarray) -> SuperOp:
     return _trusted(SuperOp, matrix, "matrix", dim=d)
 
 
-def _mat(x) -> np.ndarray:
-    if isinstance(x, (DensityOperator, Projector)):
-        return x.mat
-    return as_operator(x)
-
-
 def apply_superop(k: SuperOp, x) -> np.ndarray:
     """Apply the map to an operator: ``unvec(K @ vec(x))``."""
-    x = _mat(x)
+    x = as_operator(x)
     if x.shape[0] != k.dim:
         raise DimensionMismatch(f"operator dim {x.shape[0]} != superop dim {k.dim}")
     return unvectorize(k.matrix @ vectorize(x), k.dim)
@@ -168,4 +162,4 @@ def backward_state(e_w_fin: SuperOp, rho_fin) -> np.ndarray:
     conditional averages only through ratios, where the normalization
     cancels.
     """
-    return apply_superop(superop_adjoint(e_w_fin), _mat(rho_fin))
+    return apply_superop(superop_adjoint(e_w_fin), rho_fin)

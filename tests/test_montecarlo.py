@@ -447,9 +447,9 @@ RATIOS = [0.05, 0.5, 0.9, 0.95, 1.0, 2.0]
 PATH_RATIOS = [0.99, 1.0, 2.0]
 PATH_CASES = [("vn", 1.0)] + [("objective", r) for r in PATH_RATIOS]
 
-# One trial either side of the kernel's block edges: a vn block, an objective
-# gather block of _BLOCK_TRIALS // 2 mid-collapse trials at a share near 1,
-# the helper's half chunk, and a vn block into that half.
+# One trial either side of the kernel's block edges: an objective gather block
+# of _BLOCK_TRIALS // 2 mid-collapse trials at a share near 1, and the ends of
+# a chunk's first three vn blocks.
 _B, _H = montecarlo._BLOCK_TRIALS, CHUNK_TRIALS // 2
 BLOCK_EDGES = sorted({m + d for m in (_B // 2, _B, _H, _H + _B) for d in (-1, 0, 1)})
 
@@ -504,10 +504,10 @@ class TestKernelOracle:
 
     @pytest.mark.parametrize("trials", [_H - 1, _H, _H + 1, _H + 9, 2 * CHUNK_TRIALS + _H + 3])
     def test_tiny_vn_blocks_across_halves(self, trials, monkeypatch):
-        # Blocks of 8 trials on both sides of the half-chunk edge, in a run
-        # and in a report whose checkpoints sit at, next to and between the
-        # block edges there; the longest run counts second halves on the
-        # helper thread.
+        # Blocks of 8 trials on both sides of mid-chunk, in a run and in a
+        # report whose checkpoints sit at, next to and between the block
+        # edges there; the longest run shares its chunks with the helper
+        # thread.
         monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 8)
         spec = ratio_spec("vn", 0.5, trials, seed=trials % 7)
         assert run_simulation(spec) == oracle_stream(spec, [trials])[0]
@@ -689,8 +689,8 @@ class TestMemoryGuard:
         assert self.peak(generic_spec(model, 1024, seed=1)) < 64_000
 
     def test_two_thread_vn_peak_within_one_thread_kernel(self):
-        # both threads' half-chunk buffers, comparison temporaries and the
-        # hand-over stay within what one thread held: a chunk of draws
+        # both threads' one-block buffers, comparison temporaries and the
+        # queue stay within what one thread held: a chunk of draws
         # (16 bytes a trial) and its boolean comparison (1 byte a trial); the
         # first two-thread run of a process also imports the executor, once
         spec = generic_spec("vn", 4 * CHUNK_TRIALS, seed=1)
@@ -836,43 +836,83 @@ class TestTwoThreadVn:
 
     @pytest.mark.parametrize("on_helper", [False, True])
     def test_exception_reaches_caller(self, on_helper, monkeypatch):
-        counts, caller = montecarlo._half_counts, threading.current_thread()
+        # The other thread's first chunk waits for the failure, so the failing
+        # thread takes a chunk whichever thread starts first.
+        counts, caller = montecarlo._vn_counts, threading.current_thread()
+        failed = threading.Event()
 
-        def failing(spec, rng, buf, j, h, ends):
-            if (threading.current_thread() is not caller) if on_helper else (j, h) == (2, 0):
+        def failing(spec, rng, buf, j, ends):
+            if (threading.current_thread() is not caller) == on_helper:
+                failed.set()
                 raise RuntimeError("planted")
-            return counts(spec, rng, buf, j, h, ends)
+            failed.wait(timeout=30)
+            return counts(spec, rng, buf, j, ends)
 
-        monkeypatch.setattr(montecarlo, "_half_counts", failing)
+        monkeypatch.setattr(montecarlo, "_vn_counts", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="planted"):
             run_simulation(generic_spec("vn", 8 * CHUNK_TRIALS, seed=2))
         assert threading.active_count() == before
 
     def test_starved_helper_never_stalls_the_caller(self, monkeypatch):
-        # The helper's first half blocks until the caller has counted the last
-        # chunk's second half.  A caller that waited on the helper would sit
-        # out the 30 s safety timeout, then take nearly every half from it.
-        counts, caller = montecarlo._half_counts, threading.current_thread()
+        # The helper's first chunk blocks until the caller has counted every
+        # other chunk.  A caller that waited on the helper would sit out the
+        # 30 s safety timeout, then leave chunks to it.
+        counts, caller = montecarlo._vn_counts, threading.current_thread()
         released = threading.Event()
         spec = generic_spec("vn", 6 * CHUNK_TRIALS + 5, seed=5)
         count = -(-spec.trials // CHUNK_TRIALS)
         blocked, by_caller = [], []
 
-        def starved(spec, rng, buf, j, h, ends):
+        def starved(spec, rng, buf, j, ends):
             if threading.current_thread() is caller:
-                if h == 1:
-                    by_caller.append(j)
-                    if j == count - 1:
-                        released.set()
+                by_caller.append(j)
+                if len(by_caller) == count - 1:
+                    released.set()
             elif not blocked:
                 blocked.append(j)
                 released.wait(timeout=30)
-            return counts(spec, rng, buf, j, h, ends)
+            return counts(spec, rng, buf, j, ends)
 
-        monkeypatch.setattr(montecarlo, "_half_counts", starved)
+        monkeypatch.setattr(montecarlo, "_vn_counts", starved)
         assert run_simulation(spec) == oracle_stream(spec, [spec.trials])[0]
-        assert len(by_caller) >= count - 2
+        assert len(by_caller) >= count - 1
+
+    @pytest.mark.parametrize("fails", [None, "caller", "helper"])
+    def test_each_chunk_counted_once(self, fails, monkeypatch):
+        # The starved-helper set-up, in which no chunk may be counted twice.
+        # With a planted failure, the failing thread fails in its first chunk
+        # once the other holds one; released, the other still has that chunk
+        # to count, and takes none after it.
+        counts, caller = montecarlo._vn_counts, threading.current_thread()
+        spec = generic_spec("vn", 6 * CHUNK_TRIALS + 5, seed=5)
+        count = -(-spec.trials // CHUNK_TRIALS)
+        counted = {"caller": [], "helper": []}
+        holding, released = threading.Event(), threading.Event()
+        holder = "caller" if fails == "helper" else "helper"
+
+        def starved(spec, rng, buf, j, ends):
+            side = "caller" if threading.current_thread() is caller else "helper"
+            counted[side].append(j)
+            if side == fails:
+                holding.wait(timeout=30)
+                released.set()
+                raise RuntimeError("planted")
+            if side == holder and len(counted[side]) == 1:
+                holding.set()
+                released.wait(timeout=30)
+            elif fails is None and len(counted["caller"]) == count - 1:
+                released.set()
+            return counts(spec, rng, buf, j, ends)
+
+        monkeypatch.setattr(montecarlo, "_vn_counts", starved)
+        if fails:
+            with pytest.raises(RuntimeError, match="planted"):
+                run_simulation(spec)
+            assert len(counted["caller"]) == len(counted["helper"]) == 1
+        else:
+            assert run_simulation(spec) == oracle_stream(spec, [spec.trials])[0]
+            assert sorted(counted["caller"] + counted["helper"]) == list(range(count))
 
     def test_concurrent_callers(self):
         # more threads than cores, switching often: each call has its own
@@ -972,18 +1012,18 @@ class TestPerThreadGenerator:
             built.append(generator())
             return built[-1]
 
-        counts, used, caller, worker_ran = montecarlo._half_counts, {}, [], threading.Event()
+        counts, used, caller, worker_ran = montecarlo._vn_counts, {}, [], threading.Event()
 
-        def recorded(spec, rng, buf, j, h, ends):
+        def recorded(spec, rng, buf, j, ends):
             used.setdefault(threading.current_thread(), []).append(rng)
             if threading.current_thread() is not caller[0]:
                 worker_ran.set()
-            elif spec.trials == montecarlo._THREAD_TRIALS and (j, h) == (0, 0):
-                worker_ran.wait(timeout=30)  # else a starved worker might count no half
-            return counts(spec, rng, buf, j, h, ends)
+            elif spec.trials == montecarlo._THREAD_TRIALS:
+                worker_ran.wait(timeout=30)  # else a starved worker might count no chunk
+            return counts(spec, rng, buf, j, ends)
 
         monkeypatch.setattr(montecarlo, "_generator", counted)
-        monkeypatch.setattr(montecarlo, "_half_counts", recorded)
+        monkeypatch.setattr(montecarlo, "_vn_counts", recorded)
 
         def calls():
             caller.append(threading.current_thread())

@@ -29,9 +29,12 @@ from weakprobe import (
     TraceViolation,
     UniformTiming,
     apparent_resolution,
+    apply_superop,
     averaged_weak_value_objective,
     averaged_weak_value_vn,
+    backward_state,
     build_hydrogen,
+    collapse_superop,
     config_from_json,
     config_to_json,
     discriminate,
@@ -314,6 +317,23 @@ def outcome(build, m):
         return bits(build(m))
     except Exception as exc:
         return type(exc), str(exc)
+
+
+K_X = collapse_superop(Projector.onto([1, 1]))
+# Each entry point that takes an operator, given a state and a projector.
+OPERATOR_ENTRY_POINTS = {
+    "weak_value": lambda rho, p: weak_value(rho, p, SIGMA_Y),
+    "hs_inner": hs_inner,
+    "apply_superop": lambda rho, p: (apply_superop(K_X, rho), apply_superop(K_X, p)),
+    "backward_state": lambda rho, p: (backward_state(K_X, rho), backward_state(K_X, p)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_ENTRY_POINTS))
+def test_state_and_projector_are_taken_as_their_matrices(name):
+    call = OPERATOR_ENTRY_POINTS[name]
+    rho, p = DensityOperator.pure([0.6, 0.8j]), Projector.onto([1, 1j])
+    assert bits(call(rho, p)) == bits(call(rho.mat, p.mat))
 
 
 @st.composite

@@ -37,6 +37,9 @@ def run(name, argv, capsys):
         ("mc_convergence", ["--a-re", "0"], 3),
         ("mc_convergence", ["--trials", "1000", "--per-decade", "10000"], 2),
         ("mc_convergence", ["--per-decade", "1000000000"], 2),
+        ("mc_convergence", ["--per-decade", "0"], 2),
+        ("mc_convergence", ["--per-decade", "-3"], 2),
+        ("mc_convergence", ["--per-decade", "1" + "0" * 400], 2),
     ],
 )
 def test_bad_input_exit_codes(name, argv, code, capsys):
