@@ -11,6 +11,7 @@ from conftest import line_end_overflow, spin_config
 from weakprobe import config_from_json, config_to_json, operator_to_json
 from weakprobe.cli import main
 from test_golden_cli import INVOCATIONS, invoke
+from test_import_structure import cold_command
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -145,6 +146,24 @@ class TestConfigSourceErrors:
         proc = run_cli("analytic", "--config", path, check_exit=2)
         assert proc.stdout == ""
         assert "rho_in: dim must be a positive integer, got True" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "key, part, entries",
+        [
+            ("rho_in", "im", [["0", "0"], ["0", "0"]]),
+            ("strong_projector", "re", [[True, 0], [0, 0]]),
+        ],
+        ids=["string", "true"],
+    )
+    def test_non_number_entry_exit_code(self, key, part, entries, tmp_path):
+        # numpy read "0" and true as floats, and this document exited 0
+        doc = config_to_json(spin_config(a=0.6, b=0.8))
+        doc[key][part] = entries
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("analytic", "--config", path, check_exit=2)
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {key}: entries must be JSON numbers\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -572,6 +591,13 @@ class TestPointerCommand:
         run_cli("pointer", "--g-points", MAX_G_POINTS + 1, check_exit=2)
         proc = run_cli("pointer", "--g-points", MAX_G_POINTS, "--format", "csv")
         assert len(proc.stdout.splitlines()) == MAX_G_POINTS + 1
+
+    @pytest.mark.parametrize("points", [-5, 0, 1])
+    def test_g_points_below_two(self, points, tmp_path):
+        # -5 failed in numpy's geomspace, 0 and 1 in the library's grid check:
+        # neither message named the flag
+        stderr = f"error: --g-points must be at least 2, got {points}\n"
+        assert cold_command(tmp_path, "pointer", "--g-points", str(points)) == (2, stderr, False)
 
     def test_sigma_underflow_rejected_without_warning(self):
         # 8 sigma^2 underflows to 0 here; it used to print a RuntimeWarning

@@ -4,9 +4,9 @@ Each case plants a model and ``delta_t_c / delta_t_m`` on a configuration,
 simulates it with ``run_simulation`` at ``TRIALS`` trials over fixed seeds,
 and feeds each result to ``discriminate`` with ``sigma_meas`` taken from the
 sample standard errors.  Every band comes from a statistic stated with it,
-never from an observed rate.  The saturated branch is left out: its known
-misread, a jitter estimate where the data support only a lower bound, gets
-its test with the fix.
+never from an observed rate.  The saturated branch's known misread, a
+jitter estimate where the data support only a lower bound, has a strict
+expected-failure test until ROADMAP item 10a mends it.
 """
 
 from __future__ import annotations
@@ -94,3 +94,27 @@ def test_jitter_estimate_is_unbiased(case):
     sd = float(ratios.std(ddof=1))
     assert K * sd < min(RATIO, 1 - RATIO)
     assert abs(ratios.mean() - RATIO) <= K * sd / math.sqrt(ratios.size)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 10a: a jitter read whose interval reaches x = 1 must report "
+    "a lower bound and no point estimate",
+)
+def test_saturated_plant_gives_no_estimate_reaching_the_plateau():
+    # Item 10a's rule, read by read: a verdict may carry a delta_t_c estimate
+    # only if x + 2 sigma_x < 1, with x = estimate / delta_t_m and
+    # sigma_x = sigma_meas / |v_sat - v_vn|.  With delta_t_c = 2 delta_t_m
+    # planted, the truth is on the plateau, x = 1.
+    cfg = replace(CONFIGS[0], delta_t_c=2.0 * CONFIGS[0].delta_t_m)
+    span = abs(cfg.traces.saturated - cfg.traces.vn)
+    reaching = []
+    for seed in range(200):
+        res = run_simulation(SimulationSpec(cfg, "objective", TRIALS, seed))
+        sigma = max(math.sqrt((res.stderr**2 + res.stderr_im**2) / 2), SIGMA_FLOOR)
+        v = discriminate(res.mean, cfg, sigma)
+        if v.delta_t_c_estimate is not None:
+            x = v.delta_t_c_estimate / cfg.delta_t_m
+            if x + 2.0 * sigma / span >= 1.0:
+                reaching.append(seed)
+    assert reaching == []

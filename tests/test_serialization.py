@@ -12,6 +12,7 @@ from weakprobe import (
     config_to_json,
     operator_to_json,
 )
+from weakprobe.serialization import _stack_from_json
 
 
 def with_rho_in(op) -> dict:
@@ -138,4 +139,28 @@ class TestConfigFormat:
         config_from_json(doc)
         doc[key]["dim"] = True
         with pytest.raises(ValueError, match=f"{key}: dim must be a positive integer, got True"):
+            config_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "entries, bad",
+        [
+            ({"rho_in.im": [["0", "0"], ["0", "0"]]}, "rho_in"),
+            ({"strong_projector.re": [[True, 0], [0, 0]]}, "strong_projector"),
+            # the first bad operator in key order is the one reported
+            (
+                {"weak_observable.im": [["0", 0], [0, 0]], "rho_fin.im": [[0, False], [False, 0]]},
+                "rho_fin",
+            ),
+        ],
+        ids=["string", "true", "first in key order"],
+    )
+    def test_entries_must_be_json_numbers(self, entries, bad):
+        # numpy reads "0" and true as floats, so each document used to parse
+        # as the valid config it spells
+        doc = config_to_json(spin_config(a=0.6, b=0.8))
+        for path, value in entries.items():
+            key, part = path.split(".")
+            doc[key][part] = value
+        assert _stack_from_json(doc) is None
+        with pytest.raises(ValueError, match=f"^{bad}: entries must be JSON numbers$"):
             config_from_json(doc)
