@@ -16,7 +16,9 @@ runs.
 
 __version__ = "0.1.0"
 
-# The public names of the package, by the module that defines them.
+# The public names of the package, by the module that defines them, written
+# only here: each module's __all__ is its row, then the few names that module
+# exports and the package does not.
 _DEFERRED = {
     "collapse": (
         "objective_state_at",

@@ -285,6 +285,8 @@ def cmd_hydrogen(args) -> dict:
 def cmd_pointer(args) -> dict:
     if args.g_points > MAX_G_POINTS:
         raise ValueError(f"--g-points {args.g_points} exceeds {MAX_G_POINTS}")
+    if args.g_points < 2:  # a slope needs two couplings
+        raise ValueError(f"--g-points must be at least 2, got {args.g_points}")
     import numpy as np
 
     from .hydrogen import PLUS, SIGMA_Z

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _DEFERRED
 from .errors import DimensionMismatch
 from .operators import (
     DensityOperator,
@@ -33,11 +34,7 @@ from .operators import (
     require_rank1,
 )
 
-__all__ = [
-    "objective_state_at",
-    "projective_ensemble_state_at",
-    "strong_statistics",
-]
+__all__ = list(_DEFERRED["collapse"])
 
 
 def _mix_toward(

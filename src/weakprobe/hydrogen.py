@@ -31,19 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _DEFERRED
 from .errors import OrthogonalPostselection
 from .operators import ZERO_TOL, DensityOperator, Projector, require_positive_finite
 from .weakvalues import ProtocolConfig, _weak_window
 
-__all__ = [
-    "PLUS",
-    "MINUS",
-    "SIGMA_Z",
-    "HydrogenScenario",
-    "HydrogenPredictions",
-    "build_hydrogen",
-    "hydrogen_predictions",
-]
+__all__ = [*_DEFERRED["hydrogen"], "PLUS", "MINUS", "SIGMA_Z"]
 
 PLUS = np.array([1.0, 0.0], dtype=complex)
 MINUS = np.array([0.0, 1.0], dtype=complex)

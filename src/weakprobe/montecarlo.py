@@ -86,22 +86,14 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _DEFERRED
 from .weakvalues import (
     ProtocolConfig,
     averaged_weak_value_objective,
     averaged_weak_value_vn,
 )
 
-__all__ = [
-    "CHUNK_TRIALS",
-    "SimulationSpec",
-    "AveragedResult",
-    "run_simulation",
-    "convergence_report",
-    "analytic_target",
-    "to_record",
-    "CSV_COLUMNS",
-]
+__all__ = list(_DEFERRED["montecarlo"])
 
 CHUNK_TRIALS = 1 << 16
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _DEFERRED
 from .errors import (
     DimensionMismatch,
     HermiticityViolation,
@@ -26,17 +27,7 @@ from .errors import (
 )
 
 __all__ = [
-    "HERM_TOL",
-    "TRACE_TOL",
-    "PSD_TOL",
-    "ZERO_TOL",
-    "DEGENERACY_TOL",
-    "DensityOperator",
-    "Projector",
-    "ObservableSpectral",
-    "hs_inner",
-    "spectral_decompose",
-    "validate_density",
+    *_DEFERRED["operators"], "HERM_TOL", "TRACE_TOL", "PSD_TOL", "ZERO_TOL", "DEGENERACY_TOL"
 ]
 
 
@@ -81,7 +72,7 @@ def _trusted(cls, mat: np.ndarray, field: str = "mat", **fields):
 def as_operator(m, copy: bool | None = None) -> np.ndarray:
     """Coerce ``m`` to a square complex matrix, a copy if ``copy`` is true; a
     :class:`DensityOperator` or :class:`Projector` gives its ``mat``."""
-    if isinstance(m, (DensityOperator, Projector)):
+    if type(m) is not np.ndarray and isinstance(m, (DensityOperator, Projector)):
         m = m.mat
     a = np.array(m, dtype=complex, copy=copy)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _DEFERRED
 from .errors import OrthogonalPostselection, VanishingPostselection
 from .operators import (
     ZERO_TOL,
@@ -34,13 +35,7 @@ from .operators import (
     unit_ket,
 )
 
-__all__ = [
-    "GaussianPointer",
-    "SlopeFit",
-    "postselected_pointer_mean",
-    "postselected_pointer_momentum_mean",
-    "weak_limit_slope",
-]
+__all__ = list(_DEFERRED["pointer"])
 
 
 def _require_sigma(sigma: float, name: str) -> None:

@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _DEFERRED
 from .operators import Projector, _validate_states, as_operator, validate_density
 from .weakvalues import ProtocolConfig
 
-__all__ = [
-    "operator_to_json",
-    "config_to_json",
-    "config_from_json",
-]
+__all__ = list(_DEFERRED["serialization"])
 
 _CONFIG_OPERATOR_KEYS = ("rho_in", "rho_fin", "strong_projector", "weak_observable")
 _CONFIG_SCALAR_KEYS = ("delta_t_m", "delta_t_c", "hbar")
@@ -27,6 +24,12 @@ _CONFIG_SCALAR_KEYS = ("delta_t_m", "delta_t_c", "hbar")
 def operator_to_json(m) -> dict:
     a = as_operator(m)
     return {"dim": a.shape[0], "re": a.real.tolist(), "im": a.imag.tolist()}
+
+
+def _numbers_only(parts) -> bool:
+    """Whether every entry of ``parts``, matrices given as lists of rows, is a
+    JSON number: numpy would read ``"0"`` and ``true`` as floats."""
+    return {type(x) for rows in parts for row in rows for x in row} <= {int, float}
 
 
 def _matrix_from_json(obj, what: str) -> np.ndarray:
@@ -46,6 +49,8 @@ def _matrix_from_json(obj, what: str) -> np.ndarray:
         )
     if not (np.isfinite(re).all() and np.isfinite(im).all()):  # json reads NaN, Infinity
         raise ValueError(f"{what}: entries must be finite")
+    if not _numbers_only((obj["re"], obj["im"])):  # a bool is not a number
+        raise ValueError(f"{what}: entries must be JSON numbers")
     return re + 1j * im
 
 
@@ -73,6 +78,8 @@ def _stack_from_json(obj: dict) -> np.ndarray | None:
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
     if parts.shape != (4, 2, d, d) or not np.isfinite(parts).all():
+        return None
+    if not _numbers_only(op[part] for op in ops for part in ("re", "im")):
         return None
     return parts[:, 0] + 1j * parts[:, 1]  # as _matrix_from_json adds them
 

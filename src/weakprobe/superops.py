@@ -19,21 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _DEFERRED
 from .errors import DimensionMismatch, NoExactSolution
 from .operators import Projector, _trusted, as_operator, identity
 
-__all__ = [
-    "SuperOp",
-    "CompletionResult",
-    "vectorize",
-    "unvectorize",
-    "apply_superop",
-    "compose",
-    "superop_adjoint",
-    "collapse_superop",
-    "solve_completion",
-    "backward_state",
-]
+__all__ = [*_DEFERRED["superops"], "vectorize", "unvectorize"]
 
 
 def vectorize(x) -> np.ndarray:

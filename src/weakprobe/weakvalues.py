@@ -46,6 +46,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import _DEFERRED
 from .errors import DegenerateScenario, DimensionMismatch, OrthogonalPostselection
 from .operators import (
     ZERO_TOL,
@@ -59,21 +60,7 @@ from .operators import (
     require_rank1,
 )
 
-__all__ = [
-    "UniformTiming",
-    "ProtocolConfig",
-    "ProtocolTraces",
-    "DiscriminationVerdict",
-    "weak_value",
-    "averaged_weak_value_vn",
-    "objective_weak_value_at",
-    "averaged_weak_value_objective",
-    "objective_weak_value_forward",
-    "objective_weak_value_adjoint",
-    "apparent_resolution",
-    "protocol_traces",
-    "discriminate",
-]
+__all__ = list(_DEFERRED["weakvalues"])
 
 
 @dataclass(frozen=True)
