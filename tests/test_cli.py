@@ -599,6 +599,31 @@ class TestPointerCommand:
         stderr = f"error: --g-points must be at least 2, got {points}\n"
         assert cold_command(tmp_path, "pointer", "--g-points", str(points)) == (2, stderr, False)
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--g-min", "-1"),
+            ("--g-min", "0"),
+            ("--g-min", "nan"),
+            ("--g-max", "inf"),
+            ("--g-max", "-inf"),
+            ("--g-max", "0"),
+        ],
+    )
+    def test_g_bounds_finite_and_positive(self, flag, value, tmp_path):
+        # -1 and inf printed numpy's RuntimeWarning before the error line, and
+        # 0 failed in numpy's geomspace: neither message named the flag
+        stderr = f"error: {flag} must be finite and positive, got {float(value)}\n"
+        assert cold_command(tmp_path, "pointer", f"{flag}={value}") == (2, stderr, False)
+
+    def test_descending_g_range_kept(self):
+        # no order rule: a grid from g_max down to g_min fits the same slope
+        proc = run_cli("pointer", "--g-min", 1e-2, "--g-max", 1e-3, "--g-points", 3, check_exit=0)
+        assert proc.stderr == ""
+        report = json.loads(proc.stdout)
+        assert [g for g, _ in report["pairs"]] == [0.01, 0.0031622776601683794, 0.001]
+        assert report["slope"] == pytest.approx(0.5, abs=1e-12)
+
     def test_sigma_underflow_rejected_without_warning(self):
         # 8 sigma^2 underflows to 0 here; it used to print a RuntimeWarning
         # and fail later on a NaN postselection probability

@@ -1,4 +1,5 @@
-"""Every name a module imports is used by that module, every private
+"""Every file parses at the oldest Python that ``pyproject.toml`` supports,
+every name a module imports is used by that module, every private
 helper of the package is used by the package, the package never calls
 a checked operator constructor, neither the rest of the package nor the
 scripts calls the closed-form hydrogen oracle, and loading the package or
@@ -11,6 +12,7 @@ the package, the scripts and the tests.
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -18,14 +20,31 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "weakprobe"
-MODULES = sorted(PACKAGE.glob("*.py"))
-MODULES += sorted((ROOT / "scripts").glob("*.py"))
-MODULES += [
+SOURCES = [
+    *sorted(PACKAGE.glob("*.py")),
+    *sorted((ROOT / "scripts").glob("*.py")),
+    *sorted((ROOT / "tests").glob("*.py")),
+]
+MODULES = [
     pytest.param(p, marks=pytest.mark.skip(reason="pinned unedited; its json import is FOUND (i)"))
     if p.name == "test_acceptance.py"
     else p
-    for p in sorted((ROOT / "tests").glob("*.py"))
+    for p in SOURCES
 ]
+# The oldest Python the package declares, as (major, minor).
+FLOOR = tuple(
+    int(part)
+    for part in re.search(
+        r'^requires-python = ">=(\d+)\.(\d+)"$', (ROOT / "pyproject.toml").read_text(), re.M
+    ).groups()
+)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_parses_at_the_python_floor(path):
+    # The CI job on the floor's interpreter has not run here; this catches
+    # syntax newer than the floor (e.g. ``except*`` or ``type`` statements).
+    ast.parse(path.read_text(), filename=str(path), feature_version=FLOOR)
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:

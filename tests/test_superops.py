@@ -1,4 +1,7 @@
+import gc
 import re
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from weakprobe import (
     solve_completion,
     superop_adjoint,
 )
+from weakprobe import superops
 
 PLUS = np.array([1.0, 0.0], dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -183,6 +187,67 @@ class TestCollapseSuperop:
     def test_invalid_projector_matrix(self):
         with pytest.raises(Exception, match="idempotent"):
             collapse_superop(np.diag([0.5, 0.0]))
+
+
+def collapse_formula(p: Projector) -> np.ndarray:
+    """The map's matrix as it was built on every call before it was kept per
+    projector: ``vec(P) vec(I)^dag``."""
+    vec_id = np.eye(p.dim, dtype=complex).reshape(-1, order="F")
+    return np.outer(p.mat.reshape(-1, order="F"), vec_id.conj())
+
+
+class TestCollapseMapKept:
+    def test_same_map_on_every_call(self):
+        p = Projector.onto([0.6, 0.8j])
+        assert collapse_superop(p) is collapse_superop(p)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_matrix_equals_the_formula_bit_for_bit(self, d):
+        p = random_rank1_projector(np.random.default_rng(120 + d), d)
+        want = collapse_formula(p)
+        for _ in range(2):  # built, then kept
+            c = collapse_superop(p)
+            assert c.dim == d
+            np.testing.assert_array_equal(c.matrix, want)
+
+    def test_raw_matrix_gives_an_equal_map_and_keeps_nothing(self):
+        p = Projector.onto([0.8, 0.6j])
+        want = collapse_superop(p)
+        kept = len(superops._COLLAPSE_MAPS)
+        c = collapse_superop(p.mat.copy())
+        assert c is not want
+        np.testing.assert_array_equal(c.matrix, want.matrix)
+        # the raw matrix's projector died with the call, and its entry with it
+        assert len(superops._COLLAPSE_MAPS) == kept
+
+    def test_map_does_not_keep_its_projector_alive(self):
+        p = random_rank1_projector(np.random.default_rng(130), 4)
+        c, want = collapse_superop(p), collapse_formula(p)
+        alive = weakref.ref(p)
+        del p
+        gc.collect()
+        assert alive() is None
+        np.testing.assert_array_equal(c.matrix, want)  # the map outlives it
+
+    def test_two_threads_get_equal_read_only_maps(self):
+        for seed in range(20):
+            p = random_rank1_projector(np.random.default_rng(140 + seed), 8)
+            start = threading.Barrier(2)
+            got = [None, None]
+
+            def ask(i):
+                start.wait()
+                got[i] = collapse_superop(p)
+
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            for c in got:
+                assert type(c) is SuperOp and not c.matrix.flags.writeable
+                np.testing.assert_array_equal(c.matrix, collapse_formula(p))
+            assert collapse_superop(p) in got
 
 
 P_TILT = Projector.onto([0.8, 0.6j])
