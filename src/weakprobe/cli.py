@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -287,6 +288,9 @@ def cmd_pointer(args) -> dict:
         raise ValueError(f"--g-points {args.g_points} exceeds {MAX_G_POINTS}")
     if args.g_points < 2:  # a slope needs two couplings
         raise ValueError(f"--g-points must be at least 2, got {args.g_points}")
+    for flag, g in (("--g-min", args.g_min), ("--g-max", args.g_max)):
+        if not (math.isfinite(g) and g > 0):  # NaN fails both
+            raise ValueError(f"{flag} must be finite and positive, got {g}")
     import numpy as np
 
     from .hydrogen import PLUS, SIGMA_Z

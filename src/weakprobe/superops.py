@@ -15,6 +15,7 @@ except the trace, and its adjoint acts as ``C^dag(A) = Tr[P A] * Id``.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,17 +90,33 @@ def superop_adjoint(k: SuperOp) -> SuperOp:
     return _superop(k.dim, k.matrix.conj().T)
 
 
+# Each projector's collapse map.  A Projector is frozen and hashes by
+# identity, so its entry is right for as long as it lives and goes with it.
+_COLLAPSE_MAPS: weakref.WeakKeyDictionary[Projector, SuperOp] = weakref.WeakKeyDictionary()
+
+
 def collapse_superop(p) -> SuperOp:
     """Collapse map ``xi -> Tr[xi] * P`` of a selective measurement onto ``p``.
 
     ``vec`` of the output is ``vec(P) * (vec(I)^dag vec(xi))``, so the
     matrix is the rank-1 outer product ``vec(P) vec(I)^dag``.
+
+    The map is built once per :class:`Projector` and kept, read-only, for
+    the projector's lifetime; later calls, among them those of
+    :func:`~weakprobe.weakvalues.objective_weak_value_forward` and
+    :func:`~weakprobe.weakvalues.objective_weak_value_adjoint`, reuse it.
+    It is one ``d**2 x d**2`` complex matrix: 64 KB at ``d = 8``, 16 MB at
+    ``d = 32``.  A raw matrix is checked into a new projector, whose map
+    is dropped with it.
     """
     if not isinstance(p, Projector):
         p = Projector.from_matrix(p)
-    d = p.dim
-    matrix = np.outer(vectorize(p.mat), vectorize(identity(d)).conj())
-    return _superop(d, matrix)
+    c = _COLLAPSE_MAPS.get(p)
+    if c is None:
+        d = p.dim
+        matrix = np.outer(vectorize(p.mat), vectorize(identity(d)).conj())
+        c = _COLLAPSE_MAPS[p] = _superop(d, matrix)
+    return c
 
 
 @dataclass(frozen=True, eq=False)
