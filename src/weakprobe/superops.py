@@ -92,6 +92,8 @@ def superop_adjoint(k: SuperOp) -> SuperOp:
 
 # Each projector's collapse map.  A Projector is frozen and hashes by
 # identity, so its entry is right for as long as it lives and goes with it.
+# Two threads may both build a projector's map; the builds are equal, so
+# no lock is needed.
 _COLLAPSE_MAPS: weakref.WeakKeyDictionary[Projector, SuperOp] = weakref.WeakKeyDictionary()
 
 

@@ -42,8 +42,8 @@ FLOOR = tuple(
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_parses_at_the_python_floor(path):
-    # The CI job on the floor's interpreter has not run here; this catches
-    # syntax newer than the floor (e.g. ``except*`` or ``type`` statements).
+    # The floor's grammar rejects newer syntax (``except*``, ``type``
+    # statements) on whichever newer interpreter runs the suite.
     ast.parse(path.read_text(), filename=str(path), feature_version=FLOOR)
 
 

@@ -1,5 +1,6 @@
 import gc
 import re
+import sys
 import threading
 import weakref
 
@@ -229,25 +230,33 @@ class TestCollapseMapKept:
         assert alive() is None
         np.testing.assert_array_equal(c.matrix, want)  # the map outlives it
 
-    def test_two_threads_get_equal_read_only_maps(self):
-        for seed in range(20):
-            p = random_rank1_projector(np.random.default_rng(140 + seed), 8)
-            start = threading.Barrier(2)
-            got = [None, None]
+    def test_threads_asking_at_once_get_equal_read_only_maps(self):
+        # four threads, switching every microsecond, so that several of them
+        # build the same projector's map at once
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(20):
+                p = random_rank1_projector(np.random.default_rng(140 + seed), 8)
+                start = threading.Barrier(4)
+                got = [None] * 4
 
-            def ask(i):
-                start.wait()
-                got[i] = collapse_superop(p)
+                def ask(i):
+                    start.wait()
+                    got[i] = collapse_superop(p)
 
-            threads = [threading.Thread(target=ask, args=(i,)) for i in range(2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            for c in got:
-                assert type(c) is SuperOp and not c.matrix.flags.writeable
-                np.testing.assert_array_equal(c.matrix, collapse_formula(p))
-            assert collapse_superop(p) in got
+                threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+                for c in got:
+                    assert type(c) is SuperOp and not c.matrix.flags.writeable
+                    np.testing.assert_array_equal(c.matrix, collapse_formula(p))
+                assert collapse_superop(p) in got
+        finally:
+            sys.setswitchinterval(interval)
 
 
 P_TILT = Projector.onto([0.8, 0.6j])
