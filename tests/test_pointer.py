@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import random_hermitian
 from weakprobe import (
     GaussianPointer,
+    ObservableSpectral,
     OrthogonalPostselection,
     SlopeFit,
     VanishingPostselection,
@@ -14,6 +16,8 @@ from weakprobe import (
     spectral_decompose,
     weak_limit_slope,
 )
+from weakprobe import pointer
+from weakprobe.operators import DEGENERACY_TOL, unit_ket
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 PLUS_X = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -412,3 +416,118 @@ class TestWeakLimitSlope:
             weak_limit_slope(PLUS_X, psi2, SIGMA_Z, 1.0, [1e-3, 5e-3])
         with pytest.raises(ValueError, match="weak"):
             weak_limit_slope(PLUS_X, psi2, SIGMA_Z, 1.0, [0.01, 0.6])
+
+
+def branches_through_projectors(psi1, psi2, obs):
+    """Reference: the eigenvalues and branch amplitudes read through
+    ``spectral_decompose`` and each ``Projector.mat``, with the product
+    ``v2^dag (P_n v1)`` that the pointer takes."""
+    if not isinstance(obs, ObservableSpectral):
+        obs = spectral_decompose(obs)
+    v1, v2 = unit_ket(psi1), unit_ket(psi2)
+    if v1.size != obs.dim or v2.size != obs.dim:
+        raise ValueError("state vectors must match the observable dimension")
+    a = np.array(obs.eigenvalues, dtype=float)
+    c = np.array([v2.conj() @ (p.mat @ v1) for p in obs.projectors], dtype=complex)
+    return a, c
+
+
+@st.composite
+def pointer_problems(draw):
+    """Kets and a Hermitian observable, d = 2 to 6, whose consecutive
+    eigenvalue gaps are drawn either below ``DEGENERACY_TOL`` (so the levels
+    merge) or well above it; the observable comes as a raw matrix or as an
+    ``ObservableSpectral``."""
+    d = draw(st.integers(2, 6))
+    gaps = draw(
+        st.lists(
+            st.one_of(st.floats(0.0, 0.9 * DEGENERACY_TOL), st.floats(0.05, 2.0)),
+            min_size=d - 1,
+            max_size=d - 1,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = draw(st.floats(-3.0, 3.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    obs = (q * w) @ q.conj().T
+    obs = (obs + obs.conj().T) / 2
+    if draw(st.booleans()):
+        obs = ObservableSpectral(obs)
+    psi1, psi2 = (rng.normal(size=d) + 1j * rng.normal(size=d) for _ in "12")
+    return psi1, psi2, obs, float(rng.uniform(0.5, 2.0))
+
+
+class TestBranchesBitForBit:
+    """The pointer reads its spectrum without building projector objects;
+    every output must equal, bit for bit, what the projector route gives."""
+
+    @given(pointer_problems())
+    def test_eigenvalues_and_amplitudes(self, problem):
+        psi1, psi2, obs, _ = problem
+        a, c = pointer._branches(psi1, psi2, obs)
+        want_a, want_c = branches_through_projectors(psi1, psi2, obs)
+        assert a.dtype == want_a.dtype and c.dtype == want_c.dtype
+        assert a.tobytes() == want_a.tobytes()
+        assert c.tobytes() == want_c.tobytes()
+
+    @given(pointer_problems())
+    def test_fit_and_means(self, problem):
+        psi1, psi2, obs, sigma = problem
+        a, c = branches_through_projectors(psi1, psi2, obs)
+        spread = float(np.max(a) - np.min(a))
+        g = np.geomspace(1e-3, 0.5, 7) * sigma / max(spread, 0.1)
+        fit = weak_limit_slope(psi1, psi2, obs, sigma, g)
+        shifts = pointer._position_means(a, c, sigma, g)
+        assert fit.shifts == tuple(shifts.tolist())
+        slope = float(np.dot(g, shifts) / np.dot(g, g))
+        weak_value_re = float((complex(np.dot(a, c)) / complex(c.sum())).real)
+        assert fit.slope == slope
+        assert fit.weak_value_re == weak_value_re
+        assert fit.bound_constant == abs(slope - weak_value_re) / (float(g.max()) / sigma) ** 2
+        for gi in (float(g[0]), float(g[-1]), -0.7):
+            ptr = GaussianPointer(sigma, gi)
+            grid = np.array([gi])
+            x = float(pointer._position_means(a, c, sigma, grid)[0])
+            kernel, den = pointer._kernel(a, c, sigma, grid)
+            moment = 1j * 1.3 * gi * (a[:, None] - a[None, :]) / (4.0 * sigma**2)
+            p = float(pointer._mean(kernel, den, moment)[0])
+            assert postselected_pointer_mean(psi1, psi2, obs, ptr) == x
+            assert postselected_pointer_momentum_mean(psi1, psi2, obs, ptr, 1.3) == p
+
+
+# (observable, g_max, lowest coupling); sigma is g_max * spread, in doubles
+WEAK_EDGE = [
+    (SIGMA_Z, 0.5, 1e-3),
+    (0.75 * SIGMA_Z, 0.6, 1e-2),
+    (np.diag([0.3, -1.1, 2.7]).astype(complex), 0.37, 1e-3),
+    (random_hermitian(np.random.default_rng(7), 4), 0.123, 1e-4),
+    (np.diag([1.0, 1.0 + 0.5 * DEGENERACY_TOL, -2.0]).astype(complex), 0.25, 1e-3),
+]
+
+
+class TestWeakRegimeEdge:
+    """``g_max * spread == sigma`` is still weak; one ulp more is not."""
+
+    @pytest.mark.parametrize("obs, g_max, g_min", WEAK_EDGE)
+    def test_grid_reaching_sigma_accepted(self, obs, g_max, g_min):
+        levels = spectral_decompose(obs).eigenvalues
+        sigma = g_max * (max(levels) - min(levels))
+        d = obs.shape[0]
+        fit = weak_limit_slope(np.ones(d), np.arange(1.0, d + 1), obs, sigma, [g_min, g_max])
+        assert len(fit.shifts) == 2
+
+    @pytest.mark.parametrize("obs, g_max, g_min", WEAK_EDGE)
+    def test_grid_one_ulp_past_sigma_rejected(self, obs, g_max, g_min):
+        levels = spectral_decompose(obs).eigenvalues
+        spread = max(levels) - min(levels)
+        sigma = g_max * spread
+        over = float(np.nextafter(g_max, math.inf))
+        assert over * spread > sigma
+        want = (
+            f"grid reaches g*spread = {over * spread:.3e} > sigma = {sigma}: "
+            "not in the weak-coupling regime"
+        )
+        d = obs.shape[0]
+        with pytest.raises(ValueError) as exc:
+            weak_limit_slope(np.ones(d), np.arange(1.0, d + 1), obs, sigma, [g_min, over])
+        assert str(exc.value) == want

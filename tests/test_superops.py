@@ -452,3 +452,31 @@ class TestVectorizationConvention:
         k = SuperOp(2, np.kron(b.T, a))
         x = random_hermitian(rng, 2)
         np.testing.assert_allclose(apply_superop(k, x), a @ x @ b, atol=1e-12)
+
+
+class TestApplySuperopBits:
+    """``apply_superop`` is ``unvec(K @ vec(x))``, byte for byte."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_equals_the_vectorized_product(self, d):
+        from weakprobe.superops import unvectorize, vectorize
+
+        rng = np.random.default_rng(140 + d)
+        p = random_rank1_projector(rng, d)
+        herm = random_hermitian(rng, d)
+        maps = [random_superop(rng, d), collapse_superop(p), superop_adjoint(collapse_superop(p))]
+        operands = [
+            herm,
+            herm.T,  # not C-contiguous
+            herm.real,  # coerced to complex
+            herm.tolist(),
+            random_density(rng, d) if d > 1 else DensityOperator(np.eye(1)),
+            p,
+        ]
+        for k in maps:
+            for x in operands:
+                got = apply_superop(k, x)
+                want = unvectorize(k.matrix @ vectorize(x), d)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert got.tobytes(order="A") == want.tobytes(order="A")
