@@ -11,8 +11,9 @@ Subcommands::
 A configuration comes either from ``--config FILE`` (JSON, see
 :mod:`weakprobe.serialization`) or from ``--scenario hydrogen``; exactly
 one source must be given.  Exit codes: 0 on success, 2 for configuration
-or usage problems, 3 when pre/post selection is orthogonal, 4 when the
-scenario cannot discriminate the models.  Output is deterministic:
+or usage problems, 3 when pre/post selection is orthogonal (for
+``pointer``, when no trial survives postselection), 4 when the scenario
+cannot discriminate the models.  Output is deterministic:
 rerunning a command with the same arguments (and seed) produces
 byte-identical bytes.
 
@@ -44,7 +45,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateScenario, OrthogonalPostselection
+from .errors import DegenerateScenario, OrthogonalPostselection, VanishingPostselection
 
 if TYPE_CHECKING:
     from .hydrogen import HydrogenScenario
@@ -369,7 +370,7 @@ def run(command, args) -> int:
     """``command(args)``, its errors mapped to the exit codes and an ``error:`` line."""
     try:
         return command(args)
-    except OrthogonalPostselection as exc:
+    except (OrthogonalPostselection, VanishingPostselection) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORTHOGONAL
     except DegenerateScenario as exc:

@@ -241,15 +241,10 @@ class ObservableSpectral:
         return tuple(p for _, p in self.pairs)
 
 
-def spectral_decompose(a) -> ObservableSpectral:
-    """Spectral resolution of a Hermitian matrix.
-
-    Eigenvalues closer than ``DEGENERACY_TOL`` (consecutive-gap
-    clustering) are treated as one degenerate level and their
-    eigenvectors are merged into a single projector.  Each reported
-    eigenvalue is the mean of its cluster.
-    """
-    a = as_operator(a, copy=True)
+def _spectrum(a: np.ndarray) -> tuple[list[float], list[np.ndarray], list[int]]:
+    """Cluster means, eigenprojector matrices and their ranks of the square
+    complex matrix ``a``, in ascending eigenvalue order, after the
+    observable's Hermiticity check; ``a`` is read, never written."""
     adj = a.conj().T
     with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf defect fails
         defect = _max_abs(a - adj)
@@ -260,22 +255,43 @@ def spectral_decompose(a) -> ObservableSpectral:
     if math.isnan(sum(ws)):  # a + a^dag overflowed: an entry is near the float limit
         w, v = np.linalg.eigh(a / 2 + adj / 2)
         ws = w.tolist()
-    pairs: list[tuple[float, Projector]] = []
+    means: list[float] = []
+    projectors: list[np.ndarray] = []
+    ranks: list[int] = []
     start = 0
     for i in range(1, len(ws) + 1):
         if i == len(ws) or ws[i] - ws[i - 1] > DEGENERACY_TOL:
             block = v[:, start:i]
-            proj = _trusted(Projector, block @ dagger(block), rank=i - start)
+            projectors.append(block @ block.conj().T)
+            ranks.append(i - start)
             # np.mean of one value w is (0.0 + w) / 1: -0.0 reads 0.0.  Above
             # 2^1000 a gap is at least 2^948, so a cluster's values are equal,
             # and its mean is its first value where their sum would overflow.
             if i - start == 1 or abs(ws[start]) > 2.0**1000:
-                mean = 0.0 + ws[start]
+                means.append(0.0 + ws[start])
             else:
-                mean = float(np.mean(w[start:i]))
-            pairs.append((mean, proj))
+                means.append(float(np.mean(w[start:i])))
             start = i
-    return _trusted(ObservableSpectral, a, "observable", pairs=tuple(pairs))
+    return means, projectors, ranks
+
+
+def spectral_decompose(a) -> ObservableSpectral:
+    """Spectral resolution of a Hermitian matrix.
+
+    Eigenvalues closer than ``DEGENERACY_TOL`` (consecutive-gap
+    clustering) are treated as one degenerate level and their
+    eigenvectors are merged into a single projector.  Each reported
+    eigenvalue is the mean of its cluster.  The work is done by
+    ``_spectrum``, which the pointer also calls directly on a raw
+    observable, without building the wrapper objects.
+    """
+    a = as_operator(a, copy=True)
+    means, projectors, ranks = _spectrum(a)
+    pairs = tuple(
+        (mean, _trusted(Projector, p, rank=rank))
+        for mean, p, rank in zip(means, projectors, ranks)
+    )
+    return _trusted(ObservableSpectral, a, "observable", pairs=pairs)
 
 
 def validate_density(m) -> DensityOperator:

@@ -30,8 +30,9 @@ from .errors import OrthogonalPostselection, VanishingPostselection
 from .operators import (
     ZERO_TOL,
     ObservableSpectral,
+    _spectrum,
+    as_operator,
     require_positive_finite,
-    spectral_decompose,
     unit_ket,
 )
 
@@ -64,15 +65,20 @@ class GaussianPointer:
 
 
 def _branches(psi1, psi2, obs) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and postselected branch amplitudes c_n = <psi2|P_n|psi1>."""
-    if not isinstance(obs, ObservableSpectral):
-        obs = spectral_decompose(obs)
+    """Eigenvalues and postselected branch amplitudes c_n = <psi2|P_n|psi1>;
+    a raw observable's spectrum is read through ``_spectrum``, without the
+    wrapper objects."""
+    if isinstance(obs, ObservableSpectral):
+        d, means, projectors = obs.dim, obs.eigenvalues, [p.mat for p in obs.projectors]
+    else:
+        m = as_operator(obs)
+        d = m.shape[0]
+        means, projectors, _ = _spectrum(m)
     v1, v2 = unit_ket(psi1), unit_ket(psi2)
-    if v1.size != obs.dim or v2.size != obs.dim:
+    if v1.size != d or v2.size != d:
         raise ValueError("state vectors must match the observable dimension")
-    a = np.array(obs.eigenvalues, dtype=float)
-    c = np.array([v2.conj() @ (p.mat @ v1) for p in obs.projectors], dtype=complex)
-    return a, c
+    w2 = v2.conj()
+    return np.array(means, dtype=float), np.array([w2 @ (p @ v1) for p in projectors], dtype=complex)
 
 
 def _kernel(a: np.ndarray, c: np.ndarray, sigma: float, g: np.ndarray):
@@ -85,10 +91,9 @@ def _kernel(a: np.ndarray, c: np.ndarray, sigma: float, g: np.ndarray):
         e = np.exp(-((g * (a[:, None] - a[None, :])) ** 2) / (8.0 * sigma**2))
     kernel = np.outer(c.conj(), c) * e
     den = kernel.reshape(g.size, -1).sum(axis=1).real
-    if not (den > ZERO_TOL).all():  # NaN fails
-        raise VanishingPostselection(
-            f"postselection probability {den.min():.3e} below tolerance"
-        )
+    least = den.min()  # NaN if one is
+    if not least > ZERO_TOL:
+        raise VanishingPostselection(f"postselection probability {least:.3e} below tolerance")
     return kernel, den
 
 
@@ -184,24 +189,25 @@ def weak_limit_slope(psi1, psi2, obs, sigma: float, g_grid) -> SlopeFit:
     if not ((g > 0) & (g < math.inf)).all():  # NaN fails both
         raise ValueError("g_grid must be positive and each coupling g must be finite")
     a, c = _branches(psi1, psi2, obs)
-    spread = float(np.max(a) - np.min(a))
-    if spread > 0 and float(g.max()) * spread > sigma:
+    spread = float(a[-1] - a[0])  # the levels ascend
+    g_max, g_min = float(g.max()), float(g.min())
+    if spread > 0 and g_max * spread > sigma:
         raise ValueError(
-            f"grid reaches g*spread = {g.max() * spread:.3e} > sigma = {sigma}: "
+            f"grid reaches g*spread = {g_max * spread:.3e} > sigma = {sigma}: "
             "not in the weak-coupling regime"
         )
-    if float(g.max()) / float(g.min()) < 10.0:
+    if g_max / g_min < 10.0:
         raise ValueError("g_grid must span at least one decade")
     # bound_constant divides by (g_max / sigma)^2: keep it a normal double.
-    ratio = float(g.max()) / sigma
+    ratio = g_max / sigma
     if not 2.0**-511 <= ratio < 2.0**512:
         raise ValueError(
-            f"g_max / sigma = {g.max()} / {sigma} is out of range: "
+            f"g_max / sigma = {g_max} / {sigma} is out of range: "
             "(g_max / sigma)^2 is not a normal double"
         )
     shifts = _position_means(a, c, sigma, g)
     slope = float(np.dot(g, shifts) / np.dot(g, g))
-    overlap = complex(np.asarray(c).sum())
+    overlap = complex(c.sum())
     if abs(overlap) <= ZERO_TOL:
         raise OrthogonalPostselection("selections are orthogonal: no weak value")
     numerator = complex(np.dot(a, c))

@@ -75,7 +75,7 @@ def apply_superop(k: SuperOp, x) -> np.ndarray:
     x = as_operator(x)
     if x.shape[0] != k.dim:
         raise DimensionMismatch(f"operator dim {x.shape[0]} != superop dim {k.dim}")
-    return unvectorize(k.matrix @ vectorize(x), k.dim)
+    return (k.matrix @ x.reshape(-1, order="F")).reshape((k.dim, k.dim), order="F")
 
 
 def compose(k2: SuperOp, k1: SuperOp) -> SuperOp:

@@ -223,8 +223,8 @@ def weak_value(rho1, rho2, obs) -> complex:
     if not (r1.shape == r2.shape == o.shape):
         raise DimensionMismatch("rho1, rho2 and obs must share one dimension")
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite is rejected below
-        den = complex(np.trace(r2 @ r1))
-        num = complex(np.trace(r2 @ o @ r1))
+        den = complex((r2 @ r1).trace())
+        num = complex((r2 @ o @ r1).trace())
     if not (cmath.isfinite(den) and cmath.isfinite(num)):
         raise ValueError(f"non-finite operand: weak value {num} / {den}")
     # Cauchy-Schwarz bounds |Tr[rho2 rho1]| by the product of the norms, so the
@@ -288,8 +288,8 @@ def objective_weak_value_forward(cfg: ProtocolConfig, t_w: float) -> complex:
     ).mat
     c = superops.collapse_superop(cfg.strong_projector)
     o = cfg.weak_observable
-    num = complex(np.trace(cfg.rho_fin.mat @ superops.apply_superop(c, o @ rho1)))
-    den = complex(np.trace(cfg.rho_fin.mat @ superops.apply_superop(c, rho1)))
+    num = complex((cfg.rho_fin.mat @ superops.apply_superop(c, o @ rho1)).trace())
+    den = complex((cfg.rho_fin.mat @ superops.apply_superop(c, rho1)).trace())
     if abs(den) <= ZERO_TOL:
         raise OrthogonalPostselection("forward-evolved overlap vanished")
     return num / den

@@ -624,6 +624,17 @@ class TestPointerCommand:
         assert [g for g, _ in report["pairs"]] == [0.01, 0.0031622776601683794, 0.001]
         assert report["slope"] == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "order, zero", [("weak-first", ("--a-re", 0, "--a-im", 0)),
+                        ("strong-first", ("--b-re", 0, "--b-im", 0))]
+    )
+    def test_orthogonal_selection_exit_code(self, order, zero):
+        # no trial survives postselection: this used to exit 2, where every
+        # other command exits 3 on orthogonal selections
+        proc = run_cli("pointer", "--order", order, *zero, check_exit=3)
+        assert proc.stdout == ""
+        assert proc.stderr == "error: postselection probability 0.000e+00 below tolerance\n"
+
     def test_sigma_underflow_rejected_without_warning(self):
         # 8 sigma^2 underflows to 0 here; it used to print a RuntimeWarning
         # and fail later on a NaN postselection probability
