@@ -78,7 +78,10 @@ def _branches(psi1, psi2, obs) -> tuple[np.ndarray, np.ndarray]:
     if v1.size != d or v2.size != d:
         raise ValueError("state vectors must match the observable dimension")
     w2 = v2.conj()
-    return np.array(means, dtype=float), np.array([w2 @ (p @ v1) for p in projectors], dtype=complex)
+    c = np.empty(len(projectors), dtype=complex)
+    for n, p in enumerate(projectors):
+        c[n] = w2 @ (p @ v1)
+    return np.array(means, dtype=float), c
 
 
 def _kernel(a: np.ndarray, c: np.ndarray, sigma: float, g: np.ndarray):
@@ -186,11 +189,11 @@ def weak_limit_slope(psi1, psi2, obs, sigma: float, g_grid) -> SlopeFit:
     g = np.asarray(g_grid, dtype=float)
     if g.ndim != 1 or g.size < 2:
         raise ValueError("g_grid must be a 1-d grid with at least two points")
-    if not ((g > 0) & (g < math.inf)).all():  # NaN fails both
+    g_max, g_min = float(g.max()), float(g.min())  # NaN if one is
+    if not (g_min > 0 and g_max < math.inf):  # NaN fails both
         raise ValueError("g_grid must be positive and each coupling g must be finite")
     a, c = _branches(psi1, psi2, obs)
     spread = float(a[-1] - a[0])  # the levels ascend
-    g_max, g_min = float(g.max()), float(g.min())
     if spread > 0 and g_max * spread > sigma:
         raise ValueError(
             f"grid reaches g*spread = {g_max * spread:.3e} > sigma = {sigma}: "
@@ -206,11 +209,11 @@ def weak_limit_slope(psi1, psi2, obs, sigma: float, g_grid) -> SlopeFit:
             "(g_max / sigma)^2 is not a normal double"
         )
     shifts = _position_means(a, c, sigma, g)
-    slope = float(np.dot(g, shifts) / np.dot(g, g))
+    slope = float(g.dot(shifts) / g.dot(g))
     overlap = complex(c.sum())
     if abs(overlap) <= ZERO_TOL:
         raise OrthogonalPostselection("selections are orthogonal: no weak value")
-    numerator = complex(np.dot(a, c))
+    numerator = complex(a.dot(c))
     weak_value_re = float((numerator / overlap).real)
     bound_constant = abs(slope - weak_value_re) / ratio**2
     return SlopeFit(slope, weak_value_re, bound_constant, tuple(shifts.tolist()))
