@@ -471,6 +471,18 @@ class TestBranchesBitForBit:
         assert c.tobytes() == want_c.tobytes()
 
     @given(pointer_problems())
+    def test_kernel(self, problem):
+        # the overlap kernel and its sums, against the formula written out
+        psi1, psi2, obs, sigma = problem
+        a, c = branches_through_projectors(psi1, psi2, obs)
+        g = np.geomspace(1e-3, 2.0, 5) * sigma
+        kernel, den = pointer._kernel(a, c, sigma, g)
+        e = np.exp(-((g[:, None, None] * (a[:, None] - a[None, :])) ** 2) / (8.0 * sigma**2))
+        want = np.outer(c.conj(), c) * e
+        assert kernel.tobytes() == want.tobytes()
+        assert den.tobytes() == want.reshape(g.size, -1).sum(axis=1).real.tobytes()
+
+    @given(pointer_problems())
     def test_fit_and_means(self, problem):
         psi1, psi2, obs, sigma = problem
         a, c = branches_through_projectors(psi1, psi2, obs)

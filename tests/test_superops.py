@@ -470,7 +470,7 @@ class TestApplySuperopBits:
             herm.T,  # not C-contiguous
             herm.real,  # coerced to complex
             herm.tolist(),
-            random_density(rng, d) if d > 1 else DensityOperator(np.eye(1)),
+            random_density(rng, d),
             p,
         ]
         for k in maps:
