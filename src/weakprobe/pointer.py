@@ -64,14 +64,38 @@ class GaussianPointer:
             raise ValueError(f"coupling g must be finite, got {self.g}")
 
 
+# The last raw-observable result of ``_branches``, under the bytes of its
+# inputs: ``(key, (levels, amplitudes))``.  A key of content, not identity,
+# stays right when a caller writes to an array between calls.  The entry is
+# swapped as one tuple, so no lock is needed.
+_LAST_BRANCHES: tuple = (None, None)
+
+
 def _branches(psi1, psi2, obs) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and postselected branch amplitudes c_n = <psi2|P_n|psi1>;
-    a raw observable's spectrum is read through ``_spectrum``, without the
-    wrapper objects."""
+    """Eigenvalues and postselected branch amplitudes c_n = <psi2|P_n|psi1>,
+    as read-only arrays; a raw observable's spectrum is read through
+    ``_spectrum``, without the wrapper objects.
+
+    For a raw observable the last result is kept, one entry of O(d^2)
+    bytes, under the key ``(shape, bytes)`` of the observable as a complex
+    matrix and the bytes of each ket as a complex array; a call whose inputs
+    have the same bytes returns it.  A call that raises keeps nothing."""
+    global _LAST_BRANCHES
+    key = None
     if isinstance(obs, ObservableSpectral):
         d, means, projectors = obs.dim, obs.eigenvalues, [p.mat for p in obs.projectors]
     else:
         m = as_operator(obs)
+        try:
+            v1, v2 = (np.ascontiguousarray(v, dtype=complex) for v in (psi1, psi2))
+        except (TypeError, ValueError, OverflowError):  # raised below, after the observable's checks
+            pass
+        else:
+            key = (m.shape, m.tobytes(), v1.tobytes(), v2.tobytes())
+            kept_key, kept = _LAST_BRANCHES
+            if key == kept_key:
+                return kept
+            psi1, psi2 = v1, v2
         d = m.shape[0]
         means, projectors, _ = _spectrum(m)
     v1, v2 = unit_ket(psi1), unit_ket(psi2)
@@ -81,7 +105,11 @@ def _branches(psi1, psi2, obs) -> tuple[np.ndarray, np.ndarray]:
     c = np.empty(len(projectors), dtype=complex)
     for n, p in enumerate(projectors):
         c[n] = w2 @ (p @ v1)
-    return np.array(means, dtype=float), c
+    a = np.array(means, dtype=float)
+    a.flags.writeable = c.flags.writeable = False
+    if key is not None:
+        _LAST_BRANCHES = key, (a, c)
+    return a, c
 
 
 def _kernel(a: np.ndarray, c: np.ndarray, sigma: float, g: np.ndarray):

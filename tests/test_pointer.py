@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import random_hermitian
 from weakprobe import (
     GaussianPointer,
+    HermiticityViolation,
     ObservableSpectral,
     OrthogonalPostselection,
     SlopeFit,
@@ -16,7 +19,7 @@ from weakprobe import (
     spectral_decompose,
     weak_limit_slope,
 )
-from weakprobe import pointer
+from weakprobe import operators, pointer
 from weakprobe.operators import DEGENERACY_TOL, unit_ket
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -505,6 +508,168 @@ class TestBranchesBitForBit:
             p = float(pointer._mean(kernel, den, moment)[0])
             assert postselected_pointer_mean(psi1, psi2, obs, ptr) == x
             assert postselected_pointer_momentum_mean(psi1, psi2, obs, ptr, 1.3) == p
+
+
+def counting_spectrum(monkeypatch):
+    """Swap ``_spectrum`` as the pointer sees it for a counting wrapper and
+    clear the kept entry; returns the list the calls are appended to."""
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return operators._spectrum(m)
+
+    monkeypatch.setattr(pointer, "_spectrum", counted)
+    monkeypatch.setattr(pointer, "_LAST_BRANCHES", (None, None))
+    return calls
+
+
+def same_bytes(got, want):
+    return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def two_problems():
+    rng = np.random.default_rng(3400)
+    return [
+        (rng.normal(size=3) + 1j * rng.normal(size=3), rng.normal(size=3), random_hermitian(rng, 3))
+        for _ in "AB"
+    ]
+
+
+class TestBranchesKept:
+    """A raw observable's last branches are kept under the bytes of the
+    inputs: a repeat reads them back bit for bit, anything else recomputes."""
+
+    @given(pointer_problems())
+    def test_fit_then_means(self, problem):
+        psi1, psi2, obs, sigma = problem
+        if isinstance(obs, ObservableSpectral):
+            obs = obs.observable
+        a, c = branches_through_projectors(psi1, psi2, obs)
+        g = np.geomspace(1e-3, 0.5, 7) * sigma / max(float(a[-1] - a[0]), 0.1)
+        fit = weak_limit_slope(psi1, psi2, obs, sigma, g)
+        assert fit.shifts == tuple(pointer._position_means(a, c, sigma, g).tolist())
+        assert same_bytes(pointer._branches(psi1, psi2, obs), (a, c))
+        ptr = GaussianPointer(sigma, float(g[0]))
+        grid = np.array([ptr.g])
+        assert postselected_pointer_mean(psi1, psi2, obs, ptr) == float(
+            pointer._position_means(a, c, sigma, grid)[0]
+        )
+        assert same_bytes(pointer._branches(psi1, psi2, obs), (a, c))
+        kernel, den = pointer._kernel(a, c, sigma, grid)
+        moment = 1j * ptr.g * (a[:, None] - a[None, :]) / (4.0 * sigma**2)
+        assert postselected_pointer_momentum_mean(psi1, psi2, obs, ptr) == float(
+            pointer._mean(kernel, den, moment)[0]
+        )
+        assert same_bytes(pointer._branches(psi1, psi2, obs), (a, c))
+
+    def test_one_spectrum_per_problem(self, monkeypatch):
+        calls = counting_spectrum(monkeypatch)
+        (psi1, psi2, obs), (other, _, _) = two_problems()
+        ptr = GaussianPointer(1.0, 1e-3)
+        weak_limit_slope(psi1, psi2, obs, 1.0, GRID)
+        postselected_pointer_mean(psi1, psi2, obs, ptr)
+        postselected_pointer_momentum_mean(psi1, psi2, obs, ptr)
+        assert len(calls) == 1
+        postselected_pointer_mean(other, psi2, obs, ptr)
+        assert len(calls) == 2
+
+    def test_inputs_written_in_place(self, monkeypatch):
+        calls = counting_spectrum(monkeypatch)
+        (psi1, psi2, obs), _ = two_problems()
+        pointer._branches(psi1, psi2, obs)
+        for write in (psi1.__setitem__, psi2.__setitem__):
+            write(0, 0.25)
+            got = pointer._branches(psi1, psi2, obs)
+            assert same_bytes(got, branches_through_projectors(psi1, psi2, obs))
+        obs[0, 1] += 0.5j
+        obs[1, 0] -= 0.5j
+        got = pointer._branches(psi1, psi2, obs)
+        assert same_bytes(got, branches_through_projectors(psi1, psi2, obs))
+        assert len(calls) == 4
+
+    def test_int_ket_reads_as_complex(self, monkeypatch):
+        calls = counting_spectrum(monkeypatch)
+        ints, want = np.array([1, 2, -1]), np.array([1, 2, -1], dtype=complex)
+        (_, psi2, obs), _ = two_problems()
+        first = pointer._branches(ints, psi2, obs)
+        again = pointer._branches(want, psi2, obs)
+        assert len(calls) == 1
+        assert same_bytes(first, again)
+        assert same_bytes(again, branches_through_projectors(want, psi2, obs))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_signed_zeros(self, zero):
+        for psi1, obs in [
+            (np.array([1.0, 0.0]), SIGMA_Z),
+            (np.array([1.0, zero]), SIGMA_Z),
+            (np.array([complex(0.6, zero), 0.8]), np.array([[1.0, complex(zero, zero)], [zero, -1.0]])),
+            (np.array([1.0, 0.0]), np.diag([zero, zero, 1.0])[:2, :2]),
+        ]:
+            psi2 = np.array([0.3, complex(zero, 1.0)])
+            got = pointer._branches(psi1, psi2, obs)
+            assert same_bytes(got, branches_through_projectors(psi1, psi2, obs))
+
+    @pytest.mark.parametrize(
+        "psi1, obs, error, match",
+        [
+            (PLUS_X, np.array([[0.0, 1.0], [0.0, 0.0]]), HermiticityViolation, "not Hermitian"),
+            (np.zeros(2), SIGMA_Z, ValueError, "ket norm"),
+            (np.ones(3), SIGMA_Z, ValueError, "must match the observable dimension"),
+        ],
+    )
+    def test_failures_not_kept(self, psi1, obs, error, match):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error, match=match) as exc:
+                pointer._branches(psi1, PLUS_X, obs)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        psi2 = np.array([0.6, 0.8j])
+        got = pointer._branches(PLUS_X, psi2, SIGMA_Z)
+        assert same_bytes(got, branches_through_projectors(PLUS_X, psi2, SIGMA_Z))
+
+    @pytest.mark.parametrize("bad", [[[1.0], [1.0, 2.0]], {"a": 1}, [10**400, 0]])
+    def test_observable_checked_before_an_unreadable_ket(self, bad):
+        with pytest.raises(HermiticityViolation):
+            pointer._branches(bad, PLUS_X, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_read_only(self):
+        (psi1, psi2, obs), _ = two_problems()
+        for _ in range(2):  # the computed result, then the kept one
+            for x in pointer._branches(psi1, psi2, obs):
+                assert not x.flags.writeable
+                with pytest.raises(ValueError):
+                    x[0] = 0.0
+
+    def test_threads_get_their_own_answers(self):
+        problems = two_problems()
+        wants = [branches_through_projectors(*p) for p in problems]
+        wrong = []
+        start = threading.Barrier(4)
+
+        def ask(i):
+            start.wait(timeout=10)
+            try:
+                for n in range(1000):
+                    k = (i + n // 2) % 2  # each problem twice running, so some calls hit
+                    if not same_bytes(pointer._branches(*problems[k]), wants[k]):
+                        wrong.append((i, n))
+            except Exception as exc:  # reported by the assertion below
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 # (observable, g_max, lowest coupling); sigma is g_max * spread, in doubles
