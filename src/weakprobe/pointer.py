@@ -15,6 +15,11 @@ No quadrature is involved.  In the weak limit ``g -> 0`` the position
 shift is ``g * Re(O_w)`` with cubic leading corrections (the shift is
 odd in ``g``), and the momentum shift is
 ``hbar g / (2 sigma^2) * Im(O_w)``.
+
+The levels and branch amplitudes of the last raw observable are kept, one
+entry of O(d^2) bytes keyed on the bytes of the observable and of both
+kets, so a slope fit followed by a mean on the same inputs decomposes the
+observable once.
 """
 
 from __future__ import annotations
@@ -64,10 +69,10 @@ class GaussianPointer:
             raise ValueError(f"coupling g must be finite, got {self.g}")
 
 
-# The last raw-observable result of ``_branches``, under the bytes of its
-# inputs: ``(key, (levels, amplitudes))``.  A key of content, not identity,
-# stays right when a caller writes to an array between calls.  The entry is
-# swapped as one tuple, so no lock is needed.
+# ``(key, (levels, amplitudes))`` of the last raw-observable ``_branches``
+# call.  A key of content, not identity, stays right when a caller writes
+# to an array between calls; the entry is swapped as one tuple, so no lock
+# is needed.
 _LAST_BRANCHES: tuple = (None, None)
 
 

@@ -604,7 +604,7 @@ class TestBranchesKept:
             (np.array([1.0, 0.0]), SIGMA_Z),
             (np.array([1.0, zero]), SIGMA_Z),
             (np.array([complex(0.6, zero), 0.8]), np.array([[1.0, complex(zero, zero)], [zero, -1.0]])),
-            (np.array([1.0, 0.0]), np.diag([zero, zero, 1.0])[:2, :2]),
+            (np.array([1.0, 0.0]), np.diag([zero, zero])),
         ]:
             psi2 = np.array([0.3, complex(zero, 1.0)])
             got = pointer._branches(psi1, psi2, obs)
