@@ -12,6 +12,7 @@ The Hilbert-Schmidt inner product used throughout is
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -80,10 +81,6 @@ def as_operator(m, copy: bool | None = None) -> np.ndarray:
     return a
 
 
-def identity(d: int) -> np.ndarray:
-    return np.eye(d, dtype=complex)
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
@@ -121,7 +118,8 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product ``Tr[a^dag b]``.
 
     Conjugate-linear in ``a``, linear in ``b``; ``hs_inner(a, a)`` is the
-    squared Frobenius norm.
+    squared Frobenius norm.  A result that is not finite, from a non-finite
+    operand or a sum past the double range, raises ``ValueError``.
     """
     a = as_operator(a)
     b = as_operator(b)
@@ -129,7 +127,10 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
         raise DimensionMismatch(f"operand shapes differ: {a.shape} vs {b.shape}")
     # vdot conjugates its first argument and sums elementwise, which is
     # exactly sum_ij conj(a_ij) b_ij = Tr[a^dag b].
-    return complex(np.vdot(a, b))
+    out = complex(np.vdot(a, b))
+    if not cmath.isfinite(out):
+        raise ValueError(f"Hilbert-Schmidt inner product {out} is not finite")
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,12 +156,6 @@ class DensityOperator:
     def pure(cls, ket) -> "DensityOperator":
         v = unit_ket(ket)
         return _trusted(cls, np.outer(v, v.conj()), psd_adjustment=0.0)
-
-    @classmethod
-    def maximally_mixed(cls, d: int) -> "DensityOperator":
-        if not d >= 1:
-            raise ValueError(f"dimension must be at least 1, got {d}")
-        return _trusted(cls, identity(d) / d, psd_adjustment=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,14 +226,6 @@ class ObservableSpectral:
     @property
     def dim(self) -> int:
         return self.observable.shape[0]
-
-    @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(a for a, _ in self.pairs)
-
-    @property
-    def projectors(self) -> tuple[Projector, ...]:
-        return tuple(p for _, p in self.pairs)
 
 
 def _spectrum(a: np.ndarray) -> tuple[list[float], list[np.ndarray], list[int]]:

@@ -16,10 +16,11 @@ shift is ``g * Re(O_w)`` with cubic leading corrections (the shift is
 odd in ``g``), and the momentum shift is
 ``hbar g / (2 sigma^2) * Im(O_w)``.
 
-The levels and branch amplitudes of the last raw observable are kept, one
-entry of O(d^2) bytes keyed on the bytes of the observable and of both
-kets, so a slope fit followed by a mean on the same inputs decomposes the
-observable once.
+Every observable, raw or an ``ObservableSpectral``, is read through its
+matrix by one route.  The levels and branch amplitudes of the last call are
+kept, one entry of O(d^2) bytes keyed on the bytes of the observable and of
+both kets, so a slope fit followed by a mean on the same inputs decomposes
+the observable once.
 """
 
 from __future__ import annotations
@@ -69,40 +70,39 @@ class GaussianPointer:
             raise ValueError(f"coupling g must be finite, got {self.g}")
 
 
-# ``(key, (levels, amplitudes))`` of the last raw-observable ``_branches``
-# call.  A key of content, not identity, stays right when a caller writes
-# to an array between calls; the entry is swapped as one tuple, so no lock
-# is needed.
+# ``(key, (levels, amplitudes))`` of the last ``_branches`` call.  A key of
+# content, not identity, stays right when a caller writes to an array
+# between calls; the entry is swapped as one tuple, so no lock is needed.
 _LAST_BRANCHES: tuple = (None, None)
 
 
 def _branches(psi1, psi2, obs) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and postselected branch amplitudes c_n = <psi2|P_n|psi1>,
-    as read-only arrays; a raw observable's spectrum is read through
+    as read-only arrays.  Every observable is read as its matrix, an
+    ``ObservableSpectral`` as its ``observable``, and its spectrum through
     ``_spectrum``, without the wrapper objects.
 
-    For a raw observable the last result is kept, one entry of O(d^2)
-    bytes, under the key ``(shape, bytes)`` of the observable as a complex
-    matrix and the bytes of each ket as a complex array; a call whose inputs
-    have the same bytes returns it.  A call that raises keeps nothing."""
+    The last result is kept, one entry of O(d^2) bytes, under the key
+    ``(shape, bytes)`` of the observable as a complex matrix and the bytes of
+    each ket as a complex array; a call whose inputs have the same bytes
+    returns it.  A call that raises keeps nothing."""
     global _LAST_BRANCHES
-    key = None
     if isinstance(obs, ObservableSpectral):
-        d, means, projectors = obs.dim, obs.eigenvalues, [p.mat for p in obs.projectors]
+        obs = obs.observable
+    m = as_operator(obs)
+    key = None
+    try:
+        v1, v2 = (np.ascontiguousarray(v, dtype=complex) for v in (psi1, psi2))
+    except (TypeError, ValueError, OverflowError):  # raised below, after the observable's checks
+        pass
     else:
-        m = as_operator(obs)
-        try:
-            v1, v2 = (np.ascontiguousarray(v, dtype=complex) for v in (psi1, psi2))
-        except (TypeError, ValueError, OverflowError):  # raised below, after the observable's checks
-            pass
-        else:
-            key = (m.shape, m.tobytes(), v1.tobytes(), v2.tobytes())
-            kept_key, kept = _LAST_BRANCHES
-            if key == kept_key:
-                return kept
-            psi1, psi2 = v1, v2
-        d = m.shape[0]
-        means, projectors, _ = _spectrum(m)
+        key = (m.shape, m.tobytes(), v1.tobytes(), v2.tobytes())
+        kept_key, kept = _LAST_BRANCHES
+        if key == kept_key:
+            return kept
+        psi1, psi2 = v1, v2
+    d = m.shape[0]
+    means, projectors, _ = _spectrum(m)
     v1, v2 = unit_ket(psi1), unit_ket(psi2)
     if v1.size != d or v2.size != d:
         raise ValueError("state vectors must match the observable dimension")

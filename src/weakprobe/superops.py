@@ -22,9 +22,9 @@ import numpy as np
 
 from . import _DEFERRED
 from .errors import DimensionMismatch, NoExactSolution
-from .operators import Projector, _trusted, as_operator, identity
+from .operators import Projector, _trusted, as_operator
 
-__all__ = [*_DEFERRED["superops"], "vectorize", "unvectorize"]
+__all__ = [*_DEFERRED["superops"], "vectorize"]
 
 
 def vectorize(x) -> np.ndarray:
@@ -32,19 +32,13 @@ def vectorize(x) -> np.ndarray:
     return as_operator(x).reshape(-1, order="F")
 
 
-def unvectorize(v, d: int) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.size != d * d:
-        raise DimensionMismatch(f"vector of length {v.size} is not {d}x{d}")
-    return v.reshape((d, d), order="F")
-
-
 @dataclass(frozen=True, eq=False)
 class SuperOp:
     """A linear map on operators of a ``dim``-dimensional system.
 
-    The public constructor stores a frozen copy of ``matrix``; the maps
-    built here are frozen in place by :func:`_superop`.
+    The public constructor stores a frozen copy of ``matrix`` and raises
+    ``ValueError`` for a non-finite entry; the maps built here are frozen in
+    place by :func:`_superop`.
     """
 
     dim: int
@@ -57,12 +51,10 @@ class SuperOp:
             raise DimensionMismatch(
                 f"superoperator matrix shape {m.shape} != ({n}, {n})"
             )
+        if not np.isfinite(m).all():
+            raise ValueError("superoperator matrix has a non-finite entry")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def identity(cls, d: int) -> "SuperOp":
-        return _superop(d, np.eye(d * d, dtype=complex))
 
 
 def _superop(d: int, matrix: np.ndarray) -> SuperOp:
@@ -79,10 +71,15 @@ def apply_superop(k: SuperOp, x) -> np.ndarray:
 
 
 def compose(k2: SuperOp, k1: SuperOp) -> SuperOp:
-    """The map ``x -> k2(k1(x))``."""
+    """The map ``x -> k2(k1(x))``; ``ValueError`` when a product entry
+    overflows."""
     if k1.dim != k2.dim:
         raise DimensionMismatch(f"superop dims differ: {k2.dim} vs {k1.dim}")
-    return _superop(k1.dim, k2.matrix @ k1.matrix)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product fails below
+        matrix = k2.matrix @ k1.matrix
+    if not np.isfinite(matrix).all():
+        raise ValueError("composed superoperator has a non-finite entry")
+    return _superop(k1.dim, matrix)
 
 
 def superop_adjoint(k: SuperOp) -> SuperOp:
@@ -116,7 +113,7 @@ def collapse_superop(p) -> SuperOp:
     c = _COLLAPSE_MAPS.get(p)
     if c is None:
         d = p.dim
-        matrix = np.outer(vectorize(p.mat), vectorize(identity(d)).conj())
+        matrix = np.outer(vectorize(p.mat), vectorize(np.eye(d, dtype=complex)).conj())
         c = _COLLAPSE_MAPS[p] = _superop(d, matrix)
     return c
 
@@ -153,7 +150,8 @@ def solve_completion(e_first: SuperOp, e_total: SuperOp) -> CompletionResult:
     # K A = T  <=>  A^T K^T = T^T, a standard least-squares problem.
     kt, _, rank, _ = np.linalg.lstsq(a.T, t.T, rcond=None)
     k = kt.T
-    residual = float(np.linalg.norm(k @ a - t))
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite residual fails below
+        residual = float(np.linalg.norm(k @ a - t))
     if not residual <= 1e-10:  # NaN fails too
         raise NoExactSolution("completion has no exact solution", residual)
     unique = rank == n

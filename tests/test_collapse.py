@@ -23,7 +23,7 @@ from weakprobe.operators import TRACE_TOL, DensityOperator
 
 PLUS = np.array([1.0, 0.0], dtype=complex)
 P_PLUS = Projector.onto(PLUS)
-HALF = DensityOperator.maximally_mixed(2)
+HALF = DensityOperator(np.eye(2) / 2)
 
 
 class TestUniformTiming:

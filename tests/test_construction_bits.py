@@ -494,11 +494,6 @@ ALIASING_ROUTES = {
     "validate_density pure": (lambda: PURE.copy(), validate_density, lambda s: [s.mat]),
     "DensityOperator": (lambda: MIXED.copy(), DensityOperator, lambda s: [s.mat]),
     "DensityOperator.pure": (lambda: KET.copy(), DensityOperator.pure, lambda s: [s.mat]),
-    "DensityOperator.maximally_mixed": (
-        lambda: 3,
-        DensityOperator.maximally_mixed,
-        lambda s: [s.mat],
-    ),
     "Projector.from_matrix": (
         lambda: np.diag([1.0, 0.0]).astype(complex),
         Projector.from_matrix,
@@ -508,7 +503,7 @@ ALIASING_ROUTES = {
     "spectral_decompose": (
         lambda: np.array([[1.0, 2j, 0.0], [-2j, 1.0, 0.0], [0.0, 0.0, 3.0]]),
         spectral_decompose,
-        lambda o: [o.observable, *(p.mat for p in o.projectors)],
+        lambda o: [o.observable, *(p.mat for _, p in o.pairs)],
     ),
     "ProtocolConfig.weak_observable": (
         lambda: np.diag([0.5, -0.5]).astype(complex),

@@ -44,8 +44,8 @@ def quadrature_moments(psi1, psi2, obs_mat, g, sigma, hbar=1.0):
     v1 = v1 / np.linalg.norm(v1)
     v2 = np.asarray(psi2, dtype=complex)
     v2 = v2 / np.linalg.norm(v2)
-    a = np.array(obs.eigenvalues)
-    c = np.array([v2.conj() @ (p.mat @ v1) for p in obs.projectors])
+    a = np.array([level for level, _ in obs.pairs])
+    c = np.array([v2.conj() @ (p.mat @ v1) for _, p in obs.pairs])
     span = 12 * sigma + abs(g) * float(np.max(np.abs(a)))
     x = np.linspace(-span, span, 4001)
     psi = np.zeros_like(x, dtype=complex)
@@ -66,8 +66,8 @@ def scalar_means(psi1, psi2, obs_mat, sigma, g, hbar=1.0):
     obs = spectral_decompose(obs_mat)
     v1 = np.asarray(psi1, dtype=complex) / np.linalg.norm(psi1)
     v2 = np.asarray(psi2, dtype=complex) / np.linalg.norm(psi2)
-    a = np.array(obs.eigenvalues, dtype=float)
-    c = np.array([v2.conj() @ (p.mat @ v1) for p in obs.projectors], dtype=complex)
+    a = np.array([level for level, _ in obs.pairs], dtype=float)
+    c = np.array([v2.conj() @ (p.mat @ v1) for _, p in obs.pairs], dtype=complex)
     diffs = a[:, None] - a[None, :]
     e = np.exp(-((g * diffs) ** 2) / (8.0 * sigma**2))
     kernel = np.outer(c.conj(), c) * e
@@ -367,7 +367,7 @@ class TestWeakLimitSlope:
             w[1] = w[0]
             obs = (v * w) @ v.conj().T
             obs = (obs + obs.conj().T) / 2
-            assert len(spectral_decompose(obs).eigenvalues) == d - 1
+            assert len(spectral_decompose(obs).pairs) == d - 1
         sigma = rng.uniform(0.5, 2.0)
         spread = max(np.ptp(np.linalg.eigvalsh(obs)), 0.1)  # d = 2 degenerate: 0
         grid = np.geomspace(1e-3, 0.5, 11) * sigma / spread
@@ -430,8 +430,8 @@ def branches_through_projectors(psi1, psi2, obs):
     v1, v2 = unit_ket(psi1), unit_ket(psi2)
     if v1.size != obs.dim or v2.size != obs.dim:
         raise ValueError("state vectors must match the observable dimension")
-    a = np.array(obs.eigenvalues, dtype=float)
-    c = np.array([v2.conj() @ (p.mat @ v1) for p in obs.projectors], dtype=complex)
+    a = np.array([level for level, _ in obs.pairs], dtype=float)
+    c = np.array([v2.conj() @ (p.mat @ v1) for _, p in obs.pairs], dtype=complex)
     return a, c
 
 
@@ -687,7 +687,7 @@ class TestWeakRegimeEdge:
 
     @pytest.mark.parametrize("obs, g_max, g_min", WEAK_EDGE)
     def test_grid_reaching_sigma_accepted(self, obs, g_max, g_min):
-        levels = spectral_decompose(obs).eigenvalues
+        levels = [level for level, _ in spectral_decompose(obs).pairs]
         sigma = g_max * (max(levels) - min(levels))
         d = obs.shape[0]
         fit = weak_limit_slope(np.ones(d), np.arange(1.0, d + 1), obs, sigma, [g_min, g_max])
@@ -695,7 +695,7 @@ class TestWeakRegimeEdge:
 
     @pytest.mark.parametrize("obs, g_max, g_min", WEAK_EDGE)
     def test_grid_one_ulp_past_sigma_rejected(self, obs, g_max, g_min):
-        levels = spectral_decompose(obs).eigenvalues
+        levels = [level for level, _ in spectral_decompose(obs).pairs]
         spread = max(levels) - min(levels)
         sigma = g_max * spread
         over = float(np.nextafter(g_max, math.inf))

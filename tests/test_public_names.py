@@ -14,7 +14,7 @@ import weakprobe
 MODULE_ONLY = {
     "hydrogen": ("PLUS", "MINUS", "SIGMA_Z"),
     "operators": ("HERM_TOL", "TRACE_TOL", "PSD_TOL", "ZERO_TOL", "DEGENERACY_TOL"),
-    "superops": ("vectorize", "unvectorize"),
+    "superops": ("vectorize",),
 }
 
 # An __all__ in errors would put the exception classes under the boundary

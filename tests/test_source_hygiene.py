@@ -1,9 +1,10 @@
 """Every file parses at the oldest Python that ``pyproject.toml`` supports,
 every name a module imports is used by that module, every private
-helper of the package is used by the package, the package never calls
-a checked operator constructor, neither the rest of the package nor the
-scripts calls the closed-form hydrogen oracle, and loading the package or
-its CLI loads no module that computes.
+helper of the package is used by the package, every public name is
+reached from outside the tests, the package never calls a checked
+operator constructor, neither the rest of the package nor the scripts
+calls the closed-form hydrogen oracle, and loading the package or its CLI
+loads no module that computes.
 
 A stand-in for a linter's unused-import check, built on ``ast`` alone, over
 the package, the scripts and the tests.
@@ -12,11 +13,15 @@ the package, the scripts and the tests.
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
 
 import pytest
+
+import weakprobe
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "weakprobe"
@@ -115,6 +120,85 @@ def test_every_private_helper_is_read():
         }
     assert defined, "no private names found: the walk is broken"
     assert [d for d in defined if d.partition(":")[2] not in read] == []
+
+
+# Where a public name must be reached from: the package, the scripts, the
+# benchmark and the acceptance criteria.  The other tests do not count.
+ROUTES = [
+    *sorted((ROOT / "scripts").glob("*.py")),
+    *sorted((ROOT / "perfbench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+]
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+# Public names that only the tests reach, each kept for a reason.
+TEST_ONLY = {
+    # the per-trial oracle that the Monte Carlo kernel is checked against
+    "weakvalues.objective_weak_value_at",
+    # the pointer's Im(O_w) readout, the momentum side of the position mean
+    "pointer.postselected_pointer_momentum_mean",
+}
+
+
+def reached(tree: ast.Module, strings: bool) -> tuple[set[str], set[str]]:
+    """The names a module reads as bare names and as attributes.  With
+    ``strings``, each part of a dotted-name string counts as both: the
+    benchmark looks functions up by strings such as
+    ``"Projector.from_matrix"``.  The package's own strings are its
+    ``__all__`` and ``_DEFERRED`` rows, which reach nothing."""
+    names, attrs = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED.fullmatch(node.value):
+                parts = node.value.split(".")
+                names.update(parts)
+                attrs.update(parts)
+    return names, attrs
+
+
+def public_names():
+    """``module.name`` for each name in a module's ``__all__``, and
+    ``module.Class.member`` for each public method, property, classmethod
+    or staticmethod of a class the module defines and exports."""
+    for module_name in sorted(weakprobe._DEFERRED):
+        module = importlib.import_module(f"weakprobe.{module_name}")
+        for name in getattr(module, "__all__", ()):
+            yield f"{module_name}.{name}", name, False
+            obj = getattr(module, name)
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                for attr, member in vars(obj).items():
+                    kinds = (property, classmethod, staticmethod)
+                    if not attr.startswith("_") and (
+                        isinstance(member, kinds) or inspect.isfunction(member)
+                    ):
+                        yield f"{module_name}.{name}.{attr}", attr, True
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    # A public name that only the tests call is a test-only path: delete it,
+    # or move it into the tests.  A class member counts only as an attribute.
+    names, attrs = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        n, a = reached(ast.parse(path.read_text(), filename=str(path)), strings=False)
+        names |= n
+        attrs |= a
+    for path in ROUTES:
+        n, a = reached(ast.parse(path.read_text(), filename=str(path)), strings=True)
+        names |= n
+        attrs |= a
+    census = {
+        qualname: name in attrs if member else name in names | attrs
+        for qualname, name, member in public_names()
+    }
+    assert "operators.Projector.from_matrix" in census, "no members found: the walk is broken"
+    unreached = {qualname for qualname, ok in census.items() if not ok}
+    assert unreached - TEST_ONLY == set()
+    # a listed name that is gone, or that a route now reaches, comes off the list
+    assert TEST_ONLY - unreached == set()
 
 
 # The operator types whose public constructors run their checks.

@@ -35,6 +35,11 @@ PLUS = np.array([1.0, 0.0], dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
+def identity_map(d: int) -> SuperOp:
+    """The map ``X -> X`` through the public constructor."""
+    return SuperOp(d, np.eye(d * d))
+
+
 def conjugation_superop(u: np.ndarray) -> SuperOp:
     """X -> U X U^dag as a column-stacked matrix: kron(conj(U), U)."""
     return SuperOp(u.shape[0], np.kron(u.conj(), u))
@@ -73,7 +78,7 @@ class TestApplyCompose:
     def test_identity_superop(self):
         rng = np.random.default_rng(0)
         x = random_hermitian(rng, 3)
-        out = apply_superop(SuperOp.identity(3), x)
+        out = apply_superop(identity_map(3), x)
         np.testing.assert_allclose(out, x, atol=1e-15)
 
     def test_collapse_on_mixed_state(self):
@@ -106,14 +111,14 @@ class TestApplyCompose:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            apply_superop(SuperOp.identity(2), np.eye(3))
+            apply_superop(identity_map(2), np.eye(3))
         with pytest.raises(DimensionMismatch):
-            compose(SuperOp.identity(2), SuperOp.identity(3))
+            compose(identity_map(2), identity_map(3))
 
 
 class TestAdjoint:
     def test_identity_self_adjoint(self):
-        k = SuperOp.identity(3)
+        k = identity_map(3)
         assert np.max(np.abs(superop_adjoint(k).matrix - k.matrix)) == 0.0
 
     def test_pairing_random(self):
@@ -267,7 +272,6 @@ C_REST = solve_completion(objective_map(P_TILT, 0.3), C_TILT).solution
 
 # Every route that builds a map itself, with the maps it was built from.
 LIBRARY_MAPS = {
-    "SuperOp.identity": lambda: (SuperOp.identity(2), []),
     "collapse_superop": lambda: (collapse_superop(P_TILT), []),
     "compose": lambda: (compose(C_AT_HALF, C_TILT), [C_AT_HALF, C_TILT]),
     "superop_adjoint": lambda: (superop_adjoint(C_AT_HALF), [C_AT_HALF]),
@@ -281,7 +285,7 @@ P_QUTRIT = random_rank1_projector(np.random.default_rng(90), 3)
 
 # Ensemble evolution maps of the collapse models; each must be a channel.
 EVOLUTION_MAPS = {
-    "identity": lambda: SuperOp.identity(2),
+    "identity": lambda: identity_map(2),
     "collapse": lambda: C_TILT,
     "objective:start": lambda: objective_map(P_TILT, 0.3),
     "objective:end": lambda: C_REST,
@@ -363,7 +367,7 @@ class TestSolveCompletion:
     def test_identity_first_returns_total(self):
         rng = np.random.default_rng(50)
         k = random_superop(rng, 2)
-        res = solve_completion(SuperOp.identity(2), k)
+        res = solve_completion(identity_map(2), k)
         assert res.unique
         assert np.max(np.abs(res.solution.matrix - k.matrix)) <= 1e-12
 
@@ -383,7 +387,7 @@ class TestSolveCompletion:
         c = collapse_superop(p)
         # nothing maps the rank-1 collapse onto the full identity map
         with pytest.raises(NoExactSolution) as exc:
-            solve_completion(c, SuperOp.identity(2))
+            solve_completion(c, identity_map(2))
         assert exc.value.residual > 1e-3
 
     def test_non_unique_family_reported(self):
@@ -398,13 +402,13 @@ class TestSolveCompletion:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch, match="dims differ: 2 vs 3"):
-            solve_completion(SuperOp.identity(2), SuperOp.identity(3))
+            solve_completion(identity_map(2), identity_map(3))
 
 
 class TestRetrogradeBackward:
     def test_backward_through_identity(self):
         rho = random_density(np.random.default_rng(61), 2)
-        out = backward_state(SuperOp.identity(2), rho)
+        out = backward_state(identity_map(2), rho)
         np.testing.assert_allclose(out, rho.mat, atol=1e-15)
 
     def test_backward_through_collapse_is_uniform(self):
@@ -432,17 +436,10 @@ class TestRetrogradeBackward:
 
 class TestVectorizationConvention:
     def test_column_stacking(self):
-        from weakprobe.superops import unvectorize, vectorize
+        from weakprobe.superops import vectorize
 
         x = np.array([[1, 2], [3, 4]], dtype=complex)
         np.testing.assert_array_equal(vectorize(x), [1, 3, 2, 4])
-        np.testing.assert_array_equal(unvectorize([1, 3, 2, 4], 2), x)
-
-    def test_unvectorize_wrong_length(self):
-        from weakprobe.superops import unvectorize
-
-        with pytest.raises(DimensionMismatch, match="length 5 is not 2x2"):
-            unvectorize(np.arange(5), 2)
 
     def test_left_right_multiplication_matrix(self):
         # under column stacking, X -> A X B has matrix kron(B^T, A)
@@ -459,7 +456,7 @@ class TestApplySuperopBits:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     def test_equals_the_vectorized_product(self, d):
-        from weakprobe.superops import unvectorize, vectorize
+        from weakprobe.superops import vectorize
 
         rng = np.random.default_rng(140 + d)
         p = random_rank1_projector(rng, d)
@@ -476,7 +473,7 @@ class TestApplySuperopBits:
         for k in maps:
             for x in operands:
                 got = apply_superop(k, x)
-                want = unvectorize(k.matrix @ vectorize(x), d)
+                want = (k.matrix @ vectorize(x)).reshape((d, d), order="F")
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
                 assert got.tobytes(order="A") == want.tobytes(order="A")

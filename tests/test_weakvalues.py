@@ -44,8 +44,8 @@ class TestProtocolConfig:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ProtocolConfig(
-                rho_in=DensityOperator.maximally_mixed(2),
-                rho_fin=DensityOperator.maximally_mixed(3),
+                rho_in=DensityOperator(np.eye(2) / 2),
+                rho_fin=DensityOperator(np.eye(3) / 3),
                 strong_projector=Projector.onto(KET_PLUS),
                 weak_observable=SIGMA_Z,
                 delta_t_m=1.0,
@@ -55,8 +55,8 @@ class TestProtocolConfig:
     def test_rank2_projector_rejected(self):
         with pytest.raises(InvalidProjector):
             ProtocolConfig(
-                rho_in=DensityOperator.maximally_mixed(2),
-                rho_fin=DensityOperator.maximally_mixed(2),
+                rho_in=DensityOperator(np.eye(2) / 2),
+                rho_fin=DensityOperator(np.eye(2) / 2),
                 strong_projector=Projector.from_matrix(np.eye(2)),
                 weak_observable=SIGMA_Z,
                 delta_t_m=1.0,
@@ -66,8 +66,8 @@ class TestProtocolConfig:
     def test_non_hermitian_observable(self):
         with pytest.raises(HermiticityViolation):
             ProtocolConfig(
-                rho_in=DensityOperator.maximally_mixed(2),
-                rho_fin=DensityOperator.maximally_mixed(2),
+                rho_in=DensityOperator(np.eye(2) / 2),
+                rho_fin=DensityOperator(np.eye(2) / 2),
                 strong_projector=Projector.onto(KET_PLUS),
                 weak_observable=np.array([[0, 1], [0, 0]], dtype=complex),
                 delta_t_m=1.0,
@@ -77,8 +77,8 @@ class TestProtocolConfig:
     @pytest.mark.parametrize("field", ["delta_t_m", "delta_t_c", "hbar"])
     def test_nonpositive_scalars(self, field):
         kwargs = dict(
-            rho_in=DensityOperator.maximally_mixed(2),
-            rho_fin=DensityOperator.maximally_mixed(2),
+            rho_in=DensityOperator(np.eye(2) / 2),
+            rho_fin=DensityOperator(np.eye(2) / 2),
             strong_projector=Projector.onto(KET_PLUS),
             weak_observable=SIGMA_Z,
             delta_t_m=1.0,
@@ -92,8 +92,8 @@ class TestProtocolConfig:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_scalars(self, field, value):
         kwargs = dict(
-            rho_in=DensityOperator.maximally_mixed(2),
-            rho_fin=DensityOperator.maximally_mixed(2),
+            rho_in=DensityOperator(np.eye(2) / 2),
+            rho_fin=DensityOperator(np.eye(2) / 2),
             strong_projector=Projector.onto(KET_PLUS),
             weak_observable=SIGMA_Z,
             delta_t_m=1.0,
@@ -108,8 +108,8 @@ class TestProtocolConfig:
         # a non-finite entry makes the hermiticity defect NaN or inf, which fails
         with pytest.raises(ValueError, match="non-finite"):
             ProtocolConfig(
-                rho_in=DensityOperator.maximally_mixed(2),
-                rho_fin=DensityOperator.maximally_mixed(2),
+                rho_in=DensityOperator(np.eye(2) / 2),
+                rho_fin=DensityOperator(np.eye(2) / 2),
                 strong_projector=Projector.onto(KET_PLUS),
                 weak_observable=np.diag([value, -1.0]).astype(complex),
                 delta_t_m=1.0,
@@ -120,7 +120,7 @@ class TestProtocolConfig:
         with pytest.raises(ValueError, match="obs_in .* not finite"):
             ProtocolConfig(
                 rho_in=DensityOperator.pure([1.0, 1.0]),
-                rho_fin=DensityOperator.maximally_mixed(2),
+                rho_fin=DensityOperator(np.eye(2) / 2),
                 strong_projector=Projector.onto(KET_PLUS),
                 weak_observable=np.full((2, 2), 1.7e308),
                 delta_t_m=1.0,
@@ -132,7 +132,7 @@ class TestProtocolConfig:
         with pytest.raises(ValueError, match="trace .* not finite"):
             ProtocolConfig(
                 rho_in=DensityOperator.pure([1.0, 1.0]),
-                rho_fin=DensityOperator.maximally_mixed(2),
+                rho_fin=DensityOperator(np.eye(2) / 2),
                 strong_projector=Projector.onto(KET_PLUS),
                 weak_observable=np.full((2, 2), 1e308),
                 delta_t_m=1.0,
@@ -150,7 +150,7 @@ class TestProtocolConfig:
         with pytest.raises(OrthogonalPostselection):
             ProtocolConfig(
                 rho_in=DensityOperator.pure([0, 1]),
-                rho_fin=DensityOperator.maximally_mixed(2),
+                rho_fin=DensityOperator(np.eye(2) / 2),
                 strong_projector=Projector.onto(KET_PLUS),
                 weak_observable=SIGMA_Z,
                 delta_t_m=1.0,
@@ -160,7 +160,7 @@ class TestProtocolConfig:
     def test_orthogonal_postselection(self):
         with pytest.raises(OrthogonalPostselection):
             ProtocolConfig(
-                rho_in=DensityOperator.maximally_mixed(2),
+                rho_in=DensityOperator(np.eye(2) / 2),
                 rho_fin=DensityOperator.pure([0, 1]),
                 strong_projector=Projector.onto(KET_PLUS),
                 weak_observable=SIGMA_Z,
@@ -539,8 +539,8 @@ class TestDiscriminate:
 
     def test_identity_observable_degenerate(self):
         cfg = ProtocolConfig(
-            rho_in=DensityOperator.maximally_mixed(2),
-            rho_fin=DensityOperator.maximally_mixed(2),
+            rho_in=DensityOperator(np.eye(2) / 2),
+            rho_fin=DensityOperator(np.eye(2) / 2),
             strong_projector=Projector.onto(KET_PLUS),
             weak_observable=np.eye(2),
             delta_t_m=1.0,
@@ -602,8 +602,8 @@ class TestDiscriminate:
     @staticmethod
     def exact_line():
         cfg = ProtocolConfig(
-            rho_in=DensityOperator.maximally_mixed(2),
-            rho_fin=DensityOperator.maximally_mixed(2),
+            rho_in=DensityOperator(np.eye(2) / 2),
+            rho_fin=DensityOperator(np.eye(2) / 2),
             strong_projector=Projector.onto(KET_PLUS),
             weak_observable=SIGMA_Z,
             delta_t_m=1.0,
