@@ -63,6 +63,7 @@ from weakprobe.operators import (
     ZERO_TOL,
     unit_ket,
 )
+from weakprobe.superops import vectorize
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -622,6 +623,12 @@ ARRAY_BOUNDARIES = {
     "SuperOp inf": lambda: SuperOp(2, np.diag([1.0, math.inf, 1.0, 1.0])),
     "hs_inner nan": lambda: hs_inner(NAN_OBS, np.eye(2)),
     "hs_inner inf": lambda: hs_inner(np.eye(2), INF_OBS),
+    "apply_superop nan": lambda: apply_superop(SuperOp(1, [[1.0]]), [[math.nan]]),
+    "apply_superop inf": lambda: apply_superop(SuperOp(2, np.eye(4)), INF_OBS),
+    "backward_state nan": lambda: backward_state(SuperOp(1, [[1.0]]), [[math.nan]]),
+    "backward_state inf": lambda: backward_state(SuperOp(2, np.eye(4)), INF_OBS),
+    "vectorize nan": lambda: vectorize([[math.nan]]),
+    "vectorize inf": lambda: vectorize(INF_OBS),
     # finite operands whose products or sums overflow
     "hs_inner overflow": lambda: hs_inner(1e200 * np.eye(2), 1e200 * np.eye(2)),
     "compose overflow": lambda: compose(SuperOp(1, [[1e200]]), SuperOp(1, [[1e200]])),

@@ -404,6 +404,26 @@ class TestSolveCompletion:
         with pytest.raises(DimensionMismatch, match="dims differ: 2 vs 3"):
             solve_completion(identity_map(2), identity_map(3))
 
+    def test_small_maps_judged_by_their_scale(self):
+        # a rank-1 first map cannot reach a random total: the best K leaves
+        # most of E unmatched, though the absolute defect is only ~1e-12
+        rng = np.random.default_rng(70)
+        e_first = SuperOp(2, 1e-12 * collapse_superop(Projector.onto(PLUS)).matrix)
+        e_total = SuperOp(2, 1e-12 * random_superop(rng, 2).matrix)
+        k = np.linalg.lstsq(e_first.matrix.T, e_total.matrix.T, rcond=None)[0].T
+        defect = np.linalg.norm(k @ e_first.matrix - e_total.matrix)
+        assert defect < 1e-10 and defect / np.linalg.norm(e_total.matrix) > 0.5
+        with pytest.raises(NoExactSolution):
+            solve_completion(e_first, e_total)
+
+    def test_large_maps_judged_by_their_scale(self):
+        # K = I solves it exactly; the least-squares K misses by ~1e-16 of E,
+        # which is ~1e145 in absolute terms
+        e = SuperOp(2, np.full((4, 4), 1e160))
+        res = solve_completion(e, e)
+        assert 0.0 <= res.residual <= 1e-10 * 4e160
+        assert not res.unique and res.affine_dimension == 4 * 3
+
 
 class TestRetrogradeBackward:
     def test_backward_through_identity(self):
