@@ -90,6 +90,23 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def _eigenvalues_did_not_converge(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a complex128 ndarray stack, the same bits and
+    errors without its wrapper: the gufunc it calls, under its errstate."""
+    with np.errstate(
+        call=_eigenvalues_did_not_converge,
+        invalid="call",
+        over="ignore",
+        divide="ignore",
+        under="ignore",
+    ):
+        return np.linalg._umath_linalg.eigh_lo(h, signature="D->dD")
+
+
 def _check_hermitian(defect: float, what: str) -> None:
     """Raise for a Hermiticity ``defect`` above ``HERM_TOL``, or NaN."""
     if not defect <= HERM_TOL:
@@ -186,7 +203,7 @@ class Projector:
             raise InvalidProjector(f"not Hermitian (defect {herm:.3e})")
         if not idem <= HERM_TOL:
             raise InvalidProjector(f"not idempotent (defect {idem:.3e})")
-        tr = float(np.trace(p).real)  # finite, as p passed both checks
+        tr = float(p.trace().real)  # finite, as p passed both checks
         rank = round(tr)
         if not abs(tr - rank) <= 1e-6:
             raise InvalidProjector(f"trace {tr} is not near an integer")
@@ -237,10 +254,10 @@ def _spectrum(a: np.ndarray) -> tuple[list[float], list[np.ndarray], list[int]]:
         defect = _max_abs(a - adj)
         herm = (a + adj) / 2
     _check_hermitian(defect, "observable")
-    w, v = np.linalg.eigh(herm)
+    w, v = _eigh(herm)
     ws = w.tolist()
     if math.isnan(sum(ws)):  # a + a^dag overflowed: an entry is near the float limit
-        w, v = np.linalg.eigh(a / 2 + adj / 2)
+        w, v = _eigh(a / 2 + adj / 2)
         ws = w.tolist()
     means: list[float] = []
     projectors: list[np.ndarray] = []
@@ -309,7 +326,7 @@ def _validate_states(stack: np.ndarray) -> list[DensityOperator]:
         n += 1
     # eigh, not eigvalsh, even when nothing is clipped: the two can differ in
     # the last bit, and so in the sign of a pure state's zero eigenvalue.
-    ws, vs = np.linalg.eigh(herm[:n])
+    ws, vs = _eigh(herm[:n])
     out = []
     for i, (low, *_) in enumerate(ws.tolist()):
         if not low >= -PSD_TOL:

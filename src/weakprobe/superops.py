@@ -22,14 +22,22 @@ import numpy as np
 
 from . import _DEFERRED
 from .errors import DimensionMismatch, NoExactSolution
-from .operators import Projector, _trusted, as_operator
+from .operators import Projector, _max_abs, _trusted, as_operator
 
 __all__ = [*_DEFERRED["superops"], "vectorize"]
 
 
+def _finite_operator(x) -> np.ndarray:
+    """``as_operator(x)``; ``ValueError`` for a non-finite entry."""
+    x = as_operator(x)
+    if not np.isfinite(x).all():
+        raise ValueError("operator has a non-finite entry")
+    return x
+
+
 def vectorize(x) -> np.ndarray:
     """Column-stacking vectorization of a square matrix."""
-    return as_operator(x).reshape(-1, order="F")
+    return _finite_operator(x).reshape(-1, order="F")
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +71,9 @@ def _superop(d: int, matrix: np.ndarray) -> SuperOp:
 
 
 def apply_superop(k: SuperOp, x) -> np.ndarray:
-    """Apply the map to an operator: ``unvec(K @ vec(x))``."""
-    x = as_operator(x)
+    """Apply the map to an operator: ``unvec(K @ vec(x))``; ``ValueError``
+    for a non-finite entry of ``x``."""
+    x = _finite_operator(x)
     if x.shape[0] != k.dim:
         raise DimensionMismatch(f"operator dim {x.shape[0]} != superop dim {k.dim}")
     return (k.matrix @ x.reshape(-1, order="F")).reshape((k.dim, k.dim), order="F")
@@ -139,8 +148,9 @@ def solve_completion(e_first: SuperOp, e_total: SuperOp) -> CompletionResult:
 
     Solves ``K @ E1 = E`` by least squares and reports whether the
     solution is unique.  When the equations cannot be satisfied to
-    within 1e-10 (Frobenius norm), :class:`NoExactSolution` is raised
-    rather than silently returning the minimizer.
+    within ``1e-10 * ||E||`` (Frobenius norms), or the residual overflows,
+    :class:`NoExactSolution` is raised rather than silently returning the
+    minimizer.
     """
     if e_first.dim != e_total.dim:
         raise DimensionMismatch(f"superop dims differ: {e_first.dim} vs {e_total.dim}")
@@ -151,8 +161,13 @@ def solve_completion(e_first: SuperOp, e_total: SuperOp) -> CompletionResult:
     kt, _, rank, _ = np.linalg.lstsq(a.T, t.T, rcond=None)
     k = kt.T
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite residual fails below
-        residual = float(np.linalg.norm(k @ a - t))
-    if not residual <= 1e-10:  # NaN fails too
+        defect = k @ a - t
+        residual = float(np.linalg.norm(defect))
+        # Both norms in units of E's largest entry, so that neither
+        # overflows nor underflows while the defect is finite.
+        unit = _max_abs(t) or 1.0
+        exact = np.linalg.norm(defect / unit) <= 1e-10 * np.linalg.norm(t / unit)
+    if not (exact and residual < np.inf):  # NaN fails too
         raise NoExactSolution("completion has no exact solution", residual)
     unique = rank == n
     affine_dimension = n * (n - int(rank))

@@ -6,6 +6,7 @@ import math
 import operator
 import pkgutil
 import sys
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -61,6 +62,7 @@ from weakprobe.operators import (
     PSD_TOL,
     TRACE_TOL,
     ZERO_TOL,
+    _eigh,
     unit_ket,
 )
 from weakprobe.superops import vectorize
@@ -203,6 +205,60 @@ class TestSpectralDecompose:
         assert eigenvalues(spec) == pytest.approx(tuple(levels), rel=1e-15)
         assert all(map(math.isfinite, eigenvalues(spec)))
         assert sum(p.rank for _, p in spec.pairs) == len(a)
+
+
+def eigh_outcome(eigh, h):
+    """What ``eigh(h)`` gives: the bytes, dtypes, shapes and types of both
+    arrays, or the exception's type, with every warning raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = [(type(x), x.dtype, x.shape, x.tobytes()) for x in eigh(h)]
+        except Exception as exc:  # noqa: BLE001 - the type is the outcome
+            out = type(exc)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+BIG = 1.7e308
+# Non-finite and overflowing Hermitian inputs, and the empty stacks that
+# _validate_states passes when its first state fails a cheap check.
+EIGH_EDGE_CASES = {
+    "nan diagonal": [[math.nan, 0], [0, 1]],
+    "nan off the diagonal": [[1, math.nan], [math.nan, 1]],
+    "inf diagonal": [[math.inf, 0], [0, 1]],
+    "-inf diagonal": [[-math.inf, 0], [0, 1]],
+    "inf off the diagonal": [[1, math.inf], [math.inf, 1]],
+    "overflowed sum": [[math.inf, math.inf], [math.inf, math.inf]],
+    "entries near the limit": [[BIG, BIG], [BIG, BIG]],
+    "eigenvalues past the limit": [[0, BIG], [BIG, 0]],
+    "imaginary entries near the limit": [[0, 1j * BIG], [-1j * BIG, 0]],
+    "a stack with a nan state": [np.eye(2), np.full((2, 2), math.nan)],
+    "an empty stack": np.zeros((0, 2, 2)),
+    "a stack of 0 x 0 states": np.zeros((1, 0, 0)),
+}
+
+
+class TestEighKernel:
+    # operators._eigh calls the gufunc np.linalg.eigh calls, under its
+    # errstate; these pin it to numpy's wrapper on whichever numpy runs them
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_same_bits_as_numpy(self, d, k):
+        rng = np.random.default_rng(1000 * k + d)
+        for scale in (1.0, 1e-200, 1e150):
+            a = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+            h = scale * (a + a.conj().swapaxes(1, 2)) / 2
+            for stack in (h, h[0]):
+                assert eigh_outcome(_eigh, stack) == eigh_outcome(np.linalg.eigh, stack)
+
+    @pytest.mark.parametrize("case", sorted(EIGH_EDGE_CASES))
+    def test_same_outcome_as_numpy_on_edge_cases(self, case):
+        h = np.array(EIGH_EDGE_CASES[case], dtype=complex)
+        assert eigh_outcome(_eigh, h) == eigh_outcome(np.linalg.eigh, h)
+        # the kernel's errstate is its own, whatever the caller's
+        with np.errstate(all="raise"):
+            assert eigh_outcome(_eigh, h) == eigh_outcome(np.linalg.eigh, h)
 
 
 class TestValidateDensity:

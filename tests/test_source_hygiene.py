@@ -3,7 +3,8 @@ every name a module imports is used by that module, every private
 helper of the package is used by the package, every public name is
 reached from outside the tests, the package never calls a checked
 operator constructor, neither the rest of the package nor the scripts
-calls the closed-form hydrogen oracle, and loading the package or its CLI
+calls the closed-form hydrogen oracle, numpy's eigh is reached only
+through ``operators._eigh``, and loading the package or its CLI
 loads no module that computes.
 
 A stand-in for a linter's unused-import check, built on ``ast`` alone, over
@@ -243,6 +244,43 @@ def test_no_route_calls_hydrogen_predictions():
             if isinstance(node, ast.Call) and callee(node.func) == "hydrogen_predictions"
         ]
     assert calls == []
+
+
+# The names by which a module could reach numpy's eigh: the wrapper, its
+# two gufuncs and the extension module that holds them.
+EIGH_NAMES = {"eigh", "eigh_lo", "eigh_up", "_umath_linalg"}
+
+
+def reference_name(node: ast.AST) -> str | None:
+    """The last part of the name that ``node`` reads or imports."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    return None
+
+
+def test_every_eigh_goes_through_the_kernel_helper():
+    # operators._eigh calls numpy's eigh gufunc under the errstate that
+    # np.linalg.eigh sets, without the wrapper's per-call cost; another
+    # route would pay that cost again, or miss the errstate
+    outside, inside = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        helper = set()
+        if path.name == "operators.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "_eigh":
+                    helper |= set(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            name = reference_name(node)
+            if name in EIGH_NAMES:
+                found = inside if id(node) in helper else outside
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert outside == []
+    assert sorted(entry.rpartition(" ")[2] for entry in inside) == ["_umath_linalg", "eigh_lo"]
 
 
 def module_level_imports(tree: ast.Module) -> list[tuple[str, int, bool]]:

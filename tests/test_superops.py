@@ -424,6 +424,18 @@ class TestSolveCompletion:
         assert 0.0 <= res.residual <= 1e-10 * 4e160
         assert not res.unique and res.affine_dimension == 4 * 3
 
+    def test_scale_taken_from_the_largest_entry(self):
+        # E's plain Frobenius norm overflows while the defect's does not: E's
+        # last column, which no K can reach through E1's zero column, is
+        # ~2e-5 of E, far above the tolerance
+        rng = np.random.default_rng(72)
+        p = np.diag([1.0, 1.0, 1.0, 0.0])
+        e_first = SuperOp(2, 1e155 * p)
+        e_total = SuperOp(2, 1e155 * (p + 1e-5 * random_superop(rng, 2).matrix))
+        with pytest.raises(NoExactSolution) as exc:
+            solve_completion(e_first, e_total)
+        assert 1e149 < exc.value.residual < 1e152
+
 
 class TestRetrogradeBackward:
     def test_backward_through_identity(self):
