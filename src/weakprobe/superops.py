@@ -36,7 +36,8 @@ def _finite_operator(x) -> np.ndarray:
 
 
 def vectorize(x) -> np.ndarray:
-    """Column-stacking vectorization of a square matrix."""
+    """Column-stacking vectorization of a square matrix; ``ValueError`` for
+    a non-finite entry."""
     return _finite_operator(x).reshape(-1, order="F")
 
 
@@ -163,8 +164,8 @@ def solve_completion(e_first: SuperOp, e_total: SuperOp) -> CompletionResult:
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite residual fails below
         defect = k @ a - t
         residual = float(np.linalg.norm(defect))
-        # Both norms in units of E's largest entry, so that neither
-        # overflows nor underflows while the defect is finite.
+        # Both norms in units of E's largest entry: E's norm is then in [1, d^2]
+        # and cannot overflow or underflow, whatever the maps' scale.
         unit = _max_abs(t) or 1.0
         exact = np.linalg.norm(defect / unit) <= 1e-10 * np.linalg.norm(t / unit)
     if not (exact and residual < np.inf):  # NaN fails too
@@ -182,6 +183,6 @@ def backward_state(e_w_fin: SuperOp, rho_fin) -> np.ndarray:
     selection be pulled back to an earlier time.  The result is in
     general *not* normalized and not a density operator; it enters
     conditional averages only through ratios, where the normalization
-    cancels.
+    cancels.  A non-finite entry of ``rho_fin`` raises ``ValueError``.
     """
     return apply_superop(superop_adjoint(e_w_fin), rho_fin)
