@@ -563,6 +563,15 @@ class TestPointerCommand:
         g, shift = report["pairs"][0]
         assert shift == pytest.approx(0.5 * g, abs=1e-12)
 
+    @pytest.mark.xfail(strict=True, reason="FOUND (u): DEGENERACY_TOL is an absolute gap")
+    def test_small_hbar_scales_the_report(self, capsys):
+        # the observable is hbar/2 sigma_z; at hbar = 1e-10 its two levels are
+        # closer than DEGENERACY_TOL and merge into one at 0, so every shift,
+        # the slope and the weak value read 0.0
+        assert main(["pointer", "--a-re", "0.6", "--b-re", "0.8", "--hbar", "1e-10"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["weak_value_re"] == pytest.approx(0.5e-10, rel=1e-9)
+
     def test_weak_first_order(self):
         proc = run_cli("pointer", "--order", "weak-first", check_exit=0)
         report = json.loads(proc.stdout)

@@ -261,6 +261,79 @@ class TestEighKernel:
             assert eigh_outcome(_eigh, h) == eigh_outcome(np.linalg.eigh, h)
 
 
+def eigh_inputs(monkeypatch) -> list[np.ndarray]:
+    """Copies of every matrix stack that ``operators._eigh`` is given from
+    now on, in order."""
+    seen = []
+
+    def recording(h):
+        seen.append(h.copy())
+        return _eigh(h)
+
+    monkeypatch.setattr(weakprobe.operators, "_eigh", recording)
+    return seen
+
+
+class TestHermitianPart:
+    # The eigen layer decomposes the Hermitian part of its operand.  Off the
+    # float limit and away from subnormals, it is (a + a^dag) / 2 bit for bit.
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_observable_corpus(self, d, monkeypatch):
+        seen = eigh_inputs(monkeypatch)
+        rng = np.random.default_rng(37_000 + d)
+        for scale in (1e-100, 1e-10, 1.0, 1e10, 1e100):
+            h = random_hermitian(rng, d) * scale
+            noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            a = h + 1e-12 * min(scale, 1.0) * noise  # inside HERM_TOL
+            spectral_decompose(a)
+            assert seen.pop().tobytes() == ((a + a.conj().T) / 2).tobytes()
+        assert seen == []
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_near_pure_state_corpus(self, d, monkeypatch):
+        # a pure state with a perturbation inside the tolerances, so that a
+        # smallest eigenvalue just below zero is clipped on some draws
+        seen = eigh_inputs(monkeypatch)
+        rng = np.random.default_rng(38_000 + d)
+        for _ in range(20):
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            v /= np.linalg.norm(v)
+            noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            m = np.outer(v, v.conj()) + 1e-12 * noise
+            validate_density(m)
+            (stack,) = seen
+            assert stack.tobytes() == ((m + m.conj().T) / 2)[None].tobytes()
+            seen.clear()
+
+    @pytest.mark.parametrize(
+        "m, error, defect",
+        [
+            ([[0, BIG], [-BIG, 0]], HermiticityViolation, math.inf),
+            ([[0, 1j * BIG], [1j * BIG, 0]], HermiticityViolation, math.inf),
+            ([[BIG, 1], [0, BIG]], HermiticityViolation, 1.0),
+        ],
+    )
+    def test_observable_near_the_limit(self, m, error, defect):
+        with pytest.raises(error) as exc:
+            spectral_decompose(np.array(m))
+        assert exc.value.defect == defect
+
+    @pytest.mark.parametrize(
+        "m, error, defect",
+        [
+            ([[0.5, BIG], [BIG, 0.5]], NegativeEigenvalue, BIG),
+            ([[0.5, 1j * BIG], [-1j * BIG, 0.5]], NegativeEigenvalue, BIG),
+            (np.diag([BIG, -BIG, 1.0]), NegativeEigenvalue, BIG),
+            ([[0.5, BIG], [0, 0.5]], HermiticityViolation, BIG),
+        ],
+    )
+    def test_state_near_the_limit(self, m, error, defect):
+        with pytest.raises(error) as exc:
+            validate_density(np.array(m))
+        assert exc.value.defect == defect
+
+
 class TestValidateDensity:
     def test_accepts_maximally_mixed(self):
         out = validate_density(np.eye(2) / 2)
@@ -534,6 +607,24 @@ class TestNumericalPolicy:
         assert "operators.Projector.from_matrix" in checked
         assert "operators.validate_density" in checked
         assert {k: v for k, v in checked.items() if v} == {}
+
+    # FOUND (u): the observable tolerances are absolute, so an observable's
+    # answer depends on the unit it is written in.
+
+    @pytest.mark.xfail(strict=True, reason="FOUND (u): DEGENERACY_TOL is an absolute gap")
+    def test_small_levels_stay_apart(self):
+        # two levels 2e-12 apart, at a scale where the gap is the whole spectrum
+        assert eigenvalues(spectral_decompose(1e-12 * SIGMA_Z)) == (-1e-12, 1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="FOUND (u): the observable's HERM_TOL is absolute")
+    def test_hermiticity_is_judged_against_the_observable(self):
+        # a 1e9-scale observable carries a rounding defect of ~1e-7, which is
+        # Hermitian to working precision; [[0, 1e-11], [0, 0]] is not Hermitian
+        # at all
+        u = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)) + 1j)[0]
+        spectral_decompose(1e9 * (u * [1.0, 2.0, 3.0]) @ u.conj().T)
+        with pytest.raises(HermiticityViolation):
+            config_with(weak_observable=np.array([[0, 1e-11], [0, 0]]))
 
 
 # The boundary policy: every public entry point rejects a non-finite

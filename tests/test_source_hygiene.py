@@ -3,8 +3,8 @@ every name a module imports is used by that module, every private
 helper of the package is used by the package, every public name is
 reached from outside the tests, the package never calls a checked
 operator constructor, neither the rest of the package nor the scripts
-calls the closed-form hydrogen oracle, numpy's eigh is reached only
-through ``operators._eigh``, and loading the package or its CLI
+calls the closed-form hydrogen oracle, numpy's eigen-solvers are reached
+only through ``operators._eigh``, and loading the package or its CLI
 loads no module that computes.
 
 A stand-in for a linter's unused-import check, built on ``ast`` alone, over
@@ -247,8 +247,9 @@ def test_no_route_calls_hydrogen_predictions():
 
 
 # The names by which a module could reach numpy's eigh: the wrapper, its
-# two gufuncs and the extension module that holds them.
-EIGH_NAMES = {"eigh", "eigh_lo", "eigh_up", "_umath_linalg"}
+# two gufuncs and the extension module that holds them; and numpy's other
+# eigen-solvers, which would decompose a matrix by a second route.
+EIGH_NAMES = {"eigh", "eigh_lo", "eigh_up", "_umath_linalg", "eigvalsh", "eigvals", "eig"}
 
 
 def reference_name(node: ast.AST) -> str | None:

@@ -309,6 +309,21 @@ class TestWeakValue:
         # a plain sum of squares of 1e200 * r1 overflows
         assert weak_value(1e200 * r1, 1e-200 * r2, SIGMA_Z) == pytest.approx(-1 / 7, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "s1, s2",
+        [(s, s) for s in (1e-300, 1e-162, 1e-160, 1e155, 1e300)]
+        + [(1e-300, 1e300), (1e300, 1e-300), (1e-300, 1e-100), (1e200, 1e150), (1e-160, 1e155)],
+    )
+    def test_operands_at_any_scale(self, s1, s2):
+        # The formula is homogeneous of degree 0 in each state.  At these
+        # scales Tr[rho2 rho1] used to underflow to 0 (read as orthogonal) or
+        # to a subnormal, or to overflow to a non-finite value.
+        rng = np.random.default_rng(37)
+        r1, r2 = random_density(rng, 3).mat, random_density(rng, 3).mat
+        obs = random_hermitian(rng, 3)
+        unit = weak_value(r1, r2, obs)
+        assert weak_value(s1 * r1, s2 * r2, obs) == pytest.approx(unit, rel=1e-15, abs=0)
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         d=st.integers(2, 4),
