@@ -198,22 +198,24 @@ def protocol_traces(cfg: ProtocolConfig) -> ProtocolTraces:
     return cfg.traces
 
 
-def _frobenius(a: np.ndarray) -> float:
-    """Frobenius norm of ``a``.  Where the sum of squares leaves the normal
-    range, it is taken of ``a`` over its largest entry and scaled back."""
+def _in_range(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """``a`` and its Frobenius norm.  Where the sum of squares leaves the normal
+    range, ``a`` is first scaled by the power of two, exactly, that brings its
+    largest entry into [0.5, 1); a zero or non-finite ``a`` is kept as it is."""
     squares = np.vdot(a, a).real
-    if 1e-300 < squares < 1e300:
-        return math.sqrt(squares)
-    big = _max_abs(a)
-    return big * math.sqrt(np.vdot(a / big, a / big).real) if big else 0.0
+    if not 1e-300 < squares < 1e300 and 0.0 < (big := _max_abs(a)) < math.inf:
+        a = np.ldexp(np.ascontiguousarray(a).view(float), -math.frexp(big)[1]).view(complex)
+        squares = np.vdot(a, a).real
+    return a, math.sqrt(squares)
 
 
 def weak_value(rho1, rho2, obs) -> complex:
     """Conditional weak value ``Tr[rho2 obs rho1] / Tr[rho2 rho1]``.
 
     ``rho1``/``rho2`` need not be normalized (or even states); the
-    pulled-back postselection typically is not.  Raises
-    :class:`OrthogonalPostselection` when the overlap denominator
+    pulled-back postselection typically is not.  The value does not depend
+    on either operand's scale, and an operand of any finite scale gives it.
+    Raises :class:`OrthogonalPostselection` when the overlap denominator
     vanishes relative to the operands' Frobenius norms, and ``ValueError``
     when an operand is not finite.
     """
@@ -223,13 +225,16 @@ def weak_value(rho1, rho2, obs) -> complex:
     if not (r1.shape == r2.shape == o.shape):
         raise DimensionMismatch("rho1, rho2 and obs must share one dimension")
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite is rejected below
+        # Both traces are linear in each state, so scaling a state by a power
+        # of two leaves their ratio as it is and keeps them in range.
+        (r1, n1), (r2, n2) = _in_range(r1), _in_range(r2)
         den = complex((r2 @ r1).trace())
         num = complex((r2 @ o @ r1).trace())
     if not (cmath.isfinite(den) and cmath.isfinite(num)):
         raise ValueError(f"non-finite operand: weak value {num} / {den}")
     # Cauchy-Schwarz bounds |Tr[rho2 rho1]| by the product of the norms, so the
     # test reads an operand scaled by any factor the same way.
-    if abs(den) <= ZERO_TOL * _frobenius(r1) * _frobenius(r2):
+    if abs(den) <= ZERO_TOL * n1 * n2:
         raise OrthogonalPostselection(
             f"overlap Tr[rho2 rho1] = {abs(den):.3e} below tolerance"
         )

@@ -333,6 +333,14 @@ class TestHermitianPart:
             validate_density(np.array(m))
         assert exc.value.defect == defect
 
+    def test_state_whose_sum_overflows_to_inf(self):
+        # m + m^dag is inf off the diagonal, where eigh did not converge: this
+        # used to raise LinAlgError instead of a checked-input error
+        m = np.array([[0.5, BIG, BIG], [BIG, 0.0, BIG], [BIG, BIG, 0.5]])
+        with pytest.raises(NegativeEigenvalue) as exc:
+            validate_density(m)
+        assert exc.value.defect == pytest.approx(BIG, rel=1e-12)
+
 
 class TestValidateDensity:
     def test_accepts_maximally_mixed(self):
